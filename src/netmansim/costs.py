@@ -200,7 +200,7 @@ def cost_imasnm_deploy(
     """One-time bytes to ship a manager agent down every parent link."""
     return sum(
         (
-            net.inter_domain_cost(mother.manager_host, child.manager_host)
+            net.path_cost(mother.manager_host, child.manager_host)
             * params.ma_size
             for mother, child in tree.parent_child_edges()
         ),
@@ -223,7 +223,7 @@ def cost_imasnm_poll(
     """
     reports = sum(
         (
-            net.inter_domain_cost(mother.manager_host, child.manager_host)
+            net.path_cost(mother.manager_host, child.manager_host)
             * params.ma_res
             for mother, child in tree.parent_child_edges()
         ),

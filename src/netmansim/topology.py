@@ -5,11 +5,22 @@ dimensionless cost coefficient; the cost of moving management traffic
 between two nodes is the smallest sum of coefficients over any connecting
 path. Measured pair costs can be pinned directly with an override table,
 which takes precedence over path search.
+
+Path search runs on integers, not on ``Fraction``s. The first search in a
+network version multiplies every link coefficient by the least common
+multiple of their denominators, which makes every scaled coefficient, and
+so every sum of them, a whole number. Dijkstra then compares and adds plain
+``int``s, and a result ``d`` is returned as ``Fraction(d, scale)``: the same
+exact value a search on the original coefficients would find. The scaled
+graph and the shortest-path trees computed over it belong to one network
+version; a source asked for a second target gets its whole tree computed
+and kept, so a manager's queries to many nodes cost one search.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -60,6 +71,74 @@ def _check_node_id(node: object) -> NodeId:
     return node
 
 
+class _PathEngine:
+    """Integer Dijkstra over one network version, with cached trees.
+
+    A source's first search stops at its target and keeps only that one
+    answer, which also serves the same pair asked again. A source asked
+    for a second target gets a full single-source tree, kept for the rest
+    of this version's life. Sources that each ask for one target, as the
+    hops of a flat-bed round trip do, so never fill an all-pairs table,
+    even when the same version is priced twice.
+    """
+
+    __slots__ = ("scale", "_adjacency", "_trees", "_first")
+
+    def __init__(
+        self, nodes: frozenset[NodeId], links: Mapping[tuple[NodeId, NodeId], Fraction]
+    ) -> None:
+        scale = math.lcm(*(cost.denominator for cost in links.values()))
+        adjacency: dict[NodeId, list[tuple[NodeId, int]]] = {n: [] for n in nodes}
+        for (a, b), cost in links.items():
+            weight = cost.numerator * (scale // cost.denominator)
+            adjacency[a].append((b, weight))
+            adjacency[b].append((a, weight))
+        self.scale = scale
+        self._adjacency = adjacency
+        self._trees: dict[NodeId, dict[NodeId, int]] = {}
+        self._first: dict[NodeId, tuple[NodeId, int | None]] = {}
+
+    def distance(self, i: NodeId, j: NodeId) -> int | None:
+        """Scaled cost of the cheapest ``i``-``j`` path, None if there is none."""
+        trees = self._trees
+        if i in trees:
+            return trees[i].get(j)
+        if j in trees:
+            return trees[j].get(i)
+        first = self._first.get(i)
+        if first is None:
+            scaled = self._search(i, j).get(j)
+            self._first[i] = (j, scaled)
+            return scaled
+        if first[0] == j:
+            return first[1]
+        tree = trees[i] = self._search(i)
+        return tree.get(j)
+
+    def _search(self, source: NodeId, goal: NodeId | None = None) -> dict[NodeId, int]:
+        """Dijkstra from ``source``, stopping once ``goal`` is settled.
+
+        Without a goal every entry of the result is final. With one, only
+        the goal's entry is; it is missing when the goal is unreachable.
+        """
+        adjacency = self._adjacency
+        best = {source: 0}
+        frontier = [(0, source)]
+        while frontier:
+            dist, node = heapq.heappop(frontier)
+            if node == goal:
+                break
+            if dist > best[node]:
+                continue
+            for neighbor, weight in adjacency[node]:
+                candidate = dist + weight
+                known = best.get(neighbor)
+                if known is None or candidate < known:
+                    best[neighbor] = candidate
+                    heapq.heappush(frontier, (candidate, neighbor))
+        return best
+
+
 class Network:
     """Immutable managed network.
 
@@ -67,9 +146,13 @@ class Network:
     simulation snapshots can hold onto earlier states cheaply. Pair-cost
     overrides may mention nodes that have not joined yet; they only take
     effect once both endpoints exist.
+
+    Each version also owns a path engine, built on its first path search
+    and never shared with the versions derived from it. It is a cache:
+    it takes no part in equality or hashing.
     """
 
-    __slots__ = ("_nodes", "_links", "_override", "_adjacency")
+    __slots__ = ("_nodes", "_links", "_override", "_engine")
 
     def __init__(
         self,
@@ -124,13 +207,7 @@ class Network:
         self._nodes = frozenset(node_set)
         self._links = link_map
         self._override = override_map
-        adjacency: dict[NodeId, list[tuple[NodeId, Fraction]]] = {
-            n: [] for n in node_set
-        }
-        for (a, b), cost in link_map.items():
-            adjacency[a].append((b, cost))
-            adjacency[b].append((a, cost))
-        self._adjacency = adjacency
+        self._engine: _PathEngine | None = None
 
     @property
     def nodes(self) -> frozenset[NodeId]:
@@ -179,9 +256,7 @@ class Network:
         clone._nodes = self._nodes | {node}
         clone._links = self._links
         clone._override = self._override
-        adjacency = dict(self._adjacency)
-        adjacency[node] = []
-        clone._adjacency = adjacency
+        clone._engine = None
         return clone
 
     def add_link(self, a: NodeId, b: NodeId, coeff: NumberLike) -> "Network":
@@ -203,10 +278,7 @@ class Network:
         clone._links = dict(self._links)
         clone._links[key] = cost
         clone._override = self._override
-        adjacency = {n: list(edges) for n, edges in self._adjacency.items()}
-        adjacency[a].append((b, cost))
-        adjacency[b].append((a, cost))
-        clone._adjacency = adjacency
+        clone._engine = None
         return clone
 
     def path_cost(self, i: NodeId, j: NodeId) -> Fraction:
@@ -215,6 +287,12 @@ class Network:
         An override entry for the pair wins over path search. The cost of
         a node to itself is zero. Raises ``UnknownNode`` for ids outside
         the network and ``Unreachable`` when no path exists.
+
+        The search runs on this version's integer-scaled links (see the
+        module docstring), so the result is exact. The first query from a
+        source runs a search that stops at ``j``; a query from the same
+        source to another node computes and keeps its whole tree, which
+        then answers every query that starts or ends at that source.
         """
         if i not in self._nodes:
             raise UnknownNode(f"node {i} is not part of the network")
@@ -225,30 +303,10 @@ class Network:
             return override
         if i == j:
             return Fraction(0)
-        best: dict[NodeId, Fraction] = {i: Fraction(0)}
-        frontier: list[tuple[Fraction, NodeId]] = [(Fraction(0), i)]
-        visited: set[NodeId] = set()
-        while frontier:
-            dist, node = heapq.heappop(frontier)
-            if node in visited:
-                continue
-            if node == j:
-                return dist
-            visited.add(node)
-            for neighbor, cost in self._adjacency[node]:
-                if neighbor in visited:
-                    continue
-                candidate = dist + cost
-                known = best.get(neighbor)
-                if known is None or candidate < known:
-                    best[neighbor] = candidate
-                    heapq.heappush(frontier, (candidate, neighbor))
-        raise Unreachable(f"no path between {i} and {j}")
-
-    def inter_domain_cost(self, mother_host: NodeId, child_host: NodeId) -> Fraction:
-        """Traffic coefficient between a mother manager and a child manager.
-
-        This is simply ``path_cost`` between the two hosting nodes; the
-        name records what the quantity is used for.
-        """
-        return self.path_cost(mother_host, child_host)
+        engine = self._engine
+        if engine is None:
+            engine = self._engine = _PathEngine(self._nodes, self._links)
+        scaled = engine.distance(i, j)
+        if scaled is None:
+            raise Unreachable(f"no path between {i} and {j}")
+        return Fraction(scaled, engine.scale)

@@ -283,19 +283,22 @@ def all_simple_path_costs(links, start, goal):
 def check_path_costs(case):
     nodes, links = case
     net = Network(nodes, links)
+    # The enumeration is exponential, so each pair is enumerated once.
+    oracle = {
+        (i, j): all_simple_path_costs(links, i, j)
+        for i, j in permutations(nodes, 2)
+    }
     for i in nodes:
         for j in nodes:
-            expected = (
-                Fraction(0) if i == j else all_simple_path_costs(links, i, j)
-            )
+            expected = Fraction(0) if i == j else oracle[i, j]
             if expected is None:
                 continue
             assert net.path_cost(i, j) == expected
             assert net.path_cost(j, i) == expected
     for i, j, k in permutations(nodes, 3):
-        direct = all_simple_path_costs(links, i, k)
-        via_a = all_simple_path_costs(links, i, j)
-        via_b = all_simple_path_costs(links, j, k)
+        direct = oracle[i, k]
+        via_a = oracle[i, j]
+        via_b = oracle[j, k]
         if direct is None or via_a is None or via_b is None:
             continue
         assert net.path_cost(i, k) <= via_a + via_b

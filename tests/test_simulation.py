@@ -510,7 +510,7 @@ class TestReference18State:
         edges = reference18_state.tree.parent_child_edges()
         assert len(edges) == 5
         for mother, child in edges:
-            cost = reference18_state.network.inter_domain_cost(
+            cost = reference18_state.network.path_cost(
                 mother.manager_host, child.manager_host
             )
             assert cost == 5

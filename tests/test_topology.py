@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from netmansim import (
     DuplicateLink,
@@ -155,18 +156,40 @@ def test_path_cost_unknown_node_raises():
         net.path_cost(99, 1)
 
 
-def test_inter_domain_cost_is_path_cost():
-    net = Network(nodes=[1, 2, 3], links=[(1, 2, 1), (2, 3, 5)])
-    assert net.inter_domain_cost(1, 3) == 6
-    assert net.inter_domain_cost(1, 2) == 1
-    assert net.inter_domain_cost(2, 2) == 0
-
-
 def test_adding_a_link_never_increases_costs():
     before = Network(nodes=[1, 2, 3], links=[(1, 2, 4), (2, 3, 4)])
     after = before.add_link(1, 3, 1)
     assert after.path_cost(1, 3) == 1 < before.path_cost(1, 3)
     assert after.path_cost(1, 2) <= before.path_cost(1, 2)
+
+
+def test_add_link_leaves_the_original_unchanged():
+    net = Network(nodes=[1, 2, 3], links=[(1, 2, 4), (2, 3, 4)])
+    assert net.path_cost(1, 3) == 8
+    assert net.path_cost(1, 2) == 4
+    linked = net.add_link(1, 3, 1)
+    assert linked.path_cost(1, 3) == 1
+    assert linked.path_cost(3, 1) == 1
+    assert net.path_cost(1, 3) == 8
+    assert net.path_cost(3, 1) == 8
+    assert net.links == ((1, 2, Fraction(4)), (2, 3, Fraction(4)))
+
+
+def test_sources_asked_for_one_target_keep_no_tree():
+    chain = [(n, n + 1, 1) for n in range(1, 6)]
+    net = Network(nodes=range(1, 7), links=chain)
+    # One target per source, as a flat-bed round trip asks, priced twice:
+    # no tree is kept.
+    for _ in range(2):
+        for n in range(1, 7):
+            assert net.path_cost(n, n % 6 + 1) == (5 if n == 6 else 1)
+    assert net._engine._trees == {}
+    assert net.path_cost(1, 4) == 3
+    assert set(net._engine._trees) == {1}
+    # The tree of 1 answers queries that end at 1 as well.
+    assert net.path_cost(5, 1) == 4
+    assert set(net._engine._trees) == {1}
+    assert net.add_link(1, 6, 1)._engine is None
 
 
 def test_networks_compare_by_value():
@@ -262,3 +285,122 @@ def test_path_cost_triangle_inequality(net, data):
     except Unreachable:
         return
     assert direct <= via
+
+
+# -- the engine against the Fraction Dijkstra it replaced --------------------
+
+
+def _reference_path_cost(net: Network, i: int, j: int) -> Fraction:
+    """Early-exit Dijkstra on ``Fraction`` coefficients, the reference.
+
+    This is the search ``Network.path_cost`` ran before it moved to
+    integer-scaled coefficients and cached trees.
+    """
+    override = net.k_override.get((min(i, j), max(i, j)))
+    if override is not None:
+        return override
+    if i == j:
+        return Fraction(0)
+    adjacency: dict[int, list[tuple[int, Fraction]]] = {n: [] for n in net.nodes}
+    for a, b, cost in net.links:
+        adjacency[a].append((b, cost))
+        adjacency[b].append((a, cost))
+    best = {i: Fraction(0)}
+    frontier = [(Fraction(0), i)]
+    visited: set[int] = set()
+    while frontier:
+        dist, node = heapq.heappop(frontier)
+        if node in visited:
+            continue
+        if node == j:
+            return dist
+        visited.add(node)
+        for neighbor, cost in adjacency[node]:
+            if neighbor in visited:
+                continue
+            candidate = dist + cost
+            known = best.get(neighbor)
+            if known is None or candidate < known:
+                best[neighbor] = candidate
+                heapq.heappush(frontier, (candidate, neighbor))
+    raise Unreachable(f"no path between {i} and {j}")
+
+
+# Denominators 1, 3, 5, 10 and 12 mixed in one graph, plus zero-cost links.
+_MIXED_COEFFS = st.one_of(
+    st.sampled_from([Fraction(1, 3), "3.2", "0.1", Fraction(7, 12), 0, 2]),
+    st.fractions(min_value=0, max_value=10, max_denominator=12),
+)
+
+
+@st.composite
+def mixed_networks(draw, max_nodes: int = 40):
+    size = draw(st.integers(min_value=2, max_value=max_nodes))
+    nodes = list(range(1, size + 1))
+    pair = (
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+        .filter(lambda p: p[0] != p[1])
+        .map(lambda p: (min(p), max(p)))
+    )
+    # At most two links per node on average: many pairs stay disconnected.
+    chosen = draw(st.lists(pair, unique=True, max_size=2 * size))
+    links = [(a, b, draw(_MIXED_COEFFS)) for a, b in chosen]
+    overrides = draw(st.dictionaries(pair, _MIXED_COEFFS, max_size=3))
+    return Network(nodes=nodes, links=links, k_override=overrides)
+
+
+def _queries(nodes: list[int]):
+    # Sources come from a few nodes so that most of them repeat and get
+    # their trees cached; each query is also asked the other way round.
+    return st.lists(
+        st.tuples(st.sampled_from(nodes[:4]), st.sampled_from(nodes)),
+        min_size=1,
+        max_size=60,
+    )
+
+
+def _answers_match_reference(net: Network, queries) -> dict:
+    answers = {}
+    for i, j in queries:
+        for a, b in ((i, j), (j, i)):
+            try:
+                expected = _reference_path_cost(net, a, b)
+            except Unreachable:
+                with pytest.raises(Unreachable):
+                    net.path_cost(a, b)
+                expected = None
+            else:
+                got = net.path_cost(a, b)
+                assert type(got) is Fraction
+                assert got == expected
+            answers[a, b] = expected
+    return answers
+
+
+@settings(deadline=None)
+@given(mixed_networks(), st.data())
+def test_path_cost_matches_fraction_reference(net, data):
+    queries = data.draw(_queries(sorted(net.nodes)))
+    first = _answers_match_reference(net, queries)
+    # Asked again, every answer now comes from a cached tree.
+    assert _answers_match_reference(net, queries) == first
+
+
+@settings(deadline=None)
+@given(mixed_networks(max_nodes=12), st.data())
+def test_add_link_chain_keeps_each_version_answers(net, data):
+    nodes = sorted(net.nodes)
+    queries = data.draw(_queries(nodes))
+    versions = [net]
+    answers = [_answers_match_reference(net, queries)]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        linked = {(a, b) for a, b, _ in net.links}
+        free = [(a, b) for a in nodes for b in nodes if a < b and (a, b) not in linked]
+        if not free:
+            break
+        a, b = data.draw(st.sampled_from(free))
+        net = net.add_link(a, b, data.draw(_MIXED_COEFFS))
+        versions.append(net)
+        answers.append(_answers_match_reference(net, queries))
+    for version, expected in zip(versions, answers):
+        assert _answers_match_reference(version, queries) == expected
