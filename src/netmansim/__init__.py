@@ -42,8 +42,6 @@ from .errors import (
 )
 from .hierarchy import (
     ROOT_DOMAIN,
-    Deglet,
-    DegletKind,
     Domain,
     DomainId,
     ManagerTree,
@@ -77,8 +75,6 @@ __all__ = [
     "DomainId",
     "ROOT_DOMAIN",
     "Domain",
-    "DegletKind",
-    "Deglet",
     "ManagerTree",
     "CostParams",
     "CostBreakdown",

@@ -82,11 +82,11 @@ def _tree_lines(result: SimulationResult) -> list[str]:
 def _print_snapshots(result: SimulationResult) -> None:
     for record in result.snapshots:
         print(f"snapshot {record.label}: managers {', '.join(record.managers)}")
-        if record.costs:
-            for model, breakdown in record.costs:
+        if record.per_poll:
+            for model, per_poll in record.per_poll.items():
                 print(
-                    f"  {model}: per-poll {float(breakdown.per_poll):g} bytes"
-                    f" ({kilobytes(breakdown.per_poll)} Kb)"
+                    f"  {model}: per-poll {float(per_poll):g} bytes"
+                    f" ({kilobytes(per_poll)} Kb)"
                 )
 
 

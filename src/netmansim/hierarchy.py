@@ -4,15 +4,12 @@ A ``ManagerTree`` assigns every managed node to exactly one domain. Each
 domain is run by a manager hosted on one of its member nodes. When a
 domain outgrows ``m_max`` the manager keeps its first ``m_max`` members
 and spawns a child manager for the overflow, recursively, so the tree
-deepens as the network grows. Managers report upward along parent links
-with lightweight one-shot messages (deglets).
+deepens as the network grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -22,13 +19,11 @@ from .errors import (
     UnknownDomain,
     UnknownNode,
 )
-from .topology import NodeId, NumberLike
+from .topology import NodeId
 
 __all__ = [
     "DomainId",
     "ROOT_DOMAIN",
-    "DegletKind",
-    "Deglet",
     "Domain",
     "ManagerTree",
 ]
@@ -79,45 +74,6 @@ class DomainId:
 
 
 ROOT_DOMAIN = DomainId((1,))
-
-
-class DegletKind(Enum):
-    PROVISIONING = "provisioning"
-    EVENT_REPORTING = "event-reporting"
-
-
-@dataclass(frozen=True)
-class Deglet:
-    """One-shot management message between adjacent managers.
-
-    Provisioning deglets flow from a manager to one of its children;
-    event-reporting deglets flow from a child to its parent.
-    """
-
-    kind: DegletKind
-    from_domain: DomainId
-    to_domain: DomainId
-    size: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        size = Fraction(self.size)
-        if size < 0:
-            raise ValueError("deglet size must be non-negative")
-        object.__setattr__(self, "size", size)
-        if self.kind is DegletKind.PROVISIONING:
-            if self.to_domain.parent != self.from_domain:
-                raise ValueError(
-                    f"provisioning deglet must flow parent to child, got "
-                    f"{self.from_domain} to {self.to_domain}"
-                )
-        elif self.kind is DegletKind.EVENT_REPORTING:
-            if self.from_domain.parent != self.to_domain:
-                raise ValueError(
-                    f"event-reporting deglet must flow child to parent, got "
-                    f"{self.from_domain} to {self.to_domain}"
-                )
-        else:
-            raise ValueError(f"unknown deglet kind: {self.kind!r}")
 
 
 @dataclass
@@ -275,29 +231,6 @@ class ManagerTree:
         if domain is None:
             raise UnassignedNode(f"node {node} is not assigned to any domain")
         return domain
-
-    def report_path(
-        self, leaf: DomainId, size: NumberLike = 0
-    ) -> list[Deglet]:
-        """Event-reporting deglet chain from ``leaf`` up to the root.
-
-        One deglet per parent link, each carrying ``size`` bytes (the
-        caller supplies the report size; it defaults to zero). The root
-        yields an empty chain.
-        """
-        if leaf not in self._managers:
-            raise UnknownDomain(f"no such domain: {leaf}")
-        payload = Fraction(size)
-        chain: list[Deglet] = []
-        current = leaf
-        while True:
-            parent = self._managers[current].parent
-            if parent is None:
-                return chain
-            chain.append(
-                Deglet(DegletKind.EVENT_REPORTING, current, parent, payload)
-            )
-            current = parent
 
     # -- read-only views ------------------------------------------------
 

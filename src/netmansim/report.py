@@ -37,14 +37,14 @@ class ReportRow:
     """One polling count with its per-model cost, in bytes and kilobytes."""
 
     polls: int
-    bytes_by_model: tuple[tuple[str, Fraction], ...]
-    kb_by_model: tuple[tuple[str, Decimal], ...]
+    bytes: dict[str, Fraction]
+    kb: dict[str, Decimal]
 
     def bytes_of(self, model: str) -> Fraction:
-        return dict(self.bytes_by_model)[model]
+        return self.bytes[model]
 
     def kb_of(self, model: str) -> Decimal:
-        return dict(self.kb_by_model)[model]
+        return self.kb[model]
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,11 @@ class CostReport:
     scenario: str
     models: tuple[str, ...]
     include_deploy: bool
-    deploy_bytes: tuple[tuple[str, Fraction], ...]
+    deploy: dict[str, Fraction]
     rows: tuple[ReportRow, ...]
 
     def deploy_of(self, model: str) -> Fraction:
-        return dict(self.deploy_bytes)[model]
+        return self.deploy[model]
 
 
 def compare(result: SimulationResult, include_deploy: bool = False) -> CostReport:
@@ -72,26 +72,18 @@ def compare(result: SimulationResult, include_deploy: bool = False) -> CostRepor
         raise EmptyResult(f"run of {result.scenario!r} evaluated no models")
     rows = []
     for polls in result.polling_counts:
-        cells: list[tuple[str, Fraction]] = []
-        for model in result.models:
-            total = result.total_of(model, polls)
-            if include_deploy:
-                total += result.deploy_of(model)
-            cells.append((model, total))
-        rows.append(
-            ReportRow(
-                polls=polls,
-                bytes_by_model=tuple(cells),
-                kb_by_model=tuple(
-                    (model, kilobytes(value)) for model, value in cells
-                ),
-            )
-        )
+        cells = {
+            model: result.total_of(model, polls)
+            + (result.deploy_of(model) if include_deploy else 0)
+            for model in result.models
+        }
+        kb = {model: kilobytes(value) for model, value in cells.items()}
+        rows.append(ReportRow(polls=polls, bytes=cells, kb=kb))
     return CostReport(
         scenario=result.scenario,
         models=result.models,
         include_deploy=include_deploy,
-        deploy_bytes=result.deploy,
+        deploy=result.deploy,
         rows=tuple(rows),
     )
 
@@ -138,7 +130,7 @@ def format_table(report: CostReport) -> str:
         for col in range(len(header))
     ]
     lines = [f"scenario: {report.scenario}"]
-    for model, deploy in report.deploy_bytes:
+    for model, deploy in report.deploy.items():
         if deploy:
             suffix = "included in rows" if report.include_deploy else "one-time, excluded from rows"
             lines.append(

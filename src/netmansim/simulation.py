@@ -17,7 +17,6 @@ from importlib import resources
 from typing import BinaryIO, Iterable, TextIO, Union
 
 from .costs import (
-    CostBreakdown,
     CostParams,
     cost_centralized,
     cost_flatbed,
@@ -81,7 +80,7 @@ class Scenario:
     central: NodeId
     m_max: int
     params: CostParams
-    domain_k: tuple[tuple[str, Fraction], ...]
+    domain_k: dict[str, Fraction]
     events: tuple[Event, ...]
     polling_counts: tuple[int, ...]
     models: tuple[str, ...]
@@ -102,12 +101,20 @@ class DomainState:
 
 @dataclass(frozen=True)
 class SnapshotRecord:
-    """The hierarchy captured by one Snapshot event."""
+    """The hierarchy captured by one Snapshot event.
+
+    ``per_poll`` and ``deploy`` are the model-keyed cost tables of that
+    instant, filled in only by ``run(..., costs_at_snapshots=True)``.
+    """
 
     label: str
-    managers: tuple[str, ...]
     domains: tuple[DomainState, ...]
-    costs: tuple[tuple[str, CostBreakdown], ...] | None = None
+    per_poll: dict[str, Fraction] | None = None
+    deploy: dict[str, Fraction] | None = None
+
+    @property
+    def managers(self) -> tuple[str, ...]:
+        return tuple(state.id for state in self.domains)
 
 
 @dataclass
@@ -121,32 +128,31 @@ class SimulationState:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Final state and cost tables produced by ``run``."""
+    """Final state and cost tables produced by ``run``.
+
+    ``per_poll`` and ``deploy`` map each model, in ``models`` order, to
+    its bytes for one poll and its one-time deployment bytes.
+    """
 
     scenario: str
     models: tuple[str, ...]
     polling_counts: tuple[int, ...]
-    per_poll: tuple[tuple[str, Fraction], ...]
-    deploy: tuple[tuple[str, Fraction], ...]
-    totals: tuple[tuple[str, tuple[tuple[int, Fraction], ...]], ...]
+    per_poll: dict[str, Fraction]
+    deploy: dict[str, Fraction]
     snapshots: tuple[SnapshotRecord, ...]
     final_domains: tuple[DomainState, ...]
 
     def per_poll_of(self, model: str) -> Fraction:
-        return dict(self.per_poll)[model]
+        return self.per_poll[model]
 
     def deploy_of(self, model: str) -> Fraction:
-        return dict(self.deploy)[model]
+        return self.deploy[model]
 
     def total_of(self, model: str, polls: int) -> Fraction:
-        return dict(dict(self.totals)[model])[polls]
+        return self.per_poll[model] * polls
 
 
 # -- scenario loading -------------------------------------------------------
-
-
-def _fail(path: str, message: str) -> ValidationError:
-    return ValidationError(path, message)
 
 
 def _reject_constant(token: str) -> None:
@@ -155,37 +161,37 @@ def _reject_constant(token: str) -> None:
 
 def _expect_object(value: object, path: str) -> dict:
     if not isinstance(value, dict):
-        raise _fail(path, f"expected an object, got {type(value).__name__}")
+        raise ValidationError(path, f"expected an object, got {type(value).__name__}")
     return value
 
 
 def _expect_array(value: object, path: str) -> list:
     if not isinstance(value, list):
-        raise _fail(path, f"expected an array, got {type(value).__name__}")
+        raise ValidationError(path, f"expected an array, got {type(value).__name__}")
     return value
 
 
 def _expect_str(value: object, path: str) -> str:
     if not isinstance(value, str):
-        raise _fail(path, f"expected a string, got {type(value).__name__}")
+        raise ValidationError(path, f"expected a string, got {type(value).__name__}")
     return value
 
 
 def _expect_int(value: object, path: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(path, f"expected an integer, got {value!r}")
+        raise ValidationError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise _fail(path, f"must be at least {minimum}, got {value}")
+        raise ValidationError(path, f"must be at least {minimum}, got {value}")
     return value
 
 
 def _expect_number(value: object, path: str) -> Fraction:
     # json parsing maps floats to Decimal, so decimal literals stay exact
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
-        raise _fail(path, f"expected a number, got {value!r}")
+        raise ValidationError(path, f"expected a number, got {value!r}")
     number = Fraction(value)
     if number < 0:
-        raise _fail(path, f"must be non-negative, got {value}")
+        raise ValidationError(path, f"must be non-negative, got {value}")
     return number
 
 
@@ -196,9 +202,9 @@ def _expect_keys(
     allowed = required | set(optional)
     for key in obj:
         if key not in allowed:
-            raise _fail(f"{path}.{key}" if path else key, "unknown key")
+            raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
     for key in sorted(required - obj.keys()):
-        raise _fail(f"{path}.{key}" if path else key, "missing required key")
+        raise ValidationError(f"{path}.{key}" if path else key, "missing required key")
 
 
 def _parse_domain_id(value: object, path: str) -> DomainId:
@@ -206,7 +212,7 @@ def _parse_domain_id(value: object, path: str) -> DomainId:
     try:
         return DomainId.parse(text)
     except ValueError as exc:
-        raise _fail(path, str(exc)) from None
+        raise ValidationError(path, str(exc)) from None
 
 
 def load_scenario(source: Union[BinaryIO, TextIO, bytes, str]) -> Scenario:
@@ -289,18 +295,18 @@ def _scenario_from_raw(raw: object) -> Scenario:
 
     name = _expect_str(top["name"], "name")
     if not name:
-        raise _fail("name", "must not be empty")
+        raise ValidationError("name", "must not be empty")
 
     nodes: list[NodeId] = []
     node_set: set[NodeId] = set()
     for index, entry in enumerate(_expect_array(top["nodes"], "nodes")):
         node = _expect_int(entry, f"nodes[{index}]", minimum=1)
         if node in node_set:
-            raise _fail(f"nodes[{index}]", f"duplicate node {node}")
+            raise ValidationError(f"nodes[{index}]", f"duplicate node {node}")
         nodes.append(node)
         node_set.add(node)
     if not nodes:
-        raise _fail("nodes", "must not be empty")
+        raise ValidationError("nodes", "must not be empty")
 
     links: list[tuple[NodeId, NodeId, Fraction]] = []
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
@@ -308,25 +314,28 @@ def _scenario_from_raw(raw: object) -> Scenario:
         path = f"links[{index}]"
         triple = _expect_array(entry, path)
         if len(triple) != 3:
-            raise _fail(path, f"expected [a, b, coeff], got {len(triple)} items")
+            raise ValidationError(
+                path,
+                f"expected [a, b, coeff], got {len(triple)} items",
+            )
         a = _expect_int(triple[0], f"{path}[0]", minimum=1)
         b = _expect_int(triple[1], f"{path}[1]", minimum=1)
         coeff = _expect_number(triple[2], f"{path}[2]")
         if a not in node_set:
-            raise _fail(f"{path}[0]", f"unknown node {a}")
+            raise ValidationError(f"{path}[0]", f"unknown node {a}")
         if b not in node_set:
-            raise _fail(f"{path}[1]", f"unknown node {b}")
+            raise ValidationError(f"{path}[1]", f"unknown node {b}")
         if a == b:
-            raise _fail(path, f"link joins node {a} to itself")
+            raise ValidationError(path, f"link joins node {a} to itself")
         pair = (a, b) if a <= b else (b, a)
         if pair in seen_pairs:
-            raise _fail(path, f"duplicate link {pair[0]}-{pair[1]}")
+            raise ValidationError(path, f"duplicate link {pair[0]}-{pair[1]}")
         seen_pairs.add(pair)
         links.append((a, b, coeff))
 
     central = _expect_int(top["central"], "central", minimum=1)
     if central not in node_set:
-        raise _fail("central", f"central node {central} is not in nodes")
+        raise ValidationError("central", f"central node {central} is not in nodes")
 
     m_max = _expect_int(top["m_max"], "m_max", minimum=1)
 
@@ -357,7 +366,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
         path = f"events[{index}]"
         obj = _expect_object(entry, path)
         if len(obj) != 1:
-            raise _fail(path, "event must have exactly one key")
+            raise ValidationError(path, "event must have exactly one key")
         (kind,) = obj
         if kind == "add_node":
             body_path = f"{path}.add_node"
@@ -367,7 +376,10 @@ def _scenario_from_raw(raw: object) -> Scenario:
             )
             node = _expect_int(body["node"], f"{body_path}.node", minimum=1)
             if node in all_nodes:
-                raise _fail(f"{body_path}.node", f"node {node} already exists")
+                raise ValidationError(
+                    f"{body_path}.node",
+                    f"node {node} already exists",
+                )
             domain = _parse_domain_id(body["domain"], f"{body_path}.domain")
             event_links: list[tuple[NodeId, Fraction]] = []
             if "links" in body:
@@ -379,18 +391,18 @@ def _scenario_from_raw(raw: object) -> Scenario:
                     lpath = f"{links_path}[{li}]"
                     pair_entry = _expect_array(link_entry, lpath)
                     if len(pair_entry) != 2:
-                        raise _fail(
+                        raise ValidationError(
                             lpath,
                             f"expected [peer, coeff], got {len(pair_entry)} items",
                         )
                     peer = _expect_int(pair_entry[0], f"{lpath}[0]", minimum=1)
                     coeff = _expect_number(pair_entry[1], f"{lpath}[1]")
                     if peer == node:
-                        raise _fail(f"{lpath}[0]", "peer is the node itself")
+                        raise ValidationError(f"{lpath}[0]", "peer is the node itself")
                     if peer not in all_nodes:
-                        raise _fail(f"{lpath}[0]", f"unknown node {peer}")
+                        raise ValidationError(f"{lpath}[0]", f"unknown node {peer}")
                     if peer in peers:
-                        raise _fail(f"{lpath}[0]", f"duplicate peer {peer}")
+                        raise ValidationError(f"{lpath}[0]", f"duplicate peer {peer}")
                     peers.add(peer)
                     event_links.append((peer, coeff))
             all_nodes.add(node)
@@ -398,11 +410,11 @@ def _scenario_from_raw(raw: object) -> Scenario:
         elif kind == "snapshot":
             label = _expect_str(obj[kind], f"{path}.snapshot")
             if label in snapshot_labels:
-                raise _fail(f"{path}.snapshot", f"duplicate label {label!r}")
+                raise ValidationError(f"{path}.snapshot", f"duplicate label {label!r}")
             snapshot_labels.add(label)
             events.append(Snapshot(label))
         else:
-            raise _fail(f"{path}.{kind}", "unknown event kind")
+            raise ValidationError(f"{path}.{kind}", "unknown event kind")
 
     k_override: list[tuple[NodeId, NodeId, Fraction]] = []
     if "k_override" in top:
@@ -413,29 +425,32 @@ def _scenario_from_raw(raw: object) -> Scenario:
             path = f"k_override[{index}]"
             triple = _expect_array(entry, path)
             if len(triple) != 3:
-                raise _fail(path, f"expected [i, j, cost], got {len(triple)} items")
+                raise ValidationError(
+                    path,
+                    f"expected [i, j, cost], got {len(triple)} items",
+                )
             i = _expect_int(triple[0], f"{path}[0]", minimum=1)
             j = _expect_int(triple[1], f"{path}[1]", minimum=1)
             cost = _expect_number(triple[2], f"{path}[2]")
             if i not in all_nodes:
-                raise _fail(f"{path}[0]", f"unknown node {i}")
+                raise ValidationError(f"{path}[0]", f"unknown node {i}")
             if j not in all_nodes:
-                raise _fail(f"{path}[1]", f"unknown node {j}")
+                raise ValidationError(f"{path}[1]", f"unknown node {j}")
             if i == j and cost != 0:
-                raise _fail(path, "a node's cost to itself must be 0")
+                raise ValidationError(path, "a node's cost to itself must be 0")
             pair = (i, j) if i <= j else (j, i)
             if pair in seen_override:
-                raise _fail(path, f"duplicate pair {pair[0]}-{pair[1]}")
+                raise ValidationError(path, f"duplicate pair {pair[0]}-{pair[1]}")
             seen_override[pair] = cost
             k_override.append((i, j, cost))
 
-    domain_k: list[tuple[str, Fraction]] = []
+    domain_k: dict[str, Fraction] = {}
     if "domain_k" in top:
         dk_obj = _expect_object(top["domain_k"], "domain_k")
         for key in dk_obj:
             path = f"domain_k.{key}"
             _parse_domain_id(key, path)
-            domain_k.append((key, _expect_number(dk_obj[key], path)))
+            domain_k[key] = _expect_number(dk_obj[key], path)
 
     polling_counts: list[int] = []
     for index, entry in enumerate(
@@ -450,9 +465,12 @@ def _scenario_from_raw(raw: object) -> Scenario:
         path = f"models[{index}]"
         model = _expect_str(entry, path)
         if model not in MODEL_NAMES:
-            raise _fail(path, f"unknown model {model!r} (choose from {MODEL_NAMES})")
+            raise ValidationError(
+                path,
+                f"unknown model {model!r} (choose from {MODEL_NAMES})",
+            )
         if model in models:
-            raise _fail(path, f"duplicate model {model!r}")
+            raise ValidationError(path, f"duplicate model {model!r}")
         models.append(model)
 
     flatbed_itinerary: tuple[NodeId, ...] | None = None
@@ -464,14 +482,14 @@ def _scenario_from_raw(raw: object) -> Scenario:
             path = f"flatbed_itinerary[{index}]"
             stop = _expect_int(entry, path, minimum=1)
             if stop not in all_nodes:
-                raise _fail(path, f"unknown node {stop}")
+                raise ValidationError(path, f"unknown node {stop}")
             if stop in stops:
-                raise _fail(path, f"node {stop} repeated")
+                raise ValidationError(path, f"node {stop} repeated")
             stops.append(stop)
         if not stops:
-            raise _fail("flatbed_itinerary", "must not be empty")
+            raise ValidationError("flatbed_itinerary", "must not be empty")
         if stops[0] != central:
-            raise _fail(
+            raise ValidationError(
                 "flatbed_itinerary[0]",
                 f"itinerary must start at the central node {central}",
             )
@@ -488,7 +506,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
             ]
             notes = "\n".join(parts)
         else:
-            raise _fail("notes", "expected a string or array of strings")
+            raise ValidationError("notes", "expected a string or array of strings")
 
     return Scenario(
         name=name,
@@ -498,7 +516,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
         central=central,
         m_max=m_max,
         params=params,
-        domain_k=tuple(domain_k),
+        domain_k=domain_k,
         events=tuple(events),
         polling_counts=tuple(polling_counts),
         models=tuple(models),
@@ -511,19 +529,18 @@ def _scenario_from_raw(raw: object) -> Scenario:
 
 
 def _domain_states(tree: ManagerTree) -> tuple[DomainState, ...]:
-    states = []
-    for domain in tree.domains():
-        parent = tree.parent_of(domain.id)
-        states.append(
-            DomainState(
-                id=str(domain.id),
-                manager_host=domain.manager_host,
-                members=tuple(domain.members),
-                parent=None if parent is None else str(parent),
-                children=tuple(str(c) for c in tree.children_of(domain.id)),
-            )
+    domains = tree.domains()
+    names = {domain.id: str(domain.id) for domain in domains}
+    return tuple(
+        DomainState(
+            id=names[domain.id],
+            manager_host=domain.manager_host,
+            members=tuple(domain.members),
+            parent=names.get(tree.parent_of(domain.id)),
+            children=tuple(names[c] for c in tree.children_of(domain.id)),
         )
-    return tuple(states)
+        for domain in domains
+    )
 
 
 def apply_event(state: SimulationState, event: Event) -> SimulationState:
@@ -540,13 +557,7 @@ def apply_event(state: SimulationState, event: Event) -> SimulationState:
         state.network = network
         state.tree.add_node_to_domain(event.node, event.domain)
     elif isinstance(event, Snapshot):
-        state.snapshots.append(
-            SnapshotRecord(
-                label=event.label,
-                managers=tuple(str(d) for d in state.tree.domain_ids()),
-                domains=_domain_states(state.tree),
-            )
-        )
+        state.snapshots.append(SnapshotRecord(event.label, _domain_states(state.tree)))
     else:
         raise TypeError(f"unknown event type: {event!r}")
     return state
@@ -556,40 +567,33 @@ def _model_costs(
     scenario: Scenario,
     state: SimulationState,
     models: tuple[str, ...],
-) -> dict[str, CostBreakdown]:
-    costs: dict[str, CostBreakdown] = {}
-    zero = Fraction(0)
+) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
+    """Price the current state: (per-poll, deploy) bytes keyed by model."""
+    network = state.network
+    per_poll: dict[str, Fraction] = {}
+    deploy: dict[str, Fraction] = {}
     for model in models:
+        deploy[model] = Fraction(0)
         if model == "cs":
-            per_poll = cost_centralized(
-                state.network,
-                scenario.central,
-                sorted(state.network.nodes),
-                scenario.params,
+            per_poll[model] = cost_centralized(
+                network, scenario.central, sorted(network.nodes), scenario.params
             )
-            deploy = zero
         elif model == "flatbed":
             itinerary = scenario.flatbed_itinerary
             if itinerary is None:
-                others = sorted(state.network.nodes - {scenario.central})
+                others = sorted(network.nodes - {scenario.central})
                 itinerary = (scenario.central, *others)
-            if len(itinerary) < 2:
-                per_poll = zero
-            else:
-                per_poll = cost_flatbed(state.network, itinerary, scenario.params)
-            deploy = zero
-        elif model == "imasnm":
-            domain_k = dict(scenario.domain_k)
-            per_poll = cost_imasnm_poll(
-                state.network, state.tree, scenario.params, domain_k
+            per_poll[model] = (
+                cost_flatbed(network, itinerary, scenario.params)
+                if len(itinerary) >= 2
+                else Fraction(0)
             )
-            deploy = cost_imasnm_deploy(state.network, state.tree, scenario.params)
         else:
-            raise ValueError(f"unknown model {model!r}")
-        costs[model] = CostBreakdown(
-            deploy=deploy, per_poll=per_poll, polls=1, include_deploy=False
-        )
-    return costs
+            per_poll[model] = cost_imasnm_poll(
+                network, state.tree, scenario.params, scenario.domain_k
+            )
+            deploy[model] = cost_imasnm_deploy(network, state.tree, scenario.params)
+    return per_poll, deploy
 
 
 def run(
@@ -625,46 +629,31 @@ def run(
     ordered_counts = tuple(sorted(set(counts)))
 
     state = SimulationState(
-        network=Network(
-            scenario.nodes,
-            scenario.links,
-            {(i, j): cost for i, j, cost in scenario.k_override},
-        ),
+        network=Network(scenario.nodes, scenario.links, scenario.k_override),
         tree=ManagerTree.initial_partition(
             scenario.nodes, scenario.m_max, scenario.central
         ),
     )
+    # The tables of the latest snapshot, while no AddNode has changed
+    # the state since: the final state is then priced already.
+    priced = None
     for event in scenario.events:
         apply_event(state, event)
-        if costs_at_snapshots and isinstance(event, Snapshot):
-            snapshot_costs = _model_costs(scenario, state, ordered_models)
+        if isinstance(event, AddNode):
+            priced = None
+        elif costs_at_snapshots:
+            priced = _model_costs(scenario, state, ordered_models)
             state.snapshots[-1] = replace(
-                state.snapshots[-1],
-                costs=tuple(sorted(snapshot_costs.items())),
+                state.snapshots[-1], per_poll=priced[0], deploy=priced[1]
             )
 
-    final_costs = _model_costs(scenario, state, ordered_models)
-    per_poll = tuple(
-        (model, final_costs[model].per_poll) for model in ordered_models
-    )
-    deploy = tuple((model, final_costs[model].deploy) for model in ordered_models)
-    totals = tuple(
-        (
-            model,
-            tuple(
-                (count, final_costs[model].per_poll * count)
-                for count in ordered_counts
-            ),
-        )
-        for model in ordered_models
-    )
+    per_poll, deploy = priced or _model_costs(scenario, state, ordered_models)
     return SimulationResult(
         scenario=scenario.name,
         models=ordered_models,
         polling_counts=ordered_counts,
         per_poll=per_poll,
         deploy=deploy,
-        totals=totals,
         snapshots=tuple(state.snapshots),
         final_domains=_domain_states(state.tree),
     )

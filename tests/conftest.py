@@ -17,11 +17,7 @@ from netmansim import (
 def build_state(scenario: Scenario) -> SimulationState:
     """Replay a scenario's events and return the live engine state."""
     state = SimulationState(
-        network=Network(
-            scenario.nodes,
-            scenario.links,
-            {(i, j): cost for i, j, cost in scenario.k_override},
-        ),
+        network=Network(scenario.nodes, scenario.links, scenario.k_override),
         tree=ManagerTree.initial_partition(
             scenario.nodes, scenario.m_max, scenario.central
         ),

@@ -192,3 +192,77 @@ class TestExplain:
             if stripped and stripped[0].isdigit():
                 by_id[stripped.split()[0]] = len(line) - len(stripped)
         assert by_id["1"] < by_id["1.3"] < by_id["1.3.1"] < by_id["1.3.1.1"]
+
+
+REFERENCE18_SNAPSHOT = """\
+snapshot fully-discovered: managers 1, 1.1, 1.1.1, 1.1.2, 1.2, 1.2.1
+  cs: per-poll 110220 bytes (110.22 Kb)
+  imasnm: per-poll 73557.4 bytes (73.56 Kb)
+scenario: reference18
+"""
+
+GROWTH19_TREE = """\
+1  host=10  members=[10, 13]
+  1.1  host=1  members=[1, 2, 3]
+  1.2  host=4  members=[4, 5, 6]
+    1.2.1  host=14  members=[14, 15, 16]
+  1.3  host=7  members=[7, 8, 9]
+    1.3.1  host=11  members=[11, 12, 17]
+      1.3.1.1  host=18  members=[18, 19]
+"""
+
+GOLDEN = {
+    "simulate --scenario reference18 --snapshots": REFERENCE18_SNAPSHOT
+    + """\
+imasnm deployment: 100352 bytes (100.35 Kb, one-time, excluded from rows)
+polling  cost_cs_kb  cost_imasnm_kb
+      1      110.22           73.56
+     10     1102.20          735.57
+     20     2204.40         1471.15
+     50     5511.00         3677.87
+    100    11022.00         7355.74
+""",
+    "simulate --scenario reference18 --snapshots --include-deploy"
+    " --models cs,imasnm": REFERENCE18_SNAPSHOT
+    + """\
+imasnm deployment: 100352 bytes (100.35 Kb, included in rows)
+polling  cost_cs_kb  cost_imasnm_kb
+      1      110.22          173.91
+     10     1102.20          835.93
+     20     2204.40         1571.50
+     50     5511.00         3778.22
+    100    11022.00         7456.09
+""",
+    "simulate --scenario growth19 --snapshots": """\
+snapshot initial: managers 1, 1.1, 1.2, 1.3
+snapshot after-first-split: managers 1, 1.1, 1.2, 1.3, 1.3.1
+snapshot fully-grown: managers 1, 1.1, 1.2, 1.2.1, 1.3, 1.3.1, 1.3.1.1
+scenario: growth19 (no cost models requested)
+"""
+    + GROWTH19_TREE,
+    "explain --scenario growth19": "scenario: growth19\n" + GROWTH19_TREE,
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_bundled_stdout_is_exact(self, capsys, command):
+        assert main(command.split()) == 0
+        captured = capsys.readouterr()
+        assert captured.out == GOLDEN[command]
+        assert captured.err == ""
+
+    def test_snapshot_lines_list_every_model_in_canonical_order(
+        self, capsys, tmp_path
+    ):
+        path = write_scenario(tmp_path, events=[{"snapshot": "s"}])
+        assert main(["simulate", "--scenario", path, "--snapshots"]) == 0
+        assert capsys.readouterr().out == (
+            "snapshot s: managers 1\n"
+            "  cs: per-poll 2 bytes (0.00 Kb)\n"
+            "  flatbed: per-poll 3 bytes (0.00 Kb)\n"
+            "  imasnm: per-poll 2 bytes (0.00 Kb)\n"
+            "scenario: local\n"
+            "polling  cost_cs_kb  cost_flatbed_kb  cost_imasnm_kb\n"
+            "      1        0.00             0.00            0.00\n"
+        )

@@ -190,7 +190,7 @@ class TestImasnmPoll:
             reference18_state.network,
             reference18_state.tree,
             reference18_scenario.params,
-            dict(reference18_scenario.domain_k),
+            reference18_scenario.domain_k,
         )
         assert value == Fraction("73557.4")
 

@@ -1,15 +1,11 @@
-"""Domain ids, partitioning, grow-and-split, and report chains."""
+"""Domain ids, partitioning and grow-and-split."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from netmansim import (
-    Deglet,
-    DegletKind,
     DomainId,
     DuplicateNode,
     EmptyNetwork,
@@ -61,29 +57,6 @@ class TestDomainId:
             "1.2.1",
             "1.10",
         ]
-
-
-class TestDeglet:
-    def test_event_reporting_flows_child_to_parent(self):
-        deglet = Deglet(
-            DegletKind.EVENT_REPORTING, did("1.3.1"), did("1.3"), 583
-        )
-        assert deglet.size == Fraction(583)
-
-    def test_provisioning_flows_parent_to_child(self):
-        Deglet(DegletKind.PROVISIONING, did("1.3"), did("1.3.1"))
-
-    def test_wrong_direction_rejected(self):
-        with pytest.raises(ValueError):
-            Deglet(DegletKind.PROVISIONING, did("1.3.1"), did("1.3"))
-        with pytest.raises(ValueError):
-            Deglet(DegletKind.EVENT_REPORTING, did("1.3"), did("1.3.1"))
-        with pytest.raises(ValueError):
-            Deglet(DegletKind.EVENT_REPORTING, did("1.3.1"), did("1"))
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            Deglet(DegletKind.PROVISIONING, did("1"), did("1.1"), -1)
 
 
 class TestInitialPartition:
@@ -219,45 +192,6 @@ class TestGrowth:
             tree.handle_growth(did("1.9"))
         with pytest.raises(ValueError):
             ManagerTree(0)
-
-
-class TestReportPath:
-    def build(self) -> ManagerTree:
-        tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
-        for node, target in (
-            (11, "1.3"),
-            (12, "1.3.1"),
-            (17, "1.3.1"),
-            (18, "1.3.1"),
-            (19, "1.3.1.1"),
-        ):
-            tree.add_node_to_domain(node, did(target))
-        return tree
-
-    def test_leaf_chain_reaches_the_root(self):
-        tree = self.build()
-        chain = tree.report_path(did("1.3.1.1"), size=583)
-        hops = [(str(d.from_domain), str(d.to_domain)) for d in chain]
-        assert hops == [("1.3.1.1", "1.3.1"), ("1.3.1", "1.3"), ("1.3", "1")]
-        assert all(d.kind is DegletKind.EVENT_REPORTING for d in chain)
-        assert all(d.size == 583 for d in chain)
-
-    def test_root_reports_nowhere(self):
-        tree = self.build()
-        assert tree.report_path(did("1")) == []
-
-    def test_depth_one_leaf_makes_a_single_deglet(self):
-        tree = self.build()
-        chain = tree.report_path(did("1.1"))
-        assert len(chain) == 1
-        assert chain[0].from_domain == did("1.1")
-        assert chain[0].to_domain == did("1")
-        assert chain[0].size == 0
-
-    def test_unknown_leaf(self):
-        tree = self.build()
-        with pytest.raises(UnknownDomain):
-            tree.report_path(did("9.9"))
 
 
 # -- randomized growth sequences --------------------------------------------

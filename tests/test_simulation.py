@@ -26,6 +26,7 @@ from netmansim import (
     load_scenario_file,
     run,
 )
+import netmansim.simulation as simulation
 from conftest import build_state
 
 MINIMAL = {
@@ -192,9 +193,9 @@ class TestLoadScenario:
     def test_domain_k_validation(self):
         rejects(scenario_text(domain_k={"x": 1}), "domain_k.x")
         rejects(scenario_text(domain_k={"1.1": -1}), "domain_k.1.1")
-        assert load_scenario(scenario_text(domain_k={"1.1": 2})).domain_k == (
-            ("1.1", Fraction(2)),
-        )
+        assert load_scenario(scenario_text(domain_k={"1.1": 2})).domain_k == {
+            "1.1": Fraction(2)
+        }
 
     def test_polling_and_model_validation(self):
         rejects(scenario_text(polling_counts=[-1]), "polling_counts[0]")
@@ -330,8 +331,7 @@ class TestRun:
         scenario = load_scenario(single_node_scenario_text())
         result = run(scenario, polling_counts=[3, 1, 3])
         assert result.polling_counts == (1, 3)
-        for model in result.models:
-            assert [p for p, _ in dict(result.totals)[model]] == [1, 3]
+        assert list(result.per_poll) == list(result.deploy) == list(result.models)
 
     def test_model_and_polling_overrides(self):
         scenario = load_scenario(single_node_scenario_text())
@@ -365,19 +365,47 @@ class TestRun:
         assert bare.snapshots == ()
         assert full.per_poll == bare.per_poll
         assert full.deploy == bare.deploy
-        assert full.totals == bare.totals
 
     def test_costs_at_snapshots(self):
         scenario = load_bundled_scenario("reference18")
         result = run(scenario, costs_at_snapshots=True)
         final = result.snapshots[-1]
-        assert final.costs is not None
-        costs = dict(final.costs)
-        assert costs["cs"].per_poll == result.per_poll_of("cs")
-        assert costs["imasnm"].per_poll == result.per_poll_of("imasnm")
-        assert costs["imasnm"].deploy == result.deploy_of("imasnm")
+        assert final.per_poll == result.per_poll
+        assert final.deploy == result.deploy
+        assert final.per_poll["imasnm"] == result.per_poll_of("imasnm")
         plain = run(scenario)
-        assert plain.snapshots[-1].costs is None
+        assert plain.snapshots[-1].per_poll is None
+        assert plain.snapshots[-1].deploy is None
+        assert plain.per_poll == result.per_poll
+        assert plain.deploy == result.deploy
+
+    def test_final_state_after_a_snapshot_is_priced_once(self, monkeypatch):
+        calls = []
+        original = simulation.cost_centralized
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulation, "cost_centralized", counting)
+        run(load_bundled_scenario("reference18"), costs_at_snapshots=True)
+        assert len(calls) == 1
+
+    def test_a_join_after_the_last_snapshot_is_priced_again(self, monkeypatch):
+        text = scenario_text(
+            nodes=[1, 2],
+            links=[[1, 2, 1]],
+            params={**MINIMAL["params"], "s_req": 1},
+            events=[
+                {"snapshot": "before"},
+                {"add_node": {"node": 3, "domain": "1", "links": [[2, 2]]}},
+            ],
+            models=["cs"],
+        )
+        scenario = load_scenario(text)
+        result = run(scenario, costs_at_snapshots=True)
+        assert result.snapshots[0].per_poll == {"cs": 1}
+        assert result.per_poll == {"cs": 4} == run(scenario).per_poll
 
     def test_whole_network_in_one_domain_has_no_deploy_cost(self):
         text = scenario_text(
