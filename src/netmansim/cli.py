@@ -61,21 +61,21 @@ def _parse_pollings(text: str) -> tuple[int, ...]:
 
 
 def _tree_lines(result: SimulationResult) -> list[str]:
+    """One line per domain, in pre-order, each indented by its depth."""
     by_id = {state.id: state for state in result.final_domains}
+    # An explicit stack, not recursion: a tree can be thousands deep.
+    stack = [
+        (state, 0) for state in reversed(result.final_domains) if state.parent is None
+    ]
     lines = []
-
-    def walk(state, depth: int) -> None:
+    while stack:
+        state, depth = stack.pop()
         members = ", ".join(str(m) for m in state.members)
         lines.append(
             f"{'  ' * depth}{state.id}  host={state.manager_host}  "
             f"members=[{members}]"
         )
-        for child in state.children:
-            walk(by_id[child], depth + 1)
-
-    for state in result.final_domains:
-        if state.parent is None:
-            walk(state, 0)
+        stack.extend((by_id[child], depth + 1) for child in reversed(state.children))
     return lines
 
 

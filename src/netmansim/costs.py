@@ -4,16 +4,24 @@ All functions are pure and compute in exact rational arithmetic
 (``fractions.Fraction``), so results are reproducible to the last byte
 regardless of summation order. Costs are bytes; fractional bytes are
 allowed because agent sizes like 3.2 * 1024 produce them.
+
+Each model total is regrouped as a few sums of integer-weighted path or
+domain coefficients, every one multiplied once by its message size. A
+sum is added up in plain ``int``s: numerators are collected per
+denominator and brought over the least common multiple of the
+denominators at the end, so one ``Fraction`` is built per sum instead of
+one per term, and the value is the same exact ``Fraction``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ItineraryTooShort
-from .hierarchy import ManagerTree
+from .hierarchy import DomainId, ManagerTree
 from .topology import Network, NodeId, NumberLike
 
 __all__ = [
@@ -38,6 +46,27 @@ def _size(value: NumberLike, name: str) -> Fraction:
     if size < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return size
+
+
+def _weighted_sum(terms: Iterable[tuple[int, Fraction]]) -> Fraction:
+    """Exact sum of ``weight * value`` over ``(int, Fraction)`` terms.
+
+    Numerators are added up as ints, one running total per denominator,
+    and the totals are brought over the least common multiple of the
+    denominators once, at the end.
+    """
+    numerators: dict[int, int] = {}
+    for weight, value in terms:
+        numerator, denominator = value.as_integer_ratio()
+        numerators[denominator] = (
+            numerators.get(denominator, 0) + weight * numerator
+        )
+    if not numerators:
+        return Fraction(0)
+    common = math.lcm(*numerators)
+    return Fraction(
+        sum(total * (common // den) for den, total in numerators.items()), common
+    )
 
 
 def _count(value: object, name: str, minimum: int = 0) -> int:
@@ -110,9 +139,7 @@ def cost_centralized(
     zero because its path cost to itself is zero.
     """
     pair = (params.s_req + params.s_res) * params.num_vars
-    return pair * sum(
-        (net.path_cost(mgr, target) for target in targets), Fraction(0)
-    )
+    return pair * _weighted_sum((1, net.path_cost(mgr, target)) for target in targets)
 
 
 def cost_centralized_polled(
@@ -138,20 +165,21 @@ def cost_flatbed(
     ``d`` bytes at every node it visits, and finally hops from the last
     node back to the first. Hop costs are minimum path costs, so an
     itinerary may skip over intermediate nodes.
+
+    With k_h the cost of hop h and the return hop numbered V, the number
+    of stops visited, the round trip costs s_ma * sum(k_h) +
+    d * sum(h * k_h).
     """
     stops = list(itinerary)
     if len(stops) < 2:
         raise ItineraryTooShort(
             f"flat-bed itinerary needs at least 2 nodes, got {len(stops)}"
         )
-    total = Fraction(0)
-    for hop, (here, there) in enumerate(zip(stops, stops[1:])):
-        total += net.path_cost(here, there) * (params.s_ma + hop * params.d)
-    visited = len(stops) - 1
-    total += net.path_cost(stops[-1], stops[0]) * (
-        params.s_ma + visited * params.d
-    )
-    return total
+    hops = [net.path_cost(here, there) for here, there in zip(stops, stops[1:])]
+    hops.append(net.path_cost(stops[-1], stops[0]))
+    code = _weighted_sum((1, k) for k in hops)
+    payload = _weighted_sum(enumerate(hops))
+    return params.s_ma * code + params.d * payload
 
 
 def cost_flatbed_polled(
@@ -182,14 +210,23 @@ def cost_domain_flatbed(
 
 
 def _domain_coefficient(
-    domain_k: Mapping[str, NumberLike] | None, domain_id: str
+    domain_k: Mapping[str, NumberLike] | None, domain_id: DomainId
 ) -> Fraction:
-    if domain_k is None:
+    if not domain_k:
         return Fraction(1)
-    value = domain_k.get(domain_id)
+    name = str(domain_id)
+    value = domain_k.get(name)
     if value is None:
         return Fraction(1)
-    return _size(value, f"domain_k[{domain_id!r}]")
+    return _size(value, f"domain_k[{name!r}]")
+
+
+def _parent_links(net: Network, tree: ManagerTree) -> Fraction:
+    """Sum of the path costs of every mother-to-child manager link."""
+    return _weighted_sum(
+        (1, net.path_cost(mother.manager_host, child.manager_host))
+        for mother, child in tree.parent_child_edges()
+    )
 
 
 def cost_imasnm_deploy(
@@ -198,14 +235,7 @@ def cost_imasnm_deploy(
     params: CostParams,
 ) -> Fraction:
     """One-time bytes to ship a manager agent down every parent link."""
-    return sum(
-        (
-            net.path_cost(mother.manager_host, child.manager_host)
-            * params.ma_size
-            for mother, child in tree.parent_child_edges()
-        ),
-        Fraction(0),
-    )
+    return params.ma_size * _parent_links(net, tree)
 
 
 def cost_imasnm_poll(
@@ -219,26 +249,13 @@ def cost_imasnm_poll(
     Every child manager sends one ``ma_res`` report up its parent link,
     and every manager sweeps its own domain with a data agent. Per-domain
     coefficients come from ``domain_k`` (keyed by dotted domain id) and
-    default to 1.
+    default to 1. The sweeps add up to mda_size * sum((r_q + 1) * k_q),
+    the sum of ``cost_domain_flatbed`` over the domains.
     """
-    reports = sum(
-        (
-            net.path_cost(mother.manager_host, child.manager_host)
-            * params.ma_res
-            for mother, child in tree.parent_child_edges()
-        ),
-        Fraction(0),
-    )
-    sweeps = sum(
-        (
-            cost_domain_flatbed(
-                domain.managed_count,
-                _domain_coefficient(domain_k, str(domain.id)),
-                params,
-            )
-            for domain in tree.domains()
-        ),
-        Fraction(0),
+    reports = params.ma_res * _parent_links(net, tree)
+    sweeps = params.mda_size * _weighted_sum(
+        (domain.managed_count + 1, _domain_coefficient(domain_k, domain.id))
+        for domain in tree.domains()
     )
     return reports + sweeps
 

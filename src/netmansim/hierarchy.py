@@ -10,6 +10,7 @@ deepens as the network grows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -259,7 +260,9 @@ class ManagerTree:
         return tuple(record.children)
 
     def domain_ids(self) -> list[DomainId]:
-        return sorted(self._managers)
+        # Sorting on the path tuples compares in C; the order is the one
+        # DomainId's generated comparisons give.
+        return sorted(self._managers, key=attrgetter("path"))
 
     def domains(self) -> list[Domain]:
         """All domains, sorted by id (depth-first order)."""

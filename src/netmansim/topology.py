@@ -15,6 +15,13 @@ exact value a search on the original coefficients would find. The scaled
 graph and the shortest-path trees computed over it belong to one network
 version; a source asked for a second target gets its whole tree computed
 and kept, so a manager's queries to many nodes cost one search.
+
+Versions made from one another by ``add_node`` and ``add_link`` share two
+insertion-ordered tables, node -> join position and link -> (position,
+coefficient), and each keeps only its own node and link counts: a version
+holds exactly the entries whose position is below its count. Growing the
+newest version appends to the shared tables, so a join costs O(1) however
+large the network; growing an older one first copies its own prefix.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import heapq
 import math
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -42,6 +50,7 @@ NodeId = int
 # literals exact; floats are taken at their binary value.
 NumberLike = Union[int, float, str, Decimal, Fraction]
 
+Pair = tuple[NodeId, NodeId]
 LinkSpec = tuple[NodeId, NodeId, NumberLike]
 OverrideSpec = Union[
     Mapping[tuple[NodeId, NodeId], NumberLike],
@@ -49,7 +58,7 @@ OverrideSpec = Union[
 ]
 
 
-def _pair(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
+def _pair(a: NodeId, b: NodeId) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
@@ -85,11 +94,11 @@ class _PathEngine:
     __slots__ = ("scale", "_adjacency", "_trees", "_first")
 
     def __init__(
-        self, nodes: frozenset[NodeId], links: Mapping[tuple[NodeId, NodeId], Fraction]
+        self, nodes: Iterable[NodeId], links: list[tuple[Pair, Fraction]]
     ) -> None:
-        scale = math.lcm(*(cost.denominator for cost in links.values()))
+        scale = math.lcm(*(cost.denominator for _, cost in links))
         adjacency: dict[NodeId, list[tuple[NodeId, int]]] = {n: [] for n in nodes}
-        for (a, b), cost in links.items():
+        for (a, b), cost in links:
             weight = cost.numerator * (scale // cost.denominator)
             adjacency[a].append((b, weight))
             adjacency[b].append((a, weight))
@@ -149,10 +158,23 @@ class Network:
 
     Each version also owns a path engine, built on its first path search
     and never shared with the versions derived from it. It is a cache:
-    it takes no part in equality or hashing.
+    it takes no part in equality or hashing. So is the node frozenset,
+    built on the first read of ``nodes``.
+
+    Versions derived from one another share their node and link tables
+    (see the module docstring), so make and read them from one thread at
+    a time.
     """
 
-    __slots__ = ("_nodes", "_links", "_override", "_engine")
+    __slots__ = (
+        "_order",
+        "_node_count",
+        "_node_set",
+        "_links",
+        "_link_count",
+        "_override",
+        "_engine",
+    )
 
     def __init__(
         self,
@@ -160,29 +182,29 @@ class Network:
         links: Iterable[LinkSpec] = (),
         k_override: OverrideSpec | None = None,
     ) -> None:
-        node_set: set[NodeId] = set()
+        order: dict[NodeId, int] = {}
         for node in nodes:
             _check_node_id(node)
-            if node in node_set:
+            if node in order:
                 raise DuplicateNode(f"node {node} listed twice")
-            node_set.add(node)
+            order[node] = len(order)
 
-        link_map: dict[tuple[NodeId, NodeId], Fraction] = {}
+        link_map: dict[Pair, tuple[int, Fraction]] = {}
         for a, b, value in links:
             _check_node_id(a)
             _check_node_id(b)
-            if a not in node_set:
+            if a not in order:
                 raise UnknownNode(f"link endpoint {a} is not a node")
-            if b not in node_set:
+            if b not in order:
                 raise UnknownNode(f"link endpoint {b} is not a node")
             if a == b:
                 raise SelfLink(f"link {a}-{b} joins a node to itself")
             key = _pair(a, b)
             if key in link_map:
                 raise DuplicateLink(f"link {key[0]}-{key[1]} listed twice")
-            link_map[key] = _coeff(value, f"link {a}-{b}")
+            link_map[key] = (len(link_map), _coeff(value, f"link {a}-{b}"))
 
-        override_map: dict[tuple[NodeId, NodeId], Fraction] = {}
+        override_map: dict[Pair, Fraction] = {}
         if k_override is not None:
             items: Iterable[tuple[NodeId, NodeId, NumberLike]]
             if isinstance(k_override, Mapping):
@@ -204,28 +226,58 @@ class Network:
                     )
                 override_map[key] = cost
 
-        self._nodes = frozenset(node_set)
+        self._order = order
+        self._node_count = len(order)
+        self._node_set: frozenset[NodeId] | None = None
         self._links = link_map
+        self._link_count = len(link_map)
         self._override = override_map
         self._engine: _PathEngine | None = None
 
+    def _has_node(self, node: NodeId) -> bool:
+        return self._order.get(node, self._node_count) < self._node_count
+
+    def _link_items(self) -> list[tuple[Pair, Fraction]]:
+        """This version's links, in the order they were added."""
+        return [
+            (key, cost)
+            for key, (_, cost) in islice(self._links.items(), self._link_count)
+        ]
+
+    def _version(
+        self,
+        order: dict[NodeId, int],
+        node_count: int,
+        links: dict[Pair, tuple[int, Fraction]],
+        link_count: int,
+    ) -> "Network":
+        clone = Network.__new__(Network)
+        clone._order = order
+        clone._node_count = node_count
+        clone._node_set = self._node_set if node_count == self._node_count else None
+        clone._links = links
+        clone._link_count = link_count
+        clone._override = self._override
+        clone._engine = None
+        return clone
+
     @property
     def nodes(self) -> frozenset[NodeId]:
-        return self._nodes
+        if self._node_set is None:
+            self._node_set = frozenset(islice(self._order, self._node_count))
+        return self._node_set
 
     @property
     def links(self) -> tuple[tuple[NodeId, NodeId, Fraction], ...]:
-        return tuple(
-            (a, b, cost) for (a, b), cost in sorted(self._links.items())
-        )
+        return tuple((a, b, cost) for (a, b), cost in sorted(self._link_items()))
 
     @property
-    def k_override(self) -> dict[tuple[NodeId, NodeId], Fraction]:
+    def k_override(self) -> dict[Pair, Fraction]:
         return dict(self._override)
 
     def __repr__(self) -> str:
         return (
-            f"Network(nodes={len(self._nodes)}, links={len(self._links)}, "
+            f"Network(nodes={self._node_count}, links={self._link_count}, "
             f"overrides={len(self._override)})"
         )
 
@@ -233,16 +285,16 @@ class Network:
         if not isinstance(other, Network):
             return NotImplemented
         return (
-            self._nodes == other._nodes
-            and self._links == other._links
+            self.nodes == other.nodes
+            and dict(self._link_items()) == dict(other._link_items())
             and self._override == other._override
         )
 
     def __hash__(self) -> int:
         return hash(
             (
-                self._nodes,
-                tuple(sorted(self._links.items())),
+                self.nodes,
+                tuple(sorted(self._link_items())),
                 tuple(sorted(self._override.items())),
             )
         )
@@ -250,36 +302,38 @@ class Network:
     def add_node(self, node: NodeId) -> "Network":
         """Return a copy of this network with ``node`` added."""
         _check_node_id(node)
-        if node in self._nodes:
+        if self._has_node(node):
             raise DuplicateNode(f"node {node} already present")
-        clone = Network.__new__(Network)
-        clone._nodes = self._nodes | {node}
-        clone._links = self._links
-        clone._override = self._override
-        clone._engine = None
-        return clone
+        count = self._node_count
+        order = self._order
+        if len(order) != count:
+            # An older version: later versions own the entries past its
+            # prefix, so it grows a copy of the prefix.
+            order = dict(islice(order.items(), count))
+        order[node] = count
+        return self._version(order, count + 1, self._links, self._link_count)
 
     def add_link(self, a: NodeId, b: NodeId, coeff: NumberLike) -> "Network":
         """Return a copy of this network with an ``a``-``b`` link added."""
         _check_node_id(a)
         _check_node_id(b)
-        if a not in self._nodes:
+        if not self._has_node(a):
             raise UnknownNode(f"link endpoint {a} is not a node")
-        if b not in self._nodes:
+        if not self._has_node(b):
             raise UnknownNode(f"link endpoint {b} is not a node")
         if a == b:
             raise SelfLink(f"link {a}-{b} joins a node to itself")
         key = _pair(a, b)
-        if key in self._links:
+        count = self._link_count
+        links = self._links
+        entry = links.get(key)
+        if entry is not None and entry[0] < count:
             raise DuplicateLink(f"link {key[0]}-{key[1]} already present")
         cost = _coeff(coeff, f"link {a}-{b}")
-        clone = Network.__new__(Network)
-        clone._nodes = self._nodes
-        clone._links = dict(self._links)
-        clone._links[key] = cost
-        clone._override = self._override
-        clone._engine = None
-        return clone
+        if len(links) != count:
+            links = dict(islice(links.items(), count))
+        links[key] = (count, cost)
+        return self._version(self._order, self._node_count, links, count + 1)
 
     def path_cost(self, i: NodeId, j: NodeId) -> Fraction:
         """Cost of the cheapest path between ``i`` and ``j``.
@@ -294,9 +348,9 @@ class Network:
         source to another node computes and keeps its whole tree, which
         then answers every query that starts or ends at that source.
         """
-        if i not in self._nodes:
+        if not self._has_node(i):
             raise UnknownNode(f"node {i} is not part of the network")
-        if j not in self._nodes:
+        if not self._has_node(j):
             raise UnknownNode(f"node {j} is not part of the network")
         override = self._override.get(_pair(i, j))
         if override is not None:
@@ -305,7 +359,9 @@ class Network:
             return Fraction(0)
         engine = self._engine
         if engine is None:
-            engine = self._engine = _PathEngine(self._nodes, self._links)
+            engine = self._engine = _PathEngine(
+                islice(self._order, self._node_count), self._link_items()
+            )
         scaled = engine.distance(i, j)
         if scaled is None:
             raise Unreachable(f"no path between {i} and {j}")

@@ -193,6 +193,23 @@ class TestExplain:
                 by_id[stripped.split()[0]] = len(line) - len(stripped)
         assert by_id["1"] < by_id["1.3"] < by_id["1.3.1"] < by_id["1.3.1.1"]
 
+    def test_tree_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # With m_max=1 each node joining the deepest domain splits it, so
+        # 1497 joins make a chain of 1499 domains: 1, 1.1, 1.1.1, ...
+        events = []
+        domain = "1.1"
+        for node in range(3, 1500):
+            events.append({"add_node": {"node": node, "domain": domain}})
+            domain += ".1"
+        path = write_scenario(tmp_path, m_max=1, events=events, models=[])
+        assert main(["explain", "--scenario", path]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        lines = captured.out.splitlines()
+        assert lines[0] == "scenario: local"
+        assert len(lines) == 1 + 1499
+        assert lines[-1].startswith("  " * 1498 + "1" + ".1" * 1498 + "  ")
+
 
 REFERENCE18_SNAPSHOT = """\
 snapshot fully-discovered: managers 1, 1.1, 1.1.1, 1.1.2, 1.2, 1.2.1

@@ -6,12 +6,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from netmansim import (
     CostParams,
     ItineraryTooShort,
     ManagerTree,
+    NetmanError,
     Network,
     ROOT_DOMAIN,
     cost_centralized,
@@ -339,3 +340,160 @@ def test_singleton_domains_cost_only_their_sweeps():
     assert cost_imasnm_poll(net, tree, p) == 200
     with_reports = params(mda_size=100, ma_res=7)
     assert cost_imasnm_poll(net, tree, with_reports) == 207
+
+
+# -- the integer-sum kernel against the per-term formulas it replaced ---------
+
+
+def _reference_centralized(net, mgr, targets, p: CostParams) -> Fraction:
+    """``cost_centralized`` as a ``Fraction`` sum, one add per target."""
+    pair = (p.s_req + p.s_res) * p.num_vars
+    return pair * sum((net.path_cost(mgr, target) for target in targets), Fraction(0))
+
+
+def _reference_flatbed(net, stops, p: CostParams) -> Fraction:
+    """``cost_flatbed`` as one ``Fraction`` multiply-and-add per hop."""
+    total = Fraction(0)
+    for hop, (here, there) in enumerate(zip(stops, stops[1:])):
+        total += net.path_cost(here, there) * (p.s_ma + hop * p.d)
+    visited = len(stops) - 1
+    total += net.path_cost(stops[-1], stops[0]) * (p.s_ma + visited * p.d)
+    return total
+
+
+def _reference_imasnm_deploy(net, tree, p: CostParams) -> Fraction:
+    """``cost_imasnm_deploy`` as one ``Fraction`` product per parent link."""
+    return sum(
+        (
+            net.path_cost(mother.manager_host, child.manager_host) * p.ma_size
+            for mother, child in tree.parent_child_edges()
+        ),
+        Fraction(0),
+    )
+
+
+def _reference_imasnm_poll(net, tree, p: CostParams, domain_k=None) -> Fraction:
+    """``cost_imasnm_poll`` as per-link reports plus per-domain sweeps."""
+    reports = sum(
+        (
+            net.path_cost(mother.manager_host, child.manager_host) * p.ma_res
+            for mother, child in tree.parent_child_edges()
+        ),
+        Fraction(0),
+    )
+    sweeps = sum(
+        (
+            p.mda_size
+            * (domain.managed_count + 1)
+            * Fraction((domain_k or {}).get(str(domain.id), 1))
+            for domain in tree.domains()
+        ),
+        Fraction(0),
+    )
+    return reports + sweeps
+
+
+# Denominators 1, 3, 7, 8 and 10 mixed in one network, zero costs included.
+_MIXED = st.one_of(
+    st.sampled_from([0, 1, 2, Fraction(1, 3), Fraction(5, 7), Fraction(3, 8), "0.1"]),
+    st.fractions(min_value=0, max_value=10, max_denominator=10),
+)
+
+
+@st.composite
+def priced_states(draw):
+    size = draw(st.integers(min_value=2, max_value=14))
+    nodes = list(range(1, size + 1))
+    links = {}
+    if draw(st.booleans()):
+        # A chain through every node: most cases then price to the end.
+        links.update({(n, n + 1): draw(_MIXED) for n in nodes[:-1]})
+    pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+        lambda ab: ab[0] < ab[1]
+    )
+    for key in draw(st.lists(pair, unique=True, max_size=size)):
+        links.setdefault(key, draw(_MIXED))
+    overrides = draw(st.dictionaries(pair, _MIXED, max_size=4))
+    net = Network(
+        nodes=nodes,
+        links=[(a, b, cost) for (a, b), cost in links.items()],
+        k_override=overrides,
+    )
+    initial = draw(st.integers(min_value=1, max_value=size))
+    tree = ManagerTree.initial_partition(
+        nodes[:initial],
+        draw(st.integers(min_value=1, max_value=4)),
+        draw(st.sampled_from(nodes[:initial])),
+    )
+    for node in nodes[initial:]:
+        tree.add_node_to_domain(node, draw(st.sampled_from(tree.domain_ids())))
+    names = [str(d) for d in tree.domain_ids()]
+    domain_k = draw(
+        st.none() | st.dictionaries(st.sampled_from(names + ["1.99"]), _MIXED)
+    )
+    stops = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=12))
+    p = CostParams(
+        s_req=draw(sizes),
+        s_res=draw(sizes),
+        num_vars=draw(st.integers(min_value=1, max_value=5)),
+        s_ma=draw(sizes),
+        d=draw(sizes),
+        ma_size=draw(sizes),
+        mda_size=draw(sizes),
+        ma_res=draw(sizes),
+    )
+    return net, tree, domain_k, stops, p
+
+
+def _outcome(compute):
+    try:
+        value = compute()
+    except NetmanError as exc:
+        return type(exc), str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+@settings(deadline=None)
+@given(priced_states())
+def test_cost_kernel_equals_the_per_term_reference(case):
+    net, tree, domain_k, stops, p = case
+    mgr, targets = stops[0], sorted(net.nodes)
+    pairs = [
+        (
+            lambda: cost_centralized(net, mgr, targets, p),
+            lambda: _reference_centralized(net, mgr, targets, p),
+        ),
+        (
+            lambda: cost_flatbed(net, stops, p),
+            lambda: _reference_flatbed(net, stops, p),
+        ),
+        (
+            lambda: cost_imasnm_deploy(net, tree, p),
+            lambda: _reference_imasnm_deploy(net, tree, p),
+        ),
+        (
+            lambda: cost_imasnm_poll(net, tree, p, domain_k),
+            lambda: _reference_imasnm_poll(net, tree, p, domain_k),
+        ),
+    ]
+    for kernel, reference in pairs:
+        assert _outcome(kernel) == _outcome(reference)
+
+    # With ma_res = 0 a poll is its sweeps alone: the per-domain formula,
+    # summed over the domains.
+    sweeps_only = replace(p, ma_res=0)
+    expected = sum(
+        (
+            cost_domain_flatbed(
+                domain.managed_count,
+                (domain_k or {}).get(str(domain.id), 1),
+                sweeps_only,
+            )
+            for domain in tree.domains()
+        ),
+        Fraction(0),
+    )
+    poll = _outcome(lambda: cost_imasnm_poll(net, tree, sweeps_only, domain_k))
+    if type(poll) is Fraction:  # else some parent link has no path
+        assert poll == expected

@@ -193,6 +193,17 @@ class TestGrowth:
         with pytest.raises(ValueError):
             ManagerTree(0)
 
+    def test_domain_ids_are_in_numeric_depth_first_order(self):
+        # One central node plus ten one-node chunks make 1.1 to 1.10;
+        # node 12 joining 1.1 splits it into 1.1.1.
+        tree = ManagerTree.initial_partition(range(1, 12), 1, 11)
+        tree.add_node_to_domain(12, did("1.1"))
+        ids = tree.domain_ids()
+        assert ids == sorted(tree._managers)
+        rendered = [str(d) for d in ids]
+        assert rendered[:4] == ["1", "1.1", "1.1.1", "1.2"]
+        assert rendered[-2:] == ["1.9", "1.10"]
+
 
 # -- randomized growth sequences --------------------------------------------
 

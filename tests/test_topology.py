@@ -404,3 +404,69 @@ def test_add_link_chain_keeps_each_version_answers(net, data):
         answers.append(_answers_match_reference(net, queries))
     for version, expected in zip(versions, answers):
         assert _answers_match_reference(version, queries) == expected
+
+
+# -- versions sharing their node and link tables ------------------------------
+
+
+def _grow(version: Network, contents, data):
+    """One add_node or add_link step on ``version`` and on its contents.
+
+    A new node takes one of the next two ids after the version's largest,
+    so sibling versions add the same ids at different positions, or
+    different ids at the same position, and often the same links with
+    different costs.
+    """
+    nodes, links = contents
+    linked = {(a, b) for a, b, _ in links}
+    free = [(a, b) for a in nodes for b in nodes if a < b and (a, b) not in linked]
+    if free and data.draw(st.booleans()):
+        a, b = data.draw(st.sampled_from(free))
+        coeff = data.draw(_MIXED_COEFFS)
+        return version.add_link(b, a, coeff), (nodes, links + [(a, b, coeff)])
+    node = max(nodes) + data.draw(st.sampled_from([1, 2]))
+    return version.add_node(node), (nodes + [node], links)
+
+
+def _answer(net: Network, i: int, j: int):
+    try:
+        return net.path_cost(i, j)
+    except (UnknownNode, Unreachable) as exc:
+        return type(exc)
+
+
+@settings(deadline=None)
+@given(mixed_networks(max_nodes=8), st.data())
+def test_versions_branched_off_an_older_one_match_fresh_builds(net, data):
+    overrides = net.k_override
+    contents = (sorted(net.nodes), list(net.links))
+    trunk = [(net, contents)]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        trunk.append(_grow(*trunk[-1], data))
+    # Two children of one version that already has a descendant, grown in
+    # turns, so each appends where the other has appended before.
+    base = trunk[data.draw(st.integers(min_value=0, max_value=len(trunk) - 2))]
+    branches = [[base], [base]]
+    for side in data.draw(st.lists(st.sampled_from([0, 1]), min_size=2, max_size=10)):
+        branches[side].append(_grow(*branches[side][-1], data))
+    for side in (0, 1):
+        branches[side].append(_grow(*branches[side][-1], data))
+    versions = trunk + branches[0][1:] + branches[1][1:]
+
+    fresh = [
+        Network(nodes=nodes, links=links, k_override=overrides)
+        for _, (nodes, links) in versions
+    ]
+    ids = range(1, max(max(nodes) for _, (nodes, _) in versions) + 3)
+    for (version, _), built in zip(versions, fresh):
+        assert version.nodes == built.nodes
+        assert version.links == built.links
+        assert version.k_override == built.k_override
+        assert version == built
+        assert hash(version) == hash(built)
+        for i in ids:
+            for j in ids:
+                assert _answer(version, i, j) == _answer(built, i, j)
+    for (one, _), one_built in zip(versions, fresh):
+        for (other, _), other_built in zip(versions, fresh):
+            assert (one == other) == (one_built == other_built)
