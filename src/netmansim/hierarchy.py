@@ -9,6 +9,7 @@ deepens as the network grows.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -30,6 +31,10 @@ __all__ = [
 ]
 
 
+# Canonical ASCII decimals only, so parse and str round-trip.
+_CANONICAL_ID = re.compile(r"[1-9][0-9]*(?:\.[1-9][0-9]*)*")
+
+
 @dataclass(frozen=True, order=True)
 class DomainId:
     """Hierarchical domain name, rendered dotted ("1.3.1")."""
@@ -46,28 +51,34 @@ class DomainId:
                 raise ValueError(f"domain id parts must be positive: {self.path!r}")
 
     @classmethod
+    def _unchecked(cls, path: tuple[int, ...]) -> "DomainId":
+        """An id made without checks: ``path`` must already be valid."""
+        domain = object.__new__(cls)
+        object.__setattr__(domain, "path", path)
+        return domain
+
+    @classmethod
     def parse(cls, text: str) -> "DomainId":
         """Parse a dotted id like ``"1.3.1"``."""
         if not isinstance(text, str):
             raise ValueError(f"domain id must be a string, got {text!r}")
-        parts = text.split(".")
-        for part in parts:
-            # canonical decimal only, so parse and str round-trip
-            if not part.isdigit() or part[0] == "0":
-                raise ValueError(f"malformed domain id {text!r}")
-        return cls(tuple(int(part, 10) for part in parts))
+        if _CANONICAL_ID.fullmatch(text) is None:
+            raise ValueError(f"malformed domain id {text!r}")
+        return cls._unchecked(tuple(map(int, text.split("."))))
 
     def __str__(self) -> str:
-        return ".".join(str(part) for part in self.path)
+        return ".".join(map(str, self.path))
 
     @property
     def parent(self) -> "DomainId | None":
         if len(self.path) == 1:
             return None
-        return DomainId(self.path[:-1])
+        return DomainId._unchecked(self.path[:-1])
 
     def child(self, index: int) -> "DomainId":
-        return DomainId(self.path + (index,))
+        if isinstance(index, bool) or not isinstance(index, int) or index < 1:
+            return DomainId(self.path + (index,))  # raises the usual error
+        return DomainId._unchecked(self.path + (index,))
 
     @property
     def depth(self) -> int:

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from typing import BinaryIO, Iterable, TextIO, Union
 
@@ -189,10 +190,49 @@ def _expect_number(value: object, path: str) -> Fraction:
     # json parsing maps floats to Decimal, so decimal literals stay exact
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
         raise ValidationError(path, f"expected a number, got {value!r}")
-    number = Fraction(value)
-    if number < 0:
+    if value < 0:
         raise ValidationError(path, f"must be non-negative, got {value}")
+    return Fraction(value)
+
+
+def _cached_number(value: object, memo: dict[object, Fraction]) -> Fraction | None:
+    """``value`` as a Fraction, or None where ``_expect_number`` raises.
+
+    ``memo`` keeps one Fraction per value, shared by "1" and "1.0" alike.
+    """
+    if type(value) is not int and type(value) is not Decimal:
+        return None
+    number = memo.get(value)
+    if number is None and value >= 0:
+        number = memo[value] = Fraction(value)
     return number
+
+
+def _expect_triple(
+    entry: object, where: str, index: int, shape: str, known: set, memo: dict
+) -> tuple[NodeId, NodeId, Fraction]:
+    """Check entry ``index`` of the ``where`` array, an ``[id, id, number]``.
+
+    Each item's type is checked in order, then both ids are looked up in
+    ``known``. JSON paths are formatted only for the error raised.
+    """
+    if not isinstance(entry, list) or len(entry) != 3:
+        path = f"{where}[{index}]"
+        items = _expect_array(entry, path)
+        raise ValidationError(path, f"expected {shape}, got {len(items)} items")
+    a, b, value = entry
+    if type(a) is not int or a < 1:
+        a = _expect_int(a, f"{where}[{index}][0]", minimum=1)
+    if type(b) is not int or b < 1:
+        b = _expect_int(b, f"{where}[{index}][1]", minimum=1)
+    number = _cached_number(value, memo)
+    if number is None:
+        number = _expect_number(value, f"{where}[{index}][2]")
+    if a not in known:
+        raise ValidationError(f"{where}[{index}][0]", f"unknown node {a}")
+    if b not in known:
+        raise ValidationError(f"{where}[{index}][1]", f"unknown node {b}")
+    return a, b, number
 
 
 def _expect_keys(
@@ -234,8 +274,9 @@ def load_scenario(source: Union[BinaryIO, TextIO, bytes, str]) -> Scenario:
     else:
         text = data
     try:
+        # equal float literals share one Decimal, whose hash is then cached
         raw = json.loads(
-            text, parse_float=Decimal, parse_constant=_reject_constant
+            text, parse_float=lru_cache(None)(Decimal), parse_constant=_reject_constant
         )
     except (json.JSONDecodeError, ValueError) as exc:
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
@@ -308,28 +349,21 @@ def _scenario_from_raw(raw: object) -> Scenario:
     if not nodes:
         raise ValidationError("nodes", "must not be empty")
 
+    # one Fraction per distinct coefficient literal (see _cached_number)
+    memo: dict[object, Fraction] = {}
     links: list[tuple[NodeId, NodeId, Fraction]] = []
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
     for index, entry in enumerate(_expect_array(top["links"], "links")):
-        path = f"links[{index}]"
-        triple = _expect_array(entry, path)
-        if len(triple) != 3:
-            raise ValidationError(
-                path,
-                f"expected [a, b, coeff], got {len(triple)} items",
-            )
-        a = _expect_int(triple[0], f"{path}[0]", minimum=1)
-        b = _expect_int(triple[1], f"{path}[1]", minimum=1)
-        coeff = _expect_number(triple[2], f"{path}[2]")
-        if a not in node_set:
-            raise ValidationError(f"{path}[0]", f"unknown node {a}")
-        if b not in node_set:
-            raise ValidationError(f"{path}[1]", f"unknown node {b}")
+        a, b, coeff = _expect_triple(
+            entry, "links", index, "[a, b, coeff]", node_set, memo
+        )
         if a == b:
-            raise ValidationError(path, f"link joins node {a} to itself")
+            raise ValidationError(f"links[{index}]", f"link joins node {a} to itself")
         pair = (a, b) if a <= b else (b, a)
         if pair in seen_pairs:
-            raise ValidationError(path, f"duplicate link {pair[0]}-{pair[1]}")
+            raise ValidationError(
+                f"links[{index}]", f"duplicate link {pair[0]}-{pair[1]}"
+            )
         seen_pairs.add(pair)
         links.append((a, b, coeff))
 
@@ -388,21 +422,30 @@ def _scenario_from_raw(raw: object) -> Scenario:
                 for li, link_entry in enumerate(
                     _expect_array(body["links"], links_path)
                 ):
-                    lpath = f"{links_path}[{li}]"
-                    pair_entry = _expect_array(link_entry, lpath)
-                    if len(pair_entry) != 2:
+                    if not isinstance(link_entry, list) or len(link_entry) != 2:
+                        lpath = f"{links_path}[{li}]"
+                        items = _expect_array(link_entry, lpath)
                         raise ValidationError(
-                            lpath,
-                            f"expected [peer, coeff], got {len(pair_entry)} items",
+                            lpath, f"expected [peer, coeff], got {len(items)} items"
                         )
-                    peer = _expect_int(pair_entry[0], f"{lpath}[0]", minimum=1)
-                    coeff = _expect_number(pair_entry[1], f"{lpath}[1]")
+                    peer, value = link_entry
+                    if type(peer) is not int or peer < 1:
+                        peer = _expect_int(peer, f"{links_path}[{li}][0]", minimum=1)
+                    coeff = _cached_number(value, memo)
+                    if coeff is None:
+                        coeff = _expect_number(value, f"{links_path}[{li}][1]")
                     if peer == node:
-                        raise ValidationError(f"{lpath}[0]", "peer is the node itself")
+                        raise ValidationError(
+                            f"{links_path}[{li}][0]", "peer is the node itself"
+                        )
                     if peer not in all_nodes:
-                        raise ValidationError(f"{lpath}[0]", f"unknown node {peer}")
+                        raise ValidationError(
+                            f"{links_path}[{li}][0]", f"unknown node {peer}"
+                        )
                     if peer in peers:
-                        raise ValidationError(f"{lpath}[0]", f"duplicate peer {peer}")
+                        raise ValidationError(
+                            f"{links_path}[{li}][0]", f"duplicate peer {peer}"
+                        )
                     peers.add(peer)
                     event_links.append((peer, coeff))
             all_nodes.add(node)
@@ -418,30 +461,23 @@ def _scenario_from_raw(raw: object) -> Scenario:
 
     k_override: list[tuple[NodeId, NodeId, Fraction]] = []
     if "k_override" in top:
-        seen_override: dict[tuple[NodeId, NodeId], Fraction] = {}
+        seen_override: set[tuple[NodeId, NodeId]] = set()
         for index, entry in enumerate(
             _expect_array(top["k_override"], "k_override")
         ):
-            path = f"k_override[{index}]"
-            triple = _expect_array(entry, path)
-            if len(triple) != 3:
-                raise ValidationError(
-                    path,
-                    f"expected [i, j, cost], got {len(triple)} items",
-                )
-            i = _expect_int(triple[0], f"{path}[0]", minimum=1)
-            j = _expect_int(triple[1], f"{path}[1]", minimum=1)
-            cost = _expect_number(triple[2], f"{path}[2]")
-            if i not in all_nodes:
-                raise ValidationError(f"{path}[0]", f"unknown node {i}")
-            if j not in all_nodes:
-                raise ValidationError(f"{path}[1]", f"unknown node {j}")
+            i, j, cost = _expect_triple(
+                entry, "k_override", index, "[i, j, cost]", all_nodes, memo
+            )
             if i == j and cost != 0:
-                raise ValidationError(path, "a node's cost to itself must be 0")
+                raise ValidationError(
+                    f"k_override[{index}]", "a node's cost to itself must be 0"
+                )
             pair = (i, j) if i <= j else (j, i)
             if pair in seen_override:
-                raise ValidationError(path, f"duplicate pair {pair[0]}-{pair[1]}")
-            seen_override[pair] = cost
+                raise ValidationError(
+                    f"k_override[{index}]", f"duplicate pair {pair[0]}-{pair[1]}"
+                )
+            seen_override.add(pair)
             k_override.append((i, j, cost))
 
     domain_k: dict[str, Fraction] = {}

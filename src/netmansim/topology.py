@@ -58,17 +58,17 @@ OverrideSpec = Union[
 ]
 
 
-def _pair(a: NodeId, b: NodeId) -> Pair:
-    return (a, b) if a <= b else (b, a)
-
-
-def _coeff(value: NumberLike, context: str) -> Fraction:
-    try:
-        coeff = Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise TypeError(f"{context}: not a number: {value!r}") from exc
-    if coeff < 0:
-        raise NegativeCoeff(f"{context}: {value!r} is negative")
+def _coeff(value: NumberLike, kind: str, a: NodeId, b: NodeId) -> Fraction:
+    """``value`` as a non-negative Fraction; a Fraction is kept as it is."""
+    if type(value) is Fraction:
+        coeff = value
+    else:
+        try:
+            coeff = Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise TypeError(f"{kind} {a}-{b}: not a number: {value!r}") from exc
+    if coeff.numerator < 0:
+        raise NegativeCoeff(f"{kind} {a}-{b}: {value!r} is negative")
     return coeff
 
 
@@ -191,18 +191,20 @@ class Network:
 
         link_map: dict[Pair, tuple[int, Fraction]] = {}
         for a, b, value in links:
-            _check_node_id(a)
-            _check_node_id(b)
-            if a not in order:
-                raise UnknownNode(f"link endpoint {a} is not a node")
-            if b not in order:
-                raise UnknownNode(f"link endpoint {b} is not a node")
+            # Plain ints already in ``order`` have passed every id check.
+            if not (type(a) is type(b) is int and a in order and b in order):
+                _check_node_id(a)
+                _check_node_id(b)
+                if a not in order:
+                    raise UnknownNode(f"link endpoint {a} is not a node")
+                if b not in order:
+                    raise UnknownNode(f"link endpoint {b} is not a node")
             if a == b:
                 raise SelfLink(f"link {a}-{b} joins a node to itself")
-            key = _pair(a, b)
+            key = (a, b) if a <= b else (b, a)
             if key in link_map:
                 raise DuplicateLink(f"link {key[0]}-{key[1]} listed twice")
-            link_map[key] = (len(link_map), _coeff(value, f"link {a}-{b}"))
+            link_map[key] = (len(link_map), _coeff(value, "link", a, b))
 
         override_map: dict[Pair, Fraction] = {}
         if k_override is not None:
@@ -212,10 +214,11 @@ class Network:
             else:
                 items = k_override
             for a, b, value in items:
-                _check_node_id(a)
-                _check_node_id(b)
-                key = _pair(a, b)
-                cost = _coeff(value, f"k_override {a}-{b}")
+                if not (type(a) is type(b) is int and a in order and b in order):
+                    _check_node_id(a)
+                    _check_node_id(b)
+                key = (a, b) if a <= b else (b, a)
+                cost = _coeff(value, "k_override", a, b)
                 if a == b and cost != 0:
                     raise ValueError(
                         f"k_override {a}-{b}: self pair must cost 0"
@@ -323,13 +326,13 @@ class Network:
             raise UnknownNode(f"link endpoint {b} is not a node")
         if a == b:
             raise SelfLink(f"link {a}-{b} joins a node to itself")
-        key = _pair(a, b)
+        key = (a, b) if a <= b else (b, a)
         count = self._link_count
         links = self._links
         entry = links.get(key)
         if entry is not None and entry[0] < count:
             raise DuplicateLink(f"link {key[0]}-{key[1]} already present")
-        cost = _coeff(coeff, f"link {a}-{b}")
+        cost = _coeff(coeff, "link", a, b)
         if len(links) != count:
             links = dict(islice(links.items(), count))
         links[key] = (count, cost)
@@ -352,7 +355,7 @@ class Network:
             raise UnknownNode(f"node {i} is not part of the network")
         if not self._has_node(j):
             raise UnknownNode(f"node {j} is not part of the network")
-        override = self._override.get(_pair(i, j))
+        override = self._override.get((i, j) if i <= j else (j, i))
         if override is not None:
             return override
         if i == j:

@@ -31,13 +31,32 @@ class TestDomainId:
             with pytest.raises(ValueError):
                 DomainId.parse(text)
 
+    def test_parse_rejects_non_ascii_digits(self):
+        # str.isdigit accepts these, but int() either misreads them ("١"
+        # is Arabic-Indic one) or fails on them ("²"); neither round-trips
+        for text in ("١.٢", "1.١", "²", "1.²", "１"):
+            with pytest.raises(ValueError, match="^malformed domain id"):
+                DomainId.parse(text)
+
     def test_path_must_be_positive_ints(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be non-empty"):
             DomainId(())
+        with pytest.raises(ValueError, match=r"must be positive: \(0,\)"):
+            DomainId((0,))
         with pytest.raises(ValueError):
             DomainId((1, 0))
         with pytest.raises(ValueError):
             DomainId((1, "2"))
+
+    def test_child_checks_its_index(self):
+        with pytest.raises(ValueError, match=r"must be positive: \(1, 2, 0\)"):
+            did("1.2").child(0)
+        with pytest.raises(ValueError, match=r"must be ints: \(1, True\)"):
+            did("1").child(True)
+        with pytest.raises(ValueError, match="must be ints"):
+            did("1").child("3")
+        assert did("1.2").child(3).path == (1, 2, 3)
+        assert did("1.2.3").parent.path == (1, 2)
 
     def test_parent_and_child(self):
         node = did("1.3.1")

@@ -232,6 +232,142 @@ class TestLoadScenario:
         assert load_scenario_file(target).name == "tiny"
 
 
+
+def entry_doc(array: str, entries: list) -> dict:
+    """A scenario over nodes 1 and 2 whose ``array`` holds ``entries``."""
+    if array == "add_node.links":
+        join = {"node": 3, "domain": "1", "links": entries}
+        return {"nodes": [1, 2], "events": [{"add_node": join}]}
+    return {"nodes": [1, 2], array: entries}
+
+
+EVENT = "events[0].add_node.links"
+
+# Exact (path, message) of the error each malformed entry raises.
+ENTRY_ERRORS = [
+    ("links", [5], "links[0]", "expected an array, got int"),
+    ("links", [[1, 2]], "links[0]", "expected [a, b, coeff], got 2 items"),
+    ("links", [[1, 2, 1, 1]], "links[0]", "expected [a, b, coeff], got 4 items"),
+    ("links", [[True, 2, 1]], "links[0][0]", "expected an integer, got True"),
+    ("links", [[1, 0, 1]], "links[0][1]", "must be at least 1, got 0"),
+    ("links", [["1", 2, 1]], "links[0][0]", "expected an integer, got '1'"),
+    ("links", [[1, 2, True]], "links[0][2]", "expected a number, got True"),
+    ("links", [[1, 2, "1"]], "links[0][2]", "expected a number, got '1'"),
+    ("links", [[1, 2, -1]], "links[0][2]", "must be non-negative, got -1"),
+    ("links", [[1, 2, -0.5]], "links[0][2]", "must be non-negative, got -0.5"),
+    ("links", [[1, 9, 1]], "links[0][1]", "unknown node 9"),
+    ("links", [[9, 1, 1]], "links[0][0]", "unknown node 9"),
+    ("links", [[1, 1, 1]], "links[0]", "link joins node 1 to itself"),
+    ("links", [[1, 2, 1], [2, 1, 1]], "links[1]", "duplicate link 1-2"),
+    ("links", [[9, 1, -1]], "links[0][2]", "must be non-negative, got -1"),
+    ("links", [[1, "x", "y"]], "links[0][1]", "expected an integer, got 'x'"),
+    ("k_override", [5], "k_override[0]", "expected an array, got int"),
+    ("k_override", [[1, 2]], "k_override[0]", "expected [i, j, cost], got 2 items"),
+    ("k_override", [[True, 2, 1]], "k_override[0][0]", "expected an integer, got True"),
+    ("k_override", [[1, 0, 1]], "k_override[0][1]", "must be at least 1, got 0"),
+    ("k_override", [["1", 2, 1]], "k_override[0][0]", "expected an integer, got '1'"),
+    ("k_override", [[1, 2, True]], "k_override[0][2]", "expected a number, got True"),
+    ("k_override", [[1, 2, "1"]], "k_override[0][2]", "expected a number, got '1'"),
+    ("k_override", [[1, 2, -1]], "k_override[0][2]", "must be non-negative, got -1"),
+    ("k_override", [[1, 2, -0.5]], "k_override[0][2]",
+     "must be non-negative, got -0.5"),
+    ("k_override", [[1, 9, 1]], "k_override[0][1]", "unknown node 9"),
+    ("k_override", [[1, 1, 1]], "k_override[0]", "a node's cost to itself must be 0"),
+    ("k_override", [[1, 2, 1], [2, 1, 1]], "k_override[1]", "duplicate pair 1-2"),
+    ("k_override", [[9, 1, -1]], "k_override[0][2]", "must be non-negative, got -1"),
+    ("add_node.links", [5], f"{EVENT}[0]", "expected an array, got int"),
+    ("add_node.links", [[1, 1, 1]], f"{EVENT}[0]",
+     "expected [peer, coeff], got 3 items"),
+    ("add_node.links", [[True, 1]], f"{EVENT}[0][0]", "expected an integer, got True"),
+    ("add_node.links", [[0, 1]], f"{EVENT}[0][0]", "must be at least 1, got 0"),
+    ("add_node.links", [["1", 1]], f"{EVENT}[0][0]", "expected an integer, got '1'"),
+    ("add_node.links", [[1, True]], f"{EVENT}[0][1]", "expected a number, got True"),
+    ("add_node.links", [[1, "1"]], f"{EVENT}[0][1]", "expected a number, got '1'"),
+    ("add_node.links", [[1, -1]], f"{EVENT}[0][1]", "must be non-negative, got -1"),
+    ("add_node.links", [[1, -0.5]], f"{EVENT}[0][1]", "must be non-negative, got -0.5"),
+    ("add_node.links", [[9, 1]], f"{EVENT}[0][0]", "unknown node 9"),
+    ("add_node.links", [[3, 1]], f"{EVENT}[0][0]", "peer is the node itself"),
+    ("add_node.links", [[1, 1], [1, 2]], f"{EVENT}[1][0]", "duplicate peer 1"),
+    ("add_node.links", [[9, -1]], f"{EVENT}[0][1]", "must be non-negative, got -1"),
+]
+
+
+@pytest.mark.parametrize("array, entries, path, message", ENTRY_ERRORS)
+def test_entry_errors_are_exact(array, entries, path, message):
+    with pytest.raises(ValidationError) as info:
+        load_scenario(scenario_text(**entry_doc(array, entries)))
+    assert (info.value.path, info.value.message) == (path, message)
+
+
+class TestCoefficientObjects:
+    """Each distinct coefficient literal becomes one Fraction, kept as is."""
+
+    def test_equal_literals_share_one_fraction(self):
+        nodes = list(range(1, 47))
+        pairs = [(a, b) for a in nodes for b in nodes if a < b][:1000]
+        spellings = [1, 1.0, 0.5]
+        links = [[a, b, spellings[n % 3]] for n, (a, b) in enumerate(pairs)]
+        scenario = load_scenario(scenario_text(nodes=nodes, links=links))
+        assert len(scenario.links) == 1000
+        assert len({id(coeff) for _, _, coeff in scenario.links}) <= 2
+        assert {coeff for _, _, coeff in scenario.links} == {1, Fraction(1, 2)}
+
+    def test_links_and_overrides_and_joins_share_fractions(self):
+        scenario = load_scenario(
+            scenario_text(
+                nodes=[1, 2],
+                links=[[1, 2, 2.5]],
+                k_override=[[1, 3, 2.50]],
+                events=[{"add_node": {"node": 3, "domain": "1", "links": [[1, 2.5]]}}],
+            )
+        )
+        (_, _, link), (_, _, pinned) = scenario.links[0], scenario.k_override[0]
+        assert link == Fraction(5, 2)
+        assert pinned is link
+        assert scenario.events[0].links[0][1] is link
+
+    def test_network_keeps_the_scenarios_objects(self):
+        scenario = load_scenario(
+            scenario_text(
+                nodes=[1, 2, 3],
+                links=[[2, 1, 0.25], [2, 3, 7]],
+                k_override=[[3, 1, 1.5]],
+            )
+        )
+        network = Network(scenario.nodes, scenario.links, scenario.k_override)
+        given = {(min(a, b), max(a, b)): c for a, b, c in scenario.links}
+        for a, b, cost in network.links:
+            assert cost is given[(a, b)]
+        assert network.k_override[(1, 3)] is scenario.k_override[0][2]
+
+    def test_negative_zero_loads_as_zero(self):
+        scenario = load_scenario(
+            scenario_text(
+                nodes=[1, 2],
+                links=[[1, 2, -0.0]],
+                k_override=[[1, 1, -0.0]],
+                events=[{"add_node": {"node": 3, "domain": "1", "links": [[1, -0.0]]}}],
+            )
+        )
+        assert scenario.links[0][2] == 0
+        assert scenario.k_override[0][2] == 0
+        assert scenario.events[0].links[0][1] == 0
+        assert run(scenario).final_domains[0].members == (1, 2, 3)
+
+    def test_non_ascii_digit_domain_ids_are_rejected(self):
+        join = {"add_node": {"node": 2, "domain": "1.١"}}
+        for events, domain_k, path in (
+            ([join], {}, "events[0].add_node.domain"),
+            ([], {"١": 2}, "domain_k.١"),
+            ([], {"²": 2}, "domain_k.²"),
+        ):
+            text = scenario_text(events=events, domain_k=domain_k)
+            with pytest.raises(ValidationError) as info:
+                load_scenario(text)
+            assert info.value.path == path
+            assert info.value.message.startswith("malformed domain id")
+
+
 class TestBundledScenarios:
     def test_names(self):
         assert bundled_scenario_names() == ("growth19", "reference18")

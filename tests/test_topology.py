@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,60 @@ def test_node_ids_must_be_positive_ints():
         Network(nodes=[True])
     with pytest.raises(TypeError):
         Network(nodes=["3"])
+
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Network([1, 2], [(1, 2, Fraction(-1, 2))]), NegativeCoeff,
+         "link 1-2: Fraction(-1, 2) is negative"),
+        (lambda: Network([1, 2], k_override=[(1, 2, Fraction(-1, 2))]), NegativeCoeff,
+         "k_override 1-2: Fraction(-1, 2) is negative"),
+        (lambda: Network([1, 2]).add_link(1, 2, Fraction(-3)), NegativeCoeff,
+         "link 1-2: Fraction(-3, 1) is negative"),
+        (lambda: Network([1, 2], [(1, 2, "x")]), TypeError,
+         "link 1-2: not a number: 'x'"),
+        (lambda: Network([1, 2], [(True, 2, 1)]), TypeError,
+         "node id must be an int, got True"),
+        (lambda: Network([1, 2], [(1, 0, 1)]), ValueError,
+         "node id must be positive, got 0"),
+        (lambda: Network([1, 2], [("1", 2, 1)]), TypeError,
+         "node id must be an int, got '1'"),
+        (lambda: Network([1, 2], [(9, "x", 1)]), TypeError,
+         "node id must be an int, got 'x'"),
+        (lambda: Network([1, 2], k_override=[(True, 2, 1)]), TypeError,
+         "node id must be an int, got True"),
+        (lambda: Network([1, 2], k_override=[(0, 2, 1)]), ValueError,
+         "node id must be positive, got 0"),
+        (lambda: Network([1, 2], k_override=[(1, "2", 1)]), TypeError,
+         "node id must be an int, got '2'"),
+        (lambda: Network([1, 2]).add_link(True, 2, 1), TypeError,
+         "node id must be an int, got True"),
+        (lambda: Network([1, 2]).add_link(1, 0, 1), ValueError,
+         "node id must be positive, got 0"),
+        (lambda: Network([1, 2]).add_link("1", 2, 1), TypeError,
+         "node id must be an int, got '1'"),
+    ],
+)
+def test_construction_errors_are_exact(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_int_enum_node_ids_are_accepted():
+    class Host(IntEnum):
+        A = 1
+        B = 2
+        C = 3
+
+    net = Network(list(Host), [(Host.A, Host.B, 2)], [(Host.A, Host.C, 5)])
+    net = net.add_link(Host.B, Host.C, Fraction(1))
+    assert net.path_cost(1, 2) == 2
+    assert net.path_cost(Host.A, Host.C) == 5
+    assert net.path_cost(2, 3) == 1
 
 
 def test_path_cost_identity_is_zero():
