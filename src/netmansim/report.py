@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import BinaryIO, TextIO, Union
 
@@ -19,17 +19,17 @@ from .simulation import SimulationResult
 
 __all__ = ["kilobytes", "ReportRow", "CostReport", "compare", "emit_csv", "format_table"]
 
-_KB = Decimal(1000)
-_CENT = Decimal("0.01")
-
-
 def kilobytes(value) -> Decimal:
-    """Render a byte count as kilobytes: /1000, 2 decimals, half-up."""
+    """Render a byte count as kilobytes: /1000, 2 decimals, half-up.
+
+    The rounding is done on exact integers, so a count of any size gives
+    its exact hundredths; halves round away from zero.
+    """
     amount = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = 50
-        exact = Decimal(amount.numerator) / Decimal(amount.denominator)
-        return (exact / _KB).quantize(_CENT, rounding=ROUND_HALF_UP)
+    n, d = abs(amount.numerator), amount.denominator
+    hundredths = (n * 100 + 500 * d) // (1000 * d)
+    sign = "-" if amount.numerator < 0 else ""
+    return Decimal(f"{sign}{hundredths}e-2")
 
 
 @dataclass(frozen=True)

@@ -280,6 +280,8 @@ def load_scenario(source: Union[BinaryIO, TextIO, bytes, str]) -> Scenario:
         )
     except (json.JSONDecodeError, ValueError) as exc:
         raise ParseError(f"scenario is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("scenario is nested too deeply to parse") from None
     return _scenario_from_raw(raw)
 
 

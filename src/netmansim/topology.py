@@ -12,9 +12,14 @@ multiple of their denominators, which makes every scaled coefficient, and
 so every sum of them, a whole number. Dijkstra then compares and adds plain
 ``int``s, and a result ``d`` is returned as ``Fraction(d, scale)``: the same
 exact value a search on the original coefficients would find. The scaled
-graph and the shortest-path trees computed over it belong to one network
-version; a source asked for a second target gets its whole tree computed
-and kept, so a manager's queries to many nodes cost one search.
+graph, and every answer and tree computed over it, belong to one network
+version. A query is answered by a bidirectional search between its two
+ends (Pohl, "Bi-directional search", Machine Intelligence 6, 1971) until
+the pair searches from its source have put as many labels as the version
+has nodes; the source's next new target then gets its whole tree computed
+and kept. That is the rent-or-buy break-even: a source asked for many
+targets, as a polling manager is, pays for one tree, while the hops of a
+flat-bed round trip each label a small patch around their two ends.
 
 Versions made from one another by ``add_node`` and ``add_link`` share two
 insertion-ordered tables, node -> join position and link -> (position,
@@ -81,17 +86,20 @@ def _check_node_id(node: object) -> NodeId:
 
 
 class _PathEngine:
-    """Integer Dijkstra over one network version, with cached trees.
+    """Integer Dijkstra over one network version, with memoised answers.
 
-    A source's first search stops at its target and keeps only that one
-    answer, which also serves the same pair asked again. A source asked
-    for a second target gets a full single-source tree, kept for the rest
-    of this version's life. Sources that each ask for one target, as the
-    hops of a flat-bed round trip do, so never fill an all-pairs table,
-    even when the same version is priced twice.
+    A query that no kept tree answers runs a bidirectional search between
+    its two ends, and the answer is kept for that pair, in either order.
+    Each source adds up the labels its pair searches set. Once the total
+    reaches the version's node count, what one full search costs, the
+    source's next new target builds its single-source tree instead, kept
+    for the rest of this version's life; it answers every query that
+    starts or ends at the source. Sources that each ask for one target, as
+    the hops of a flat-bed round trip do, so never fill an all-pairs
+    table, even when the same version is priced twice.
     """
 
-    __slots__ = ("scale", "_adjacency", "_trees", "_first")
+    __slots__ = ("scale", "_adjacency", "_trees", "_pairs", "_labelled")
 
     def __init__(
         self, nodes: Iterable[NodeId], links: list[tuple[Pair, Fraction]]
@@ -105,7 +113,8 @@ class _PathEngine:
         self.scale = scale
         self._adjacency = adjacency
         self._trees: dict[NodeId, dict[NodeId, int]] = {}
-        self._first: dict[NodeId, tuple[NodeId, int | None]] = {}
+        self._pairs: dict[Pair, int | None] = {}
+        self._labelled: dict[NodeId, int] = {}
 
     def distance(self, i: NodeId, j: NodeId) -> int | None:
         """Scaled cost of the cheapest ``i``-``j`` path, None if there is none."""
@@ -114,29 +123,26 @@ class _PathEngine:
             return trees[i].get(j)
         if j in trees:
             return trees[j].get(i)
-        first = self._first.get(i)
-        if first is None:
-            scaled = self._search(i, j).get(j)
-            self._first[i] = (j, scaled)
-            return scaled
-        if first[0] == j:
-            return first[1]
-        tree = trees[i] = self._search(i)
-        return tree.get(j)
+        key = (i, j) if i <= j else (j, i)
+        pairs = self._pairs
+        if key in pairs:
+            return pairs[key]
+        labelled = self._labelled.get(i, 0)
+        if labelled >= len(self._adjacency):
+            tree = trees[i] = self._search(i)
+            return tree.get(j)
+        scaled, labels = self._meet(i, j)
+        self._labelled[i] = labelled + labels
+        pairs[key] = scaled
+        return scaled
 
-    def _search(self, source: NodeId, goal: NodeId | None = None) -> dict[NodeId, int]:
-        """Dijkstra from ``source``, stopping once ``goal`` is settled.
-
-        Without a goal every entry of the result is final. With one, only
-        the goal's entry is; it is missing when the goal is unreachable.
-        """
+    def _search(self, source: NodeId) -> dict[NodeId, int]:
+        """Dijkstra from ``source`` to every node it reaches."""
         adjacency = self._adjacency
         best = {source: 0}
         frontier = [(0, source)]
         while frontier:
             dist, node = heapq.heappop(frontier)
-            if node == goal:
-                break
             if dist > best[node]:
                 continue
             for neighbor, weight in adjacency[node]:
@@ -146,6 +152,46 @@ class _PathEngine:
                     best[neighbor] = candidate
                     heapq.heappush(frontier, (candidate, neighbor))
         return best
+
+    def _meet(self, source: NodeId, target: NodeId) -> tuple[int | None, int]:
+        """Bidirectional Dijkstra: (scaled cost or None, labels set).
+
+        Each step expands the side whose frontier is nearer. ``meeting`` is
+        the cheapest sum of a forward and a backward label on one node,
+        checked whenever either label is set. Once the two frontiers add up
+        to at least that sum, no path through an unlabelled node can beat
+        it, so it is the answer.
+        """
+        adjacency = self._adjacency
+        heappush, heappop = heapq.heappush, heapq.heappop
+        forward = {source: 0}
+        backward = {target: 0}
+        forward_heap = [(0, source)]
+        backward_heap = [(0, target)]
+        meeting = math.inf
+        while forward_heap and backward_heap:
+            forward_top = forward_heap[0][0]
+            backward_top = backward_heap[0][0]
+            if forward_top + backward_top >= meeting:
+                break
+            if forward_top <= backward_top:
+                frontier, labels, other = forward_heap, forward, backward
+            else:
+                frontier, labels, other = backward_heap, backward, forward
+            dist, node = heappop(frontier)
+            if dist > labels[node]:
+                continue
+            for neighbor, weight in adjacency[node]:
+                candidate = dist + weight
+                known = labels.get(neighbor)
+                if known is None or candidate < known:
+                    labels[neighbor] = candidate
+                    heappush(frontier, (candidate, neighbor))
+                    opposite = other.get(neighbor)
+                    if opposite is not None and candidate + opposite < meeting:
+                        meeting = candidate + opposite
+        labels_set = len(forward) + len(backward)
+        return (None if meeting == math.inf else meeting), labels_set
 
 
 class Network:
@@ -346,10 +392,12 @@ class Network:
         the network and ``Unreachable`` when no path exists.
 
         The search runs on this version's integer-scaled links (see the
-        module docstring), so the result is exact. The first query from a
-        source runs a search that stops at ``j``; a query from the same
-        source to another node computes and keeps its whole tree, which
-        then answers every query that starts or ends at that source.
+        module docstring), so the result is exact. A pair is searched
+        once per version, from both ends at once, and its answer kept for
+        both orders. Once the searches from ``i`` have labelled as many
+        nodes as the version has, ``i``'s next new target computes and
+        keeps its whole tree, which then answers every query that starts
+        or ends at ``i``.
         """
         if not self._has_node(i):
             raise UnknownNode(f"node {i} is not part of the network")

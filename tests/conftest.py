@@ -1,8 +1,14 @@
-"""Shared fixtures: the reference scenario rebuilt through the public API."""
+"""Shared fixtures: the reference scenario rebuilt through the public API.
+
+Every property test runs under one Hypothesis profile: derandomized, so
+each run draws the same examples and gives the same verdict, and without
+a per-example deadline, so a slow machine cannot fail a correct example.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from netmansim import (
     ManagerTree,
@@ -12,6 +18,9 @@ from netmansim import (
     apply_event,
     load_bundled_scenario,
 )
+
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def build_state(scenario: Scenario) -> SimulationState:

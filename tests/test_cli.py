@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 
 import pytest
 
@@ -148,6 +149,17 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(bad)]) == 1
         assert capsys.readouterr().err != ""
 
+    def test_huge_message_size_renders_exact_kilobytes(self, capsys, tmp_path):
+        params = dict(
+            s_req=1e60, s_res=1, num_vars=1, s_ma=1, d=1, ma_size=1, mda_size=1, ma_res=1
+        )
+        path = write_scenario(tmp_path, params=params, models=["cs"])
+        assert main(["simulate", "--scenario", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # (1e60 + 1) bytes over the one unit-cost link: 1e57 Kb and 0.001.
+        assert captured.out.splitlines()[-1].split() == ["1", "1" + "0" * 57 + ".00"]
+
     def test_unknown_bundled_name_is_io_failure(self, capsys):
         assert main(["simulate", "--scenario", "nonesuch"]) == 2
         assert "nonesuch" in capsys.readouterr().err
@@ -174,6 +186,14 @@ class TestValidate:
         bad.write_text(json.dumps({"name": "x"}))
         assert main(["validate", "--scenario", str(bad)]) == 1
         assert capsys.readouterr().err != ""
+
+    def test_nesting_past_the_recursion_limit_is_bad_input(self, capsys, tmp_path):
+        deep = tmp_path / "deep.scenario.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["validate", "--scenario", str(deep)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: scenario is nested too deeply to parse\n"
 
 
 class TestExplain:
@@ -261,6 +281,74 @@ scenario: growth19 (no cost models requested)
 }
 
 
+def write_searched_mesh(tmp_path):
+    """A seeded 60-node mesh whose every model cost needs path search.
+
+    50 nodes start on a random spanning tree plus 25 more links; 10 more
+    join the root domain with one or two links each, and three snapshots
+    price the network as it grows.
+    """
+    rng = random.Random("golden-mesh60")
+    coeffs = [0.1, 0.5, 1, 1.25, 2, 3]
+    links = [[rng.randrange(1, node), node, rng.choice(coeffs)] for node in range(2, 51)]
+    linked = {(a, b) for a, b, _ in links}
+    while len(links) < 75:
+        a, b = sorted(rng.sample(range(1, 51), 2))
+        if (a, b) not in linked:
+            linked.add((a, b))
+            links.append([a, b, rng.choice(coeffs)])
+    events = [{"snapshot": "initial"}]
+    for node in range(51, 61):
+        peers = rng.sample(range(1, node), rng.choice([1, 2]))
+        links_in = [[peer, rng.choice(coeffs)] for peer in peers]
+        events.append({"add_node": {"node": node, "domain": "1", "links": links_in}})
+        if node == 55:
+            events.append({"snapshot": "half-joined"})
+    events.append({"snapshot": "all-joined"})
+    params = dict(
+        s_req=120, s_res=280, num_vars=4, s_ma=2048, d=64, ma_size=4096,
+        mda_size=512, ma_res=96,
+    )
+    return write_scenario(
+        tmp_path,
+        name="mesh60",
+        nodes=list(range(1, 51)),
+        links=links,
+        central=7,
+        m_max=4,
+        params=params,
+        events=events,
+        polling_counts=[1, 10, 100],
+        domain_k={"1": 1.5},
+    )
+
+
+def _root_and_children(count):
+    return ", ".join(["1"] + [f"1.{k}" for k in range(1, count + 1)])
+
+
+SEARCHED_MESH = f"""\
+snapshot initial: managers {_root_and_children(12)}
+  cs: per-poll 289760 bytes (289.76 Kb)
+  flatbed: per-poll 765968 bytes (765.97 Kb)
+  imasnm: per-poll 30739.2 bytes (30.74 Kb)
+snapshot half-joined: managers {_root_and_children(15)}
+  cs: per-poll 323680 bytes (323.68 Kb)
+  flatbed: per-poll 916560 bytes (916.56 Kb)
+  imasnm: per-poll 34622.4 bytes (34.62 Kb)
+snapshot all-joined: managers {_root_and_children(20)}
+  cs: per-poll 367200 bytes (367.20 Kb)
+  flatbed: per-poll 1.10667e+06 bytes (1106.67 Kb)
+  imasnm: per-poll 39793.6 bytes (39.79 Kb)
+scenario: mesh60
+imasnm deployment: 343449.6 bytes (343.45 Kb, one-time, excluded from rows)
+polling  cost_cs_kb  cost_flatbed_kb  cost_imasnm_kb
+      1      367.20          1106.67           39.79
+     10     3672.00         11066.72          397.94
+    100    36720.00        110667.20         3979.36
+"""
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("command", sorted(GOLDEN))
     def test_bundled_stdout_is_exact(self, capsys, command):
@@ -268,6 +356,13 @@ class TestGoldenOutput:
         captured = capsys.readouterr()
         assert captured.out == GOLDEN[command]
         assert captured.err == ""
+
+    def test_searched_mesh_stdout_is_exact(self, capsys, tmp_path):
+        path = write_searched_mesh(tmp_path)
+        assert main(["simulate", "--scenario", path, "--snapshots"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == SEARCHED_MESH
 
     def test_snapshot_lines_list_every_model_in_canonical_order(
         self, capsys, tmp_path

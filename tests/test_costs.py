@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from netmansim import (
     CostParams,
@@ -454,7 +454,6 @@ def _outcome(compute):
     return value
 
 
-@settings(deadline=None)
 @given(priced_states())
 def test_cost_kernel_equals_the_per_term_reference(case):
     net, tree, domain_k, stops, p = case

@@ -32,6 +32,17 @@ class TestKilobytes:
         assert kilobytes(15) == Decimal("0.02")
         assert kilobytes(25) == Decimal("0.03")
 
+    def test_counts_past_fifty_digits_round_exactly(self):
+        big = 10**60
+        assert str(kilobytes(big)) == "1" + "0" * 57 + ".00"
+        assert str(kilobytes(big + 5)) == "1" + "0" * 57 + ".01"
+        assert str(kilobytes(Fraction(big + 9, 2))) == "5" + "0" * 56 + ".00"
+        assert str(kilobytes(Fraction(big + 10, 2))) == "5" + "0" * 56 + ".01"
+
+    def test_negative_counts_round_away_from_zero(self):
+        assert str(kilobytes(-5)) == "-0.01"
+        assert str(kilobytes(-4)) == "-0.00"
+
     def test_zero(self):
         assert kilobytes(0) == Decimal("0.00")
         assert str(kilobytes(0)) == "0.00"

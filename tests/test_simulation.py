@@ -80,6 +80,14 @@ class TestLoadScenario:
         with pytest.raises(ParseError):
             load_scenario(b"\xff\xfe\x00")
 
+    def test_json_nested_past_the_recursion_limit_is_a_parse_error(self):
+        deep = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_scenario(deep)
+        notes = '{"notes": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_scenario(notes.encode())
+
     def test_non_finite_numbers_are_a_parse_error(self):
         with pytest.raises(ParseError):
             load_scenario(scenario_text().replace("3", "NaN", 1))

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import heapq
+import random
 from enum import IntEnum
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from netmansim import (
     DuplicateLink,
     DuplicateNode,
+    ManagerTree,
     NegativeCoeff,
     Network,
     SelfLink,
@@ -230,21 +232,52 @@ def test_add_link_leaves_the_original_unchanged():
     assert net.links == ((1, 2, Fraction(4)), (2, 3, Fraction(4)))
 
 
-def test_sources_asked_for_one_target_keep_no_tree():
+def test_sources_pay_for_a_tree_only_at_the_break_even():
     chain = [(n, n + 1, 1) for n in range(1, 6)]
     net = Network(nodes=range(1, 7), links=chain)
     # One target per source, as a flat-bed round trip asks, priced twice:
-    # no tree is kept.
+    # each pair is searched once and no tree is kept.
     for _ in range(2):
         for n in range(1, 7):
             assert net.path_cost(n, n % 6 + 1) == (5 if n == 6 else 1)
-    assert net._engine._trees == {}
+    engine = net._engine
+    assert engine._trees == {}
+    # A search between neighbours expands only the source, so it labels
+    # the target and the source with its neighbours; the 6-1 search
+    # labels 4 nodes forward and 3 backward.
+    assert engine._labelled == {1: 3, 2: 4, 3: 4, 4: 4, 5: 4, 6: 7}
+    # 1 has labelled 3 of the version's 6 nodes: one more pair search.
+    assert net.path_cost(1, 3) == 2
+    assert engine._trees == {}
+    assert engine._labelled[1] == 8
+    # 1 and 6 have now labelled at least 6 nodes, so their next new
+    # targets build their trees.
+    assert net.path_cost(6, 3) == 3
     assert net.path_cost(1, 4) == 3
-    assert set(net._engine._trees) == {1}
+    assert set(engine._trees) == {1, 6}
     # The tree of 1 answers queries that end at 1 as well.
+    pairs = dict(engine._pairs)
     assert net.path_cost(5, 1) == 4
-    assert set(net._engine._trees) == {1}
-    assert net.add_link(1, 6, 1)._engine is None
+    assert engine._pairs == pairs
+    assert 5 not in engine._trees and engine._labelled[5] == 4
+    # A derived version starts from nothing: no tree, no labels counted.
+    linked = net.add_link(1, 6, 1)
+    assert linked._engine is None
+    assert linked.path_cost(6, 2) == 2
+    assert linked._engine._trees == {}
+    assert linked._engine._labelled == {6: 6}
+
+
+def test_pair_search_stops_once_the_meeting_is_proven():
+    # 1 and 2 share a link and each has 20 leaves. Expanding 1 labels 2,
+    # which meets the backward side at cost 1; the backward frontier is at
+    # 0, so the sum is proven and 2's leaves are never labelled.
+    links = [(1, 2, 1)]
+    links += [(1, n, 1) for n in range(3, 23)]
+    links += [(2, n, 1) for n in range(23, 43)]
+    net = Network(nodes=range(1, 43), links=links)
+    assert net.path_cost(1, 2) == 1
+    assert net._engine._labelled == {1: 22 + 1}
 
 
 def test_networks_compare_by_value():
@@ -345,21 +378,26 @@ def test_path_cost_triangle_inequality(net, data):
 # -- the engine against the Fraction Dijkstra it replaced --------------------
 
 
-def _reference_path_cost(net: Network, i: int, j: int) -> Fraction:
+def _fraction_adjacency(net: Network) -> dict[int, list[tuple[int, Fraction]]]:
+    adjacency: dict[int, list[tuple[int, Fraction]]] = {n: [] for n in net.nodes}
+    for a, b, cost in net.links:
+        adjacency[a].append((b, cost))
+        adjacency[b].append((a, cost))
+    return adjacency
+
+
+def _reference_path_cost(net: Network, adjacency, i: int, j: int) -> Fraction:
     """Early-exit Dijkstra on ``Fraction`` coefficients, the reference.
 
     This is the search ``Network.path_cost`` ran before it moved to
-    integer-scaled coefficients and cached trees.
+    integer-scaled coefficients and cached answers. ``adjacency`` is
+    ``_fraction_adjacency(net)``.
     """
     override = net.k_override.get((min(i, j), max(i, j)))
     if override is not None:
         return override
     if i == j:
         return Fraction(0)
-    adjacency: dict[int, list[tuple[int, Fraction]]] = {n: [] for n in net.nodes}
-    for a, b, cost in net.links:
-        adjacency[a].append((b, cost))
-        adjacency[b].append((a, cost))
     best = {i: Fraction(0)}
     frontier = [(Fraction(0), i)]
     visited: set[int] = set()
@@ -389,7 +427,7 @@ _MIXED_COEFFS = st.one_of(
 
 
 @st.composite
-def mixed_networks(draw, max_nodes: int = 40):
+def mixed_networks(draw, max_nodes: int = 40, links_per_node: int = 2):
     size = draw(st.integers(min_value=2, max_value=max_nodes))
     nodes = list(range(1, size + 1))
     pair = (
@@ -397,51 +435,128 @@ def mixed_networks(draw, max_nodes: int = 40):
         .filter(lambda p: p[0] != p[1])
         .map(lambda p: (min(p), max(p)))
     )
-    # At most two links per node on average: many pairs stay disconnected.
-    chosen = draw(st.lists(pair, unique=True, max_size=2 * size))
+    # At most two links per node on average by default: many pairs stay
+    # disconnected.
+    chosen = draw(st.lists(pair, unique=True, max_size=links_per_node * size))
     links = [(a, b, draw(_MIXED_COEFFS)) for a, b in chosen]
     overrides = draw(st.dictionaries(pair, _MIXED_COEFFS, max_size=3))
     return Network(nodes=nodes, links=links, k_override=overrides)
 
 
 def _queries(nodes: list[int]):
-    # Sources come from a few nodes so that most of them repeat and get
-    # their trees cached; each query is also asked the other way round.
-    return st.lists(
-        st.tuples(st.sampled_from(nodes[:4]), st.sampled_from(nodes)),
+    # Up to six sources, each asked for 1 to 6 distinct targets, in a
+    # shuffled order: a source's early targets are pair searches, its later
+    # ones may come from its tree once it has labelled a version's worth of
+    # nodes. Each query is also asked the other way round.
+    per_source = st.lists(
+        st.tuples(
+            st.sampled_from(nodes),
+            st.lists(st.sampled_from(nodes), min_size=1, max_size=6, unique=True),
+        ),
         min_size=1,
-        max_size=60,
+        max_size=6,
+        unique_by=lambda asked: asked[0],
     )
+    return per_source.map(
+        lambda asked: [(i, j) for i, targets in asked for j in targets]
+    ).flatmap(st.permutations)
 
 
 def _answers_match_reference(net: Network, queries) -> dict:
+    """Check every query both ways; the reference runs once per pair."""
+    adjacency = _fraction_adjacency(net)
     answers = {}
     for i, j in queries:
-        for a, b in ((i, j), (j, i)):
+        if (i, j) not in answers:
             try:
-                expected = _reference_path_cost(net, a, b)
+                expected = _reference_path_cost(net, adjacency, i, j)
             except Unreachable:
+                expected = None
+            answers[i, j] = answers[j, i] = expected
+        for a, b in ((i, j), (j, i)):
+            expected = answers[a, b]
+            if expected is None:
                 with pytest.raises(Unreachable):
                     net.path_cost(a, b)
-                expected = None
             else:
                 got = net.path_cost(a, b)
                 assert type(got) is Fraction
                 assert got == expected
-            answers[a, b] = expected
     return answers
 
 
-@settings(deadline=None)
 @given(mixed_networks(), st.data())
 def test_path_cost_matches_fraction_reference(net, data):
     queries = data.draw(_queries(sorted(net.nodes)))
     first = _answers_match_reference(net, queries)
-    # Asked again, every answer now comes from a cached tree.
+    # Asked again, every answer now comes from a kept pair or tree.
     assert _answers_match_reference(net, queries) == first
 
 
-@settings(deadline=None)
+@given(mixed_networks(links_per_node=4), st.data())
+def test_path_cost_on_denser_networks_matches_fraction_reference(net, data):
+    queries = data.draw(_queries(sorted(net.nodes)))
+    first = _answers_match_reference(net, queries)
+    assert _answers_match_reference(net, queries) == first
+
+
+def _seeded_mesh(seed: str, size: int = 300) -> tuple[Network, int]:
+    """A connected mesh plus a 5-node island, with mixed coefficients."""
+    rng = random.Random(seed)
+    coeffs = [0, Fraction(1, 3), Fraction(7, 12), "0.1", "3.2", 1, 2, "1.25"]
+    mesh = size - 5
+    links = {}
+    for node in range(2, mesh + 1):
+        links[rng.randrange(1, node), node] = rng.choice(coeffs)
+    while len(links) < 2 * mesh:
+        a, b = sorted(rng.sample(range(1, mesh + 1), 2))
+        links.setdefault((a, b), rng.choice(coeffs))
+    for node in range(mesh + 2, size + 1):
+        links[mesh + 1, node] = rng.choice(coeffs)
+    overrides = {
+        tuple(sorted(rng.sample(range(1, size + 1), 2))): rng.choice(coeffs)
+        for _ in range(10)
+    }
+    net = Network(
+        nodes=range(1, size + 1),
+        links=[(a, b, c) for (a, b), c in links.items()],
+        k_override=overrides,
+    )
+    return net, rng.randrange(1, mesh + 1)
+
+
+def test_model_query_patterns_on_a_seeded_mesh_match_fraction_reference():
+    # The pairs the three cost models ask, in their order: the central
+    # node to every node (cs), each itinerary hop and the return hop
+    # (flatbed), and every mother-to-child manager link (imasnm), asked
+    # twice as poll and deploy pricing do. The island's nodes are
+    # unreachable from the mesh.
+    net, central = _seeded_mesh("path-engine-mesh")
+    stops = [central, *sorted(net.nodes - {central})]
+    # Partition two thirds of the nodes, then let the rest join random
+    # domains, so splits give the tree mothers below the root as well.
+    rng = random.Random("path-engine-joins")
+    tree = ManagerTree.initial_partition(stops[:200], 4, central)
+    for node in stops[200:]:
+        tree.add_node_to_domain(node, rng.choice(tree.domain_ids()))
+    manager_links = [
+        (mother.manager_host, child.manager_host)
+        for mother, child in tree.parent_child_edges()
+    ]
+    queries = (
+        [(central, node) for node in stops]
+        + list(zip(stops, stops[1:] + stops[:1]))
+        + 2 * manager_links
+    )
+    answers = _answers_match_reference(net, queries)
+    assert None in answers.values()
+    # Only sources asked for several targets buy trees: the central node
+    # and mother hosts. A hop source that hosts no manager asks once.
+    mothers = {central} | {mother for mother, _ in manager_links}
+    assert central in net._engine._trees
+    assert set(net._engine._trees) <= mothers
+
+
 @given(mixed_networks(max_nodes=12), st.data())
 def test_add_link_chain_keeps_each_version_answers(net, data):
     nodes = sorted(net.nodes)
@@ -490,7 +605,6 @@ def _answer(net: Network, i: int, j: int):
         return type(exc)
 
 
-@settings(deadline=None)
 @given(mixed_networks(max_nodes=8), st.data())
 def test_versions_branched_off_an_older_one_match_fresh_builds(net, data):
     overrides = net.k_override
