@@ -8,7 +8,7 @@ import sys
 from typing import Sequence
 
 from .errors import NetmanError, ParseError, ValidationError
-from .report import compare, emit_csv, format_table, kilobytes
+from .report import compare, emit_csv, float_text, format_table, kilobytes
 from .simulation import (
     MODEL_NAMES,
     Scenario,
@@ -62,21 +62,13 @@ def _parse_pollings(text: str) -> tuple[int, ...]:
 
 def _tree_lines(result: SimulationResult) -> list[str]:
     """One line per domain, in pre-order, each indented by its depth."""
-    by_id = {state.id: state for state in result.final_domains}
-    # An explicit stack, not recursion: a tree can be thousands deep.
-    stack = [
-        (state, 0) for state in reversed(result.final_domains) if state.parent is None
+    # final_domains are in id order, which is pre-order, and an id has
+    # one dot per level below the root.
+    return [
+        f"{'  ' * state.id.count('.')}{state.id}  host={state.manager_host}  "
+        f"members=[{', '.join(map(str, state.members))}]"
+        for state in result.final_domains
     ]
-    lines = []
-    while stack:
-        state, depth = stack.pop()
-        members = ", ".join(str(m) for m in state.members)
-        lines.append(
-            f"{'  ' * depth}{state.id}  host={state.manager_host}  "
-            f"members=[{members}]"
-        )
-        stack.extend((by_id[child], depth + 1) for child in reversed(state.children))
-    return lines
 
 
 def _print_snapshots(result: SimulationResult) -> None:
@@ -85,7 +77,7 @@ def _print_snapshots(result: SimulationResult) -> None:
         if record.per_poll:
             for model, per_poll in record.per_poll.items():
                 print(
-                    f"  {model}: per-poll {float(per_poll):g} bytes"
+                    f"  {model}: per-poll {float_text(per_poll, 'g')} bytes"
                     f" ({kilobytes(per_poll)} Kb)"
                 )
 

@@ -3,15 +3,14 @@
 A ``ManagerTree`` assigns every managed node to exactly one domain. Each
 domain is run by a manager hosted on one of its member nodes. When a
 domain outgrows ``m_max`` the manager keeps its first ``m_max`` members
-and spawns a child manager for the overflow, recursively, so the tree
-deepens as the network grows.
+and spawns a child manager for the overflow, which is split the same way
+in turn, so the tree deepens as the network grows.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -102,11 +101,30 @@ class Domain:
         return len(self.members) - 1
 
 
-@dataclass
+@dataclass(frozen=True)
+class DomainState:
+    """Immutable view of one domain at some instant."""
+
+    id: str
+    manager_host: NodeId
+    members: tuple[NodeId, ...]
+    parent: str | None
+    children: tuple[str, ...]
+
+
+@dataclass(eq=False, slots=True)
 class _ManagerRecord:
+    """One domain, linked directly to its parent's and children's records.
+
+    ``name`` is the dotted id, rendered once. ``state`` is the last
+    ``DomainState`` built for the domain, reused while it still matches.
+    """
+
     domain: Domain
-    parent: DomainId | None
-    children: list[DomainId] = field(default_factory=list)
+    parent: _ManagerRecord | None
+    name: str
+    children: list[_ManagerRecord] = field(default_factory=list)
+    state: DomainState | None = None
 
 
 class ManagerTree:
@@ -124,8 +142,10 @@ class ManagerTree:
         if m_max < 1:
             raise ValueError(f"m_max must be at least 1, got {m_max}")
         self._m_max = m_max
+        # Only public lookups go through _managers; records link directly.
         self._managers: dict[DomainId, _ManagerRecord] = {}
-        self._node_domain: dict[NodeId, DomainId] = {}
+        self._root: _ManagerRecord | None = None
+        self._node_domain: dict[NodeId, _ManagerRecord] = {}
 
     @property
     def m_max(self) -> int:
@@ -166,26 +186,40 @@ class ManagerTree:
         others = sorted(seen - {central})
         full_chunks = len(others) // m_max
         root_members = [central] + others[full_chunks * m_max :]
-        tree._install(ROOT_DOMAIN, root_members, central, parent=None)
+        root = tree._install(None, root_members, central)
         for index in range(full_chunks):
             chunk = others[index * m_max : (index + 1) * m_max]
-            child_id = ROOT_DOMAIN.child(index + 1)
-            tree._install(child_id, chunk, chunk[0], parent=ROOT_DOMAIN)
+            tree._install(root, chunk, chunk[0])
+        tree._node_domain = {
+            node: record
+            for record in tree._managers.values()
+            for node in record.domain.members
+        }
         return tree
 
     def _install(
-        self,
-        domain_id: DomainId,
-        members: list[NodeId],
-        host: NodeId,
-        parent: DomainId | None,
-    ) -> None:
-        record = _ManagerRecord(Domain(domain_id, members, host), parent)
+        self, parent: _ManagerRecord | None, members: list[NodeId], host: NodeId
+    ) -> _ManagerRecord:
+        """Add the root, or ``parent``'s next child; the caller registers members."""
+        if parent is None:
+            domain_id, name = ROOT_DOMAIN, str(ROOT_DOMAIN)
+        else:
+            index = len(parent.children) + 1
+            domain_id = parent.domain.id.child(index)
+            name = f"{parent.name}.{index}"
+        record = _ManagerRecord(Domain(domain_id, members, host), parent, name)
         self._managers[domain_id] = record
-        if parent is not None:
-            self._managers[parent].children.append(domain_id)
-        for node in members:
-            self._node_domain[node] = domain_id
+        if parent is None:
+            self._root = record
+        else:
+            parent.children.append(record)
+        return record
+
+    def _record(self, domain: DomainId) -> _ManagerRecord:
+        record = self._managers.get(domain)
+        if record is None:
+            raise UnknownDomain(f"no such domain: {domain}")
+        return record
 
     def add_node_to_domain(self, node: NodeId, domain: DomainId) -> "ManagerTree":
         """Append a newly discovered node to a domain, splitting as needed."""
@@ -193,56 +227,59 @@ class ManagerTree:
             raise ValueError(f"node id must be an int, got {node!r}")
         if node < 1:
             raise ValueError(f"node id must be positive, got {node}")
-        record = self._managers.get(domain)
-        if record is None:
-            raise UnknownDomain(f"no such domain: {domain}")
-        if node in self._node_domain:
-            raise DuplicateNode(
-                f"node {node} already belongs to {self._node_domain[node]}"
-            )
+        record = self._record(domain)
+        owner = self._node_domain.get(node)
+        if owner is not None:
+            raise DuplicateNode(f"node {node} already belongs to {owner.name}")
         record.domain.members.append(node)
-        self._node_domain[node] = domain
-        return self.handle_growth(domain)
+        self._node_domain[node] = record
+        return self._grow(record)
 
     def handle_growth(self, domain: DomainId) -> "ManagerTree":
-        """Split ``domain`` if it exceeds ``m_max``, recursing into the child.
+        """Split ``domain`` while it exceeds ``m_max``, then each new child.
 
         The manager keeps the first ``m_max`` members in join order and
-        hands the rest to one newly spawned child. If the manager's own
-        host would leave the retained set it swaps places with the last
-        retained member, so a manager never migrates. The child's manager
-        is placed on the lowest-id moved node.
+        hands the rest to one newly spawned child, which is split the
+        same way in turn. If the manager's own host would leave the
+        retained set it swaps places with the last retained member, so a
+        manager never migrates. The child's manager is placed on the
+        lowest-id moved node.
         """
-        record = self._managers.get(domain)
-        if record is None:
-            raise UnknownDomain(f"no such domain: {domain}")
+        return self._grow(self._record(domain))
+
+    def _grow(self, record: _ManagerRecord) -> "ManagerTree":
+        node_domain = self._node_domain
         members = record.domain.members
         for member in members:
-            owner = self._node_domain.get(member)
-            if owner is not None and owner != domain:
-                raise DuplicateNode(f"node {member} already belongs to {owner}")
-            self._node_domain[member] = domain
-        if len(members) <= self._m_max:
-            return self
-        host_index = members.index(record.domain.manager_host)
-        if host_index >= self._m_max:
-            last_kept = self._m_max - 1
-            members[host_index], members[last_kept] = (
-                members[last_kept],
-                members[host_index],
-            )
-        moved = members[self._m_max :]
-        del members[self._m_max :]
-        child_id = domain.child(len(record.children) + 1)
-        self._install(child_id, moved, min(moved), parent=domain)
-        return self.handle_growth(child_id)
+            owner = node_domain.get(member)
+            if owner is not None and owner is not record:
+                raise DuplicateNode(f"node {member} already belongs to {owner.name}")
+            node_domain[member] = record
+        m_max = self._m_max
+        # A loop, not recursion: one batch can spawn thousands of levels.
+        # Each moved node is registered once, in the domain that keeps it.
+        while len(members) > m_max:
+            host_index = members.index(record.domain.manager_host)
+            if host_index >= m_max:
+                last_kept = m_max - 1
+                members[host_index], members[last_kept] = (
+                    members[last_kept],
+                    members[host_index],
+                )
+            moved = members[m_max:]
+            del members[m_max:]
+            node_domain.update(dict.fromkeys(members, record))
+            record = self._install(record, moved, min(moved))
+            members = moved
+        node_domain.update(dict.fromkeys(members, record))
+        return self
 
     def domain_of(self, node: NodeId) -> DomainId:
         """Return the unique domain owning ``node``."""
-        domain = self._node_domain.get(node)
-        if domain is None:
+        record = self._node_domain.get(node)
+        if record is None:
             raise UnassignedNode(f"node {node} is not assigned to any domain")
-        return domain
+        return record.domain.id
 
     # -- read-only views ------------------------------------------------
 
@@ -253,40 +290,70 @@ class ManagerTree:
         return len(self._managers)
 
     def domain(self, domain: DomainId) -> Domain:
-        record = self._managers.get(domain)
-        if record is None:
-            raise UnknownDomain(f"no such domain: {domain}")
-        return record.domain
+        return self._record(domain).domain
 
     def parent_of(self, domain: DomainId) -> DomainId | None:
-        record = self._managers.get(domain)
-        if record is None:
-            raise UnknownDomain(f"no such domain: {domain}")
-        return record.parent
+        parent = self._record(domain).parent
+        return None if parent is None else parent.domain.id
 
     def children_of(self, domain: DomainId) -> tuple[DomainId, ...]:
-        record = self._managers.get(domain)
-        if record is None:
-            raise UnknownDomain(f"no such domain: {domain}")
-        return tuple(record.children)
+        return tuple(child.domain.id for child in self._record(domain).children)
+
+    def _preorder(self) -> Iterator[_ManagerRecord]:
+        """Every record, parents first and children in join order.
+
+        Child indices count up in join order, so this is id order.
+        """
+        stack = [] if self._root is None else [self._root]
+        while stack:
+            record = stack.pop()
+            yield record
+            stack.extend(reversed(record.children))
 
     def domain_ids(self) -> list[DomainId]:
-        # Sorting on the path tuples compares in C; the order is the one
-        # DomainId's generated comparisons give.
-        return sorted(self._managers, key=attrgetter("path"))
+        """All domain ids, in id order (depth-first)."""
+        return [record.domain.id for record in self._preorder()]
 
     def domains(self) -> list[Domain]:
-        """All domains, sorted by id (depth-first order)."""
-        return [self._managers[did].domain for did in self.domain_ids()]
+        """All domains, in id order (depth-first), from one walk of the tree."""
+        return [record.domain for record in self._preorder()]
 
     def parent_child_edges(self) -> list[tuple[Domain, Domain]]:
-        """Every (mother, child) domain pair, sorted by child id."""
-        edges = []
-        for did in self.domain_ids():
-            record = self._managers[did]
-            if record.parent is not None:
-                edges.append((self._managers[record.parent].domain, record.domain))
-        return edges
+        """Every (mother, child) domain pair, in child id order, from one walk."""
+        return [
+            (record.parent.domain, record.domain)
+            for record in self._preorder()
+            if record.parent is not None
+        ]
+
+    def states(self) -> tuple[DomainState, ...]:
+        """An immutable ``DomainState`` of every domain, in id order.
+
+        A domain whose host, members and child count are those of the
+        state last built for it gets that same state object back, so
+        successive calls share the states of unchanged domains.
+        """
+        states = []
+        for record in self._preorder():
+            domain = record.domain
+            members = tuple(domain.members)
+            state = record.state
+            if (
+                state is None
+                or state.members != members
+                or state.manager_host != domain.manager_host
+                or len(state.children) != len(record.children)
+            ):
+                parent = record.parent
+                state = record.state = DomainState(
+                    id=record.name,
+                    manager_host=domain.manager_host,
+                    members=members,
+                    parent=None if parent is None else parent.name,
+                    children=tuple(child.name for child in record.children),
+                )
+            states.append(state)
+        return tuple(states)
 
     def assigned_nodes(self) -> frozenset[NodeId]:
         return frozenset(self._node_domain)

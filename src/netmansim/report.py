@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from typing import BinaryIO, TextIO, Union
 
-from .errors import EmptyResult
+from .errors import EmptyResult, NetmanError
 from .simulation import SimulationResult
 
 __all__ = ["kilobytes", "ReportRow", "CostReport", "compare", "emit_csv", "format_table"]
@@ -22,14 +22,48 @@ __all__ = ["kilobytes", "ReportRow", "CostReport", "compare", "emit_csv", "forma
 def kilobytes(value) -> Decimal:
     """Render a byte count as kilobytes: /1000, 2 decimals, half-up.
 
-    The rounding is done on exact integers, so a count of any size gives
-    its exact hundredths; halves round away from zero.
+    The rounding is done on exact integers, so every count gives its
+    exact hundredths; halves round away from zero. Hundredths too long
+    to print (see ``_digits``) raise NetmanError.
     """
     amount = Fraction(value)
     n, d = abs(amount.numerator), amount.denominator
     hundredths = (n * 100 + 500 * d) // (1000 * d)
     sign = "-" if amount.numerator < 0 else ""
-    return Decimal(f"{sign}{hundredths}e-2")
+    return Decimal(f"{sign}{_digits(hundredths)}e-2")
+
+
+def _digits(number: int) -> str:
+    """``str(number)``, or NetmanError past Python's int-to-str digit limit.
+
+    The limit (4300 digits by default) bounds a conversion whose time
+    grows with the square of the digit count: without it, a nine-byte
+    message size such as ``1e1000000`` takes over a minute to print.
+    """
+    try:
+        return str(number)
+    except ValueError:
+        raise NetmanError("a byte total has too many digits to print") from None
+
+
+def float_text(value: Fraction, spec: str = "") -> str:
+    """``format(float(value), spec)`` for ``spec`` "" (``repr``) or "g".
+
+    Past the float range the same e-notation is computed exactly: the
+    value is rounded half to even to 17 significant digits for "" (the
+    most ``repr`` prints) or 6 for "g", and trailing zeros are dropped.
+    A value too long to print (see ``_digits``) raises NetmanError.
+    """
+    try:
+        return format(float(value), spec)
+    except OverflowError:
+        pass
+    whole, rest = divmod(abs(value.numerator), value.denominator)
+    sign = "-" if value < 0 else ""
+    # At this size the fraction can only break a tie, and .1 does that.
+    exact = Decimal(f"{sign}{_digits(whole)}.{int(rest > 0)}")
+    context = Context(prec=6 if spec == "g" else 17)
+    return format(context.plus(exact).normalize(context), "g")
 
 
 @dataclass(frozen=True)
@@ -112,8 +146,8 @@ def emit_csv(report: CostReport, sink: Union[BinaryIO, TextIO]) -> None:
 
 def _format_bytes(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return str(float(value))
+        return _digits(value.numerator)
+    return float_text(value)
 
 
 def format_table(report: CostReport) -> str:

@@ -25,7 +25,7 @@ from .costs import (
     cost_imasnm_poll,
 )
 from .errors import ParseError, ValidationError
-from .hierarchy import DomainId, ManagerTree
+from .hierarchy import DomainId, DomainState, ManagerTree
 from .topology import Network, NodeId
 
 __all__ = [
@@ -87,17 +87,6 @@ class Scenario:
     models: tuple[str, ...]
     flatbed_itinerary: tuple[NodeId, ...] | None = None
     notes: str | None = None
-
-
-@dataclass(frozen=True)
-class DomainState:
-    """Immutable view of one domain at some instant."""
-
-    id: str
-    manager_host: NodeId
-    members: tuple[NodeId, ...]
-    parent: str | None
-    children: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -566,21 +555,6 @@ def _scenario_from_raw(raw: object) -> Scenario:
 # -- engine -----------------------------------------------------------------
 
 
-def _domain_states(tree: ManagerTree) -> tuple[DomainState, ...]:
-    domains = tree.domains()
-    names = {domain.id: str(domain.id) for domain in domains}
-    return tuple(
-        DomainState(
-            id=names[domain.id],
-            manager_host=domain.manager_host,
-            members=tuple(domain.members),
-            parent=names.get(tree.parent_of(domain.id)),
-            children=tuple(names[c] for c in tree.children_of(domain.id)),
-        )
-        for domain in domains
-    )
-
-
 def apply_event(state: SimulationState, event: Event) -> SimulationState:
     """Apply one event to the state, in place, and return the state.
 
@@ -595,7 +569,7 @@ def apply_event(state: SimulationState, event: Event) -> SimulationState:
         state.network = network
         state.tree.add_node_to_domain(event.node, event.domain)
     elif isinstance(event, Snapshot):
-        state.snapshots.append(SnapshotRecord(event.label, _domain_states(state.tree)))
+        state.snapshots.append(SnapshotRecord(event.label, state.tree.states()))
     else:
         raise TypeError(f"unknown event type: {event!r}")
     return state
@@ -693,5 +667,5 @@ def run(
         per_poll=per_poll,
         deploy=deploy,
         snapshots=tuple(state.snapshots),
-        final_domains=_domain_states(state.tree),
+        final_domains=state.tree.states(),
     )

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
 import os
 import random
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netmansim.cli import main
 
@@ -160,6 +165,36 @@ class TestSimulate:
         # (1e60 + 1) bytes over the one unit-cost link: 1e57 Kb and 0.001.
         assert captured.out.splitlines()[-1].split() == ["1", "1" + "0" * 57 + ".00"]
 
+    def test_per_poll_past_the_float_range_prints_exactly(self, capsys, tmp_path):
+        path = reference18_with_param(tmp_path, "s_req", "1e308")
+        assert main(["simulate", "--scenario", path, "--snapshots"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # 660 polls of (s_req + 84) bytes: float() of it overflows
+        assert captured.out.splitlines()[1] == (
+            f"  cs: per-poll 6.6e+310 bytes (66{'0' * 304}55.44 Kb)"
+        )
+
+    def test_deploy_past_the_float_range_prints_exactly(self, capsys, tmp_path):
+        # 10**308 + 0.5 bytes per agent over parent links that sum to 25
+        path = reference18_with_param(tmp_path, "ma_size", "1" + "0" * 308 + ".5")
+        assert main(["simulate", "--scenario", path, "--include-deploy"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1] == (
+            "imasnm deployment: 2.5e+309 bytes"
+            f" (25{'0' * 305}.01 Kb, included in rows)"
+        )
+
+    def test_totals_too_long_to_print_are_a_runtime_error(self, capsys, tmp_path):
+        path = reference18_with_param(tmp_path, "s_req", "1e5000")
+        snapshot = REFERENCE18_SNAPSHOT.splitlines(keepends=True)[0]
+        for extra, out in (([], ""), (["--snapshots"], snapshot)):
+            assert main(["simulate", "--scenario", path, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == out
+            assert captured.err == "error: a byte total has too many digits to print\n"
+
     def test_unknown_bundled_name_is_io_failure(self, capsys):
         assert main(["simulate", "--scenario", "nonesuch"]) == 2
         assert "nonesuch" in capsys.readouterr().err
@@ -281,6 +316,20 @@ scenario: growth19 (no cost models requested)
 }
 
 
+def bundled_doc(name):
+    scenarios = resources.files("netmansim").joinpath("scenarios")
+    return json.loads(scenarios.joinpath(f"{name}.scenario.json").read_text())
+
+
+def reference18_with_param(tmp_path, param, literal):
+    """reference18 with one message size set to a raw JSON number literal."""
+    doc = bundled_doc("reference18")
+    doc["params"][param] = "@literal@"
+    path = tmp_path / "huge.scenario.json"
+    path.write_text(json.dumps(doc).replace('"@literal@"', literal))
+    return str(path)
+
+
 def write_searched_mesh(tmp_path):
     """A seeded 60-node mesh whose every model cost needs path search.
 
@@ -349,6 +398,60 @@ polling  cost_cs_kb  cost_flatbed_kb  cost_imasnm_kb
 """
 
 
+def write_deep_tree(tmp_path):
+    """A seeded 150-node scenario whose m_max=2 tree grows 37 levels deep.
+
+    12 nodes start on a chain. Each of the 138 joins links to one earlier
+    node and goes, in shuffled halves, into the newest of the deepest
+    domains or into a random domain; five snapshots record the growth.
+    Join targets follow the split rule on member counts alone: a domain
+    over two members keeps two and hands the joiner to its next child.
+    """
+    rng = random.Random("golden-deep150")
+    # central 5; the other 11 initial nodes make 1.1 to 1.5 and one leftover
+    size = {"1": 2, **{f"1.{k}": 2 for k in range(1, 6)}}
+    children = {"1": 5, **{f"1.{k}": 0 for k in range(1, 6)}}
+    deepest = "1.5"
+    picks = [True] * 69 + [False] * 69
+    rng.shuffle(picks)
+    events = []
+    for k, pick in enumerate(picks):
+        node = 13 + k
+        domain = deepest if pick else rng.choice(list(size))
+        peer = rng.randrange(1, node)
+        events.append(
+            {"add_node": {"node": node, "domain": domain, "links": [[peer, 1]]}}
+        )
+        size[domain] += 1
+        if size[domain] > 2:
+            size[domain] = 2
+            children[domain] += 1
+            child = f"{domain}.{children[domain]}"
+            size[child], children[child] = 1, 0
+            if child.count(".") >= deepest.count("."):
+                deepest = child
+        if (k + 1) % 28 == 0 or k + 1 == len(picks):
+            events.append({"snapshot": f"joined-{k + 1}"})
+    return write_scenario(
+        tmp_path,
+        name="deep150",
+        nodes=list(range(1, 13)),
+        links=[[n, n + 1, 1] for n in range(1, 12)],
+        central=5,
+        m_max=2,
+        events=events,
+        models=[],
+    )
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def read_golden(name):
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as source:
+        return source.read()
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("command", sorted(GOLDEN))
     def test_bundled_stdout_is_exact(self, capsys, command):
@@ -378,3 +481,144 @@ class TestGoldenOutput:
             "polling  cost_cs_kb  cost_flatbed_kb  cost_imasnm_kb\n"
             "      1        0.00             0.00            0.00\n"
         )
+
+    def test_deep_tree_stdout_is_exact(self, capsys, tmp_path):
+        path = write_deep_tree(tmp_path)
+        tree = read_golden("deep150_tree.txt")
+        assert main(["simulate", "--scenario", path, "--snapshots"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            read_golden("deep150_snapshots.txt")
+            + "scenario: deep150 (no cost models requested)\n"
+            + tree
+        )
+        assert main(["explain", "--scenario", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "scenario: deep150\n" + tree
+
+
+# -- fuzz -------------------------------------------------------------------
+
+BUNDLED = {name: bundled_doc(name) for name in ("reference18", "growth19")}
+
+# Extreme JSON number literals, spliced in as raw text: json.dumps could
+# not write 1e5000 or a 5000-digit integer itself.
+EXTREME_NUMBERS = (
+    "1e308",
+    "1e5000",
+    "1e-400",
+    str(2**63),
+    "1" + "0" * 5000,
+    "-1",
+    "-0.5",
+)
+RETYPED_VALUES = (None, True, "3", [], {}, 1.5, [1, 2], {"1": 1})
+DOMAIN_IDS = ("1.9", "1.1.1.1.1", "0", "1.0", "1..2", "", " 1", "١", "1.a", 7)
+COMMANDS = (
+    ["validate"],
+    ["explain"],
+    ["simulate", "--snapshots", "--include-deploy"],
+    ["simulate", "--models", "cs,flatbed,imasnm"],
+)
+
+
+def json_paths(value, prefix=()):
+    """Every key or index path inside a JSON document, parents first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield prefix + (key,)
+        yield from json_paths(item, prefix + (key,))
+
+
+def resolve(doc, path):
+    """The container holding ``path``'s last key, or None if it is gone."""
+    for key in path[:-1]:
+        try:
+            doc = doc[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    if isinstance(doc, dict) and path[-1] in doc:
+        return doc
+    if isinstance(doc, list) and isinstance(path[-1], int) and path[-1] < len(doc):
+        return doc
+    return None
+
+
+def number_fields(doc):
+    """Numeric leaf paths, grouped by field: list indices read as "*"."""
+    fields = {}
+    for path in json_paths(doc):
+        if type(resolve(doc, path)[path[-1]]) in (int, float):
+            field = tuple("*" if type(key) is int else key for key in path)
+            fields.setdefault(field, []).append(path)
+    return list(fields.values())
+
+
+PATHS = {name: list(json_paths(doc)) for name, doc in BUNDLED.items()}
+NUMBER_FIELDS = {name: number_fields(doc) for name, doc in BUNDLED.items()}
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario, one or two edits away from valid, as JSON text.
+
+    An edit deletes a key, retypes a value, puts an extreme number in a
+    numeric field (each field equally likely, however many entries it
+    has), or names an unknown or malformed domain.
+    """
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    doc = copy.deepcopy(BUNDLED[name])
+    raw = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        kind = draw(st.sampled_from(("delete", "retype", "extreme", "domain")))
+        if kind == "domain":
+            domain = draw(st.sampled_from(DOMAIN_IDS))
+            joins = [e["add_node"] for e in doc.get("events", []) if "add_node" in e]
+            if joins and draw(st.booleans()):
+                draw(st.sampled_from(joins))["domain"] = domain
+            else:
+                doc["domain_k"] = {str(domain): 2}
+            continue
+        if kind == "extreme":
+            path = draw(st.sampled_from(draw(st.sampled_from(NUMBER_FIELDS[name]))))
+        else:
+            path = draw(st.sampled_from(PATHS[name]))
+        holder = resolve(doc, path)
+        if holder is None:
+            continue
+        if kind == "delete":
+            del holder[path[-1]]
+        elif kind == "retype":
+            holder[path[-1]] = draw(st.sampled_from(RETYPED_VALUES))
+        else:
+            marker = f"@{len(raw)}@"
+            raw[json.dumps(marker)] = draw(st.sampled_from(EXTREME_NUMBERS))
+            holder[path[-1]] = marker
+    text = json.dumps(doc)
+    for marker, literal in raw.items():
+        text = text.replace(marker, literal)
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutant.scenario.json"
+
+
+@settings(max_examples=200)
+@given(mutated_scenarios())
+def test_mutated_scenarios_never_raise(fuzz_path, text):
+    fuzz_path.write_text(text, encoding="utf-8")
+    for command in COMMANDS:
+        argv = [command[0], "--scenario", str(fuzz_path), *command[1:]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 1, 2), argv

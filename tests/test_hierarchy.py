@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from netmansim import (
+    AddNode,
+    CostParams,
     DomainId,
     DuplicateNode,
     EmptyNetwork,
     ManagerTree,
     ROOT_DOMAIN,
+    Scenario,
+    Snapshot,
     UnassignedNode,
     UnknownDomain,
     UnknownNode,
+    run,
 )
 
 
@@ -222,15 +230,33 @@ class TestGrowth:
         rendered = [str(d) for d in ids]
         assert rendered[:4] == ["1", "1.1", "1.1.1", "1.2"]
         assert rendered[-2:] == ["1.9", "1.10"]
+        check_tree_invariants(tree, set(range(1, 13)))
+
+    def test_one_batch_splits_thousands_of_levels_without_recursion(self):
+        # m_max=1: every split moves all but one member one level down
+        tree = ManagerTree.initial_partition([1], 1, 1)
+        tree.domain(ROOT_DOMAIN).members.extend(range(2, 3002))
+        tree.handle_growth(ROOT_DOMAIN)
+        assert len(tree) == 3001
+        assert tree.domain_of(3001).depth == 3000
+        check_tree_invariants(tree, set(range(1, 3002)))
 
 
 # -- randomized growth sequences --------------------------------------------
 
 
 def check_tree_invariants(tree: ManagerTree, expected_nodes: set[int]) -> None:
+    # The tree lists domains by walking it; the order must be id order.
+    ids = tree.domain_ids()
+    assert ids == sorted(ids, key=lambda d: d.path)
+    assert [d.id for d in tree.domains()] == ids
+    assert [
+        (mother.id, child.id) for mother, child in tree.parent_child_edges()
+    ] == [(d.parent, d) for d in ids if d.parent is not None]
     members_seen: list[int] = []
     for domain in tree.domains():
         members_seen.extend(domain.members)
+        assert all(tree.domain_of(node) == domain.id for node in domain.members)
         assert len(domain.members) <= tree.m_max
         assert domain.manager_host in domain.members
         parent = tree.parent_of(domain.id)
@@ -295,3 +321,38 @@ def test_spawn_count_matches_batch_overflow(m_max, extra):
     assert len(tree) == 1 + expected_new
     check_tree_invariants(tree, set(range(1, size + 1)))
     assert tree.domain_of(size) is not None
+
+
+def test_chain_deeper_than_the_recursion_limit():
+    # m_max=1 and every node joining the deepest domain: each join splits
+    # it, so 2000 joins make a chain 1, 1.1, 1.1.1, ... of 2002 domains.
+    assert sys.getrecursionlimit() < 2002
+    tree = ManagerTree.initial_partition([1, 2], 1, 1)
+    deepest = did("1.1")
+    names = ["1", "1.1"]
+    events = []
+    for node in range(3, 2003):
+        tree.add_node_to_domain(node, deepest)
+        events.append(AddNode(node, deepest))
+        deepest = deepest.child(1)
+        names.append(names[-1] + ".1")
+    assert len(tree.domains()) == len(tree.parent_child_edges()) + 1 == 2002
+    check_tree_invariants(tree, set(range(1, 2003)))
+
+    unit = dict.fromkeys(("s_req", "s_res", "s_ma", "d", "ma_size", "mda_size"), 1)
+    scenario = Scenario(
+        name="chain",
+        nodes=(1, 2),
+        links=((1, 2, Fraction(1)),),
+        k_override=(),
+        central=1,
+        m_max=1,
+        params=CostParams(num_vars=1, ma_res=1, **unit),
+        domain_k={},
+        events=(*events, Snapshot("deep")),
+        polling_counts=(),
+        models=(),
+    )
+    result = run(scenario)
+    assert result.final_domains == result.snapshots[0].domains
+    assert [state.id for state in result.final_domains] == names

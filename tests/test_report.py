@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from netmansim import (
+    CostReport,
     EmptyResult,
+    NetmanError,
     compare,
     emit_csv,
     format_table,
@@ -17,6 +19,7 @@ from netmansim import (
     load_bundled_scenario,
     run,
 )
+from netmansim.report import float_text
 
 
 class TestKilobytes:
@@ -39,6 +42,13 @@ class TestKilobytes:
         assert str(kilobytes(Fraction(big + 9, 2))) == "5" + "0" * 56 + ".00"
         assert str(kilobytes(Fraction(big + 10, 2))) == "5" + "0" * 56 + ".01"
 
+    def test_counts_past_the_int_to_str_digit_limit_are_refused(self):
+        # Python refuses to render ints of more than 4300 digits in full
+        assert str(kilobytes(10**4200 + 5)) == "1" + "0" * 4197 + ".01"
+        for count in (10**5000, -(10**5000)):
+            with pytest.raises(NetmanError, match="too many digits"):
+                kilobytes(count)
+
     def test_negative_counts_round_away_from_zero(self):
         assert str(kilobytes(-5)) == "-0.01"
         assert str(kilobytes(-4)) == "-0.00"
@@ -51,6 +61,33 @@ class TestKilobytes:
         assert kilobytes(Fraction(1, 2)) == Decimal("0.00")
         assert kilobytes(Decimal("1000")) == Decimal("1.00")
         assert kilobytes(1000.0) == Decimal("1.00")
+
+
+class TestFloatText:
+    def test_matches_float_formatting_inside_the_float_range(self):
+        for value in (
+            Fraction(1106672, 1),
+            Fraction(735574, 10),
+            Fraction(1, 3),
+            Fraction(10**300, 7),
+            Fraction(-25, 2),
+        ):
+            assert float_text(value, "g") == f"{float(value):g}"
+            assert float_text(value) == str(float(value))
+
+    def test_rounds_exactly_past_the_float_range(self):
+        big = 10**400
+        assert float_text(Fraction(2 * 10**308), "g") == "2e+308"
+        assert float_text(Fraction(big * 1234565), "g") == "1.23456e+406"
+        assert float_text(Fraction(big * 1234575), "g") == "1.23458e+406"
+        assert float_text(Fraction(big * 1234565 + 1), "g") == "1.23457e+406"
+        assert float_text(Fraction(big * 2469130 + 1, 2), "g") == "1.23457e+406"
+        assert float_text(Fraction(big * 9999995), "g") == "1e+407"
+        assert float_text(Fraction(-(10**4000) - 1, 3), "g") == "-3.33333e+3999"
+        with pytest.raises(NetmanError, match="too many digits"):
+            float_text(Fraction(10**5000, 3))
+        assert float_text(Fraction(big, 3)) == "3.3333333333333333e+399"
+        assert float_text(Fraction(25 * 10**308 + 25, 2)) == "1.25e+309"
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +192,27 @@ class TestFormatTable:
         text = format_table(compare(result))
         assert "deployment" in text
         assert "100.35" in text
+
+    def test_deploy_totals_past_the_float_range(self):
+        def deploy_line(value):
+            report = CostReport(
+                scenario="huge",
+                models=("imasnm",),
+                include_deploy=False,
+                deploy={"imasnm": value},
+                rows=(),
+            )
+            return format_table(report).splitlines()[1]
+
+        assert deploy_line(Fraction(10**400 + 1, 2)) == (
+            f"imasnm deployment: 5e+399 bytes (5{'0' * 396}.00 Kb,"
+            " one-time, excluded from rows)"
+        )
+        assert deploy_line(Fraction(10**4000)).startswith(
+            f"imasnm deployment: 1{'0' * 4000} bytes (1{'0' * 3997}.00 Kb"
+        )
+        with pytest.raises(NetmanError, match="too many digits"):
+            deploy_line(Fraction(10**5000))
 
     def test_columns_are_aligned(self, reference18_report):
         lines = format_table(reference18_report).splitlines()

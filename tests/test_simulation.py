@@ -438,6 +438,38 @@ class TestApplyEvent:
         after = {str(d.id): list(d.members) for d in state.tree.domains()}
         assert before == after
 
+    def test_snapshots_keep_their_states_and_share_unchanged_ones(self):
+        state = SimulationState(
+            network=Network(range(1, 11)),
+            tree=ManagerTree.initial_partition(range(1, 11), 3, 10),
+        )
+        apply_event(state, Snapshot("a"))
+        a = state.snapshots[0]
+        as_taken = [
+            (d.id, d.manager_host, d.members, d.parent, d.children) for d in a.domains
+        ]
+        # 11 joins the root; 12 overflows 1.3, which spawns 1.3.1
+        apply_event(state, AddNode(11, DomainId.parse("1")))
+        apply_event(state, AddNode(12, DomainId.parse("1.3")))
+        apply_event(state, Snapshot("b"))
+        b = state.snapshots[1]
+        assert [
+            (d.id, d.manager_host, d.members, d.parent, d.children) for d in a.domains
+        ] == as_taken
+        old, new = ({d.id: d for d in record.domains} for record in (a, b))
+        assert list(new) == ["1", "1.1", "1.2", "1.3", "1.3.1"]
+        assert old["1.1"] is new["1.1"] and old["1.2"] is new["1.2"]
+        assert old["1"] is not new["1"] and new["1"].members == (10, 11)
+        assert old["1.3"] is not new["1.3"] and new["1.3"].children == ("1.3.1",)
+        assert old["1.3"].members == new["1.3"].members == (7, 8, 9)
+
+        # Direct edits of a live Domain show in the next snapshot too.
+        state.tree.domain(DomainId.parse("1.2")).members.append(13)
+        apply_event(state, Snapshot("c"))
+        c = {d.id: d for d in state.snapshots[2].domains}
+        assert c["1.2"].members == (4, 5, 6, 13)
+        assert c["1.1"] is new["1.1"] and new["1.2"].members == (4, 5, 6)
+
 
 def single_node_scenario_text() -> str:
     return scenario_text(
