@@ -60,15 +60,16 @@ def _parse_pollings(text: str) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _tree_lines(result: SimulationResult) -> list[str]:
-    """One line per domain, in pre-order, each indented by its depth."""
+def _print_tree(title: str, result: SimulationResult) -> None:
+    """``title``, then one line per final domain, indented by its depth."""
+    print(title)
     # final_domains are in id order, which is pre-order, and an id has
     # one dot per level below the root.
-    return [
-        f"{'  ' * state.id.count('.')}{state.id}  host={state.manager_host}  "
-        f"members=[{', '.join(map(str, state.members))}]"
-        for state in result.final_domains
-    ]
+    for state in result.final_domains:
+        print(
+            f"{'  ' * state.id.count('.')}{state.id}  host={state.manager_host}  "
+            f"members=[{', '.join(map(str, state.members))}]"
+        )
 
 
 def _print_snapshots(result: SimulationResult) -> None:
@@ -97,9 +98,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.snapshots:
         _print_snapshots(result)
     if not result.models:
-        print(f"scenario: {result.scenario} (no cost models requested)")
-        for line in _tree_lines(result):
-            print(line)
+        _print_tree(f"scenario: {result.scenario} (no cost models requested)", result)
         return 0
     report = compare(result, include_deploy=args.include_deploy)
     print(format_table(report))
@@ -122,9 +121,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     result = run(scenario, models=(), polling_counts=())
-    print(f"scenario: {scenario.name}")
-    for line in _tree_lines(result):
-        print(line)
+    _print_tree(f"scenario: {scenario.name}", result)
     return 0
 
 

@@ -20,7 +20,7 @@ from .errors import (
     UnknownDomain,
     UnknownNode,
 )
-from .topology import NodeId
+from .topology import NodeId, _check_node_id
 
 __all__ = [
     "DomainId",
@@ -151,10 +151,6 @@ class ManagerTree:
     def m_max(self) -> int:
         return self._m_max
 
-    @property
-    def root(self) -> DomainId:
-        return ROOT_DOMAIN
-
     @classmethod
     def initial_partition(
         cls, nodes: Iterable[NodeId], m_max: int, central: NodeId
@@ -172,10 +168,7 @@ class ManagerTree:
             raise EmptyNetwork("cannot partition zero nodes")
         seen: set[NodeId] = set()
         for node in node_list:
-            if isinstance(node, bool) or not isinstance(node, int):
-                raise ValueError(f"node id must be an int, got {node!r}")
-            if node < 1:
-                raise ValueError(f"node id must be positive, got {node}")
+            _check_node_id(node)
             if node in seen:
                 raise DuplicateNode(f"node {node} listed twice")
             seen.add(node)
@@ -223,10 +216,7 @@ class ManagerTree:
 
     def add_node_to_domain(self, node: NodeId, domain: DomainId) -> "ManagerTree":
         """Append a newly discovered node to a domain, splitting as needed."""
-        if isinstance(node, bool) or not isinstance(node, int):
-            raise ValueError(f"node id must be an int, got {node!r}")
-        if node < 1:
-            raise ValueError(f"node id must be positive, got {node}")
+        _check_node_id(node)
         record = self._record(domain)
         owner = self._node_domain.get(node)
         if owner is not None:
@@ -354,9 +344,3 @@ class ManagerTree:
                 )
             states.append(state)
         return tuple(states)
-
-    def assigned_nodes(self) -> frozenset[NodeId]:
-        return frozenset(self._node_domain)
-
-    def __iter__(self) -> Iterator[Domain]:
-        return iter(self.domains())

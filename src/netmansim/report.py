@@ -122,22 +122,19 @@ def compare(result: SimulationResult, include_deploy: bool = False) -> CostRepor
     )
 
 
-def _render_csv(report: CostReport) -> str:
-    header = ["polling"] + [f"cost_{model}_kb" for model in report.models]
-    lines = [",".join(header)]
+def _table(report: CostReport) -> list[list[str]]:
+    """The header, then one row per polling count, as cell strings."""
+    table = [["polling"] + [f"cost_{model}_kb" for model in report.models]]
     for row in report.rows:
-        cells = [str(row.polls)] + [
-            str(row.kb_of(model)) for model in report.models
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        table.append([str(row.polls)] + [str(row.kb_of(m)) for m in report.models])
+    return table
 
 
 def emit_csv(report: CostReport, sink: Union[BinaryIO, TextIO]) -> None:
     """Write the report to ``sink`` as UTF-8 CSV, one row per polling count."""
     if not report.models:
         raise EmptyResult("report has no model columns")
-    text = _render_csv(report)
+    text = "".join(",".join(line) + "\n" for line in _table(report))
     if isinstance(sink, io.TextIOBase):
         sink.write(text)
     else:
@@ -152,17 +149,8 @@ def _format_bytes(value: Fraction) -> str:
 
 def format_table(report: CostReport) -> str:
     """Plain-text table for terminal output."""
-    header = ["polling"] + [f"cost_{model}_kb" for model in report.models]
-    body = [
-        [str(row.polls)] + [str(row.kb_of(model)) for model in report.models]
-        for row in report.rows
-    ]
-    widths = [
-        max(len(header[col]), *(len(line[col]) for line in body))
-        if body
-        else len(header[col])
-        for col in range(len(header))
-    ]
+    table = _table(report)
+    widths = [max(map(len, column)) for column in zip(*table)]
     lines = [f"scenario: {report.scenario}"]
     for model, deploy in report.deploy.items():
         if deploy:
@@ -171,7 +159,6 @@ def format_table(report: CostReport) -> str:
                 f"{model} deployment: {_format_bytes(deploy)} bytes "
                 f"({kilobytes(deploy)} Kb, {suffix})"
             )
-    lines.append("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for line in body:
+    for line in table:
         lines.append("  ".join(c.rjust(w) for c, w in zip(line, widths)))
     return "\n".join(lines)

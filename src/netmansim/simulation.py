@@ -175,24 +175,24 @@ def _expect_int(value: object, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _expect_number(value: object, path: str) -> Fraction:
-    # json parsing maps floats to Decimal, so decimal literals stay exact
-    if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
-        raise ValidationError(path, f"expected a number, got {value!r}")
-    if value < 0:
-        raise ValidationError(path, f"must be non-negative, got {value}")
-    return Fraction(value)
+# Exact types, which leave out bool, the one int subclass json makes.
+_NUMBER_TYPES = (int, Decimal)
 
 
-def _cached_number(value: object, memo: dict[object, Fraction]) -> Fraction | None:
-    """``value`` as a Fraction, or None where ``_expect_number`` raises.
+def _expect_number(
+    value: object, path: str, memo: dict[object, Fraction]
+) -> Fraction:
+    """``value`` as a non-negative Fraction, one per distinct value.
 
+    json parsing maps floats to Decimal, so decimal literals stay exact.
     ``memo`` keeps one Fraction per value, shared by "1" and "1.0" alike.
     """
-    if type(value) is not int and type(value) is not Decimal:
-        return None
+    if type(value) not in _NUMBER_TYPES:
+        raise ValidationError(path, f"expected a number, got {value!r}")
     number = memo.get(value)
-    if number is None and value >= 0:
+    if number is None:
+        if value < 0:
+            raise ValidationError(path, f"must be non-negative, got {value}")
         number = memo[value] = Fraction(value)
     return number
 
@@ -214,9 +214,9 @@ def _expect_triple(
         a = _expect_int(a, f"{where}[{index}][0]", minimum=1)
     if type(b) is not int or b < 1:
         b = _expect_int(b, f"{where}[{index}][1]", minimum=1)
-    number = _cached_number(value, memo)
+    number = memo.get(value) if type(value) in _NUMBER_TYPES else None
     if number is None:
-        number = _expect_number(value, f"{where}[{index}][2]")
+        number = _expect_number(value, f"{where}[{index}][2]", memo)
     if a not in known:
         raise ValidationError(f"{where}[{index}][0]", f"unknown node {a}")
     if b not in known:
@@ -340,7 +340,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
     if not nodes:
         raise ValidationError("nodes", "must not be empty")
 
-    # one Fraction per distinct coefficient literal (see _cached_number)
+    # one Fraction per distinct number literal (see _expect_number)
     memo: dict[object, Fraction] = {}
     links: list[tuple[NodeId, NodeId, Fraction]] = []
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
@@ -378,7 +378,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
     _expect_keys(params_obj, "params", required=param_fields)
     num_vars = _expect_int(params_obj["num_vars"], "params.num_vars", minimum=1)
     sizes = {
-        name: _expect_number(params_obj[name], f"params.{name}")
+        name: _expect_number(params_obj[name], f"params.{name}", memo)
         for name in param_fields
         if name != "num_vars"
     }
@@ -422,9 +422,9 @@ def _scenario_from_raw(raw: object) -> Scenario:
                     peer, value = link_entry
                     if type(peer) is not int or peer < 1:
                         peer = _expect_int(peer, f"{links_path}[{li}][0]", minimum=1)
-                    coeff = _cached_number(value, memo)
+                    coeff = memo.get(value) if type(value) in _NUMBER_TYPES else None
                     if coeff is None:
-                        coeff = _expect_number(value, f"{links_path}[{li}][1]")
+                        coeff = _expect_number(value, f"{links_path}[{li}][1]", memo)
                     if peer == node:
                         raise ValidationError(
                             f"{links_path}[{li}][0]", "peer is the node itself"
@@ -477,7 +477,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
         for key in dk_obj:
             path = f"domain_k.{key}"
             _parse_domain_id(key, path)
-            domain_k[key] = _expect_number(dk_obj[key], path)
+            domain_k[key] = _expect_number(dk_obj[key], path, memo)
 
     polling_counts: list[int] = []
     for index, entry in enumerate(
@@ -502,7 +502,8 @@ def _scenario_from_raw(raw: object) -> Scenario:
 
     flatbed_itinerary: tuple[NodeId, ...] | None = None
     if "flatbed_itinerary" in top:
-        stops: list[NodeId] = []
+        # a dict, not a list, so the repeat check is O(1) per stop
+        stops: dict[NodeId, None] = {}
         for index, entry in enumerate(
             _expect_array(top["flatbed_itinerary"], "flatbed_itinerary")
         ):
@@ -512,15 +513,15 @@ def _scenario_from_raw(raw: object) -> Scenario:
                 raise ValidationError(path, f"unknown node {stop}")
             if stop in stops:
                 raise ValidationError(path, f"node {stop} repeated")
-            stops.append(stop)
+            stops[stop] = None
         if not stops:
             raise ValidationError("flatbed_itinerary", "must not be empty")
-        if stops[0] != central:
+        flatbed_itinerary = tuple(stops)
+        if flatbed_itinerary[0] != central:
             raise ValidationError(
                 "flatbed_itinerary[0]",
                 f"itinerary must start at the central node {central}",
             )
-        flatbed_itinerary = tuple(stops)
 
     notes: str | None = None
     if "notes" in top:

@@ -197,15 +197,15 @@ class _PathEngine:
 class Network:
     """Immutable managed network.
 
-    ``add_node`` and ``add_link`` return a new ``Network`` so that
-    simulation snapshots can hold onto earlier states cheaply. Pair-cost
-    overrides may mention nodes that have not joined yet; they only take
-    effect once both endpoints exist.
+    ``add_node`` and ``add_link`` return a new ``Network`` and leave this
+    one as it was, so the path answers cached for a version never go
+    stale, and a caller may keep an earlier version and still query it.
+    Pair-cost overrides may mention nodes that have not joined yet; they
+    only take effect once both endpoints exist.
 
     Each version also owns a path engine, built on its first path search
     and never shared with the versions derived from it. It is a cache:
-    it takes no part in equality or hashing. So is the node frozenset,
-    built on the first read of ``nodes``.
+    it takes no part in equality or hashing.
 
     Versions derived from one another share their node and link tables
     (see the module docstring), so make and read them from one thread at
@@ -215,7 +215,6 @@ class Network:
     __slots__ = (
         "_order",
         "_node_count",
-        "_node_set",
         "_links",
         "_link_count",
         "_override",
@@ -277,7 +276,6 @@ class Network:
 
         self._order = order
         self._node_count = len(order)
-        self._node_set: frozenset[NodeId] | None = None
         self._links = link_map
         self._link_count = len(link_map)
         self._override = override_map
@@ -303,7 +301,6 @@ class Network:
         clone = Network.__new__(Network)
         clone._order = order
         clone._node_count = node_count
-        clone._node_set = self._node_set if node_count == self._node_count else None
         clone._links = links
         clone._link_count = link_count
         clone._override = self._override
@@ -312,9 +309,7 @@ class Network:
 
     @property
     def nodes(self) -> frozenset[NodeId]:
-        if self._node_set is None:
-            self._node_set = frozenset(islice(self._order, self._node_count))
-        return self._node_set
+        return frozenset(islice(self._order, self._node_count))
 
     @property
     def links(self) -> tuple[tuple[NodeId, NodeId, Fraction], ...]:

@@ -15,6 +15,7 @@ from netmansim import (
     DuplicateNode,
     EmptyNetwork,
     ManagerTree,
+    Network,
     ROOT_DOMAIN,
     Scenario,
     Snapshot,
@@ -136,6 +137,24 @@ class TestDomainOf:
         tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
         with pytest.raises(UnassignedNode):
             tree.domain_of(99)
+
+
+@pytest.mark.parametrize(
+    "node, error",
+    [(True, TypeError), ("3", TypeError), (0, ValueError)],
+)
+def test_node_ids_are_checked_as_the_network_checks_them(node, error):
+    with pytest.raises(error) as expected:
+        Network([node])
+    with pytest.raises(error) as partition:
+        ManagerTree.initial_partition([node], 3, node)
+    tree = ManagerTree.initial_partition([1], 3, 1)
+    with pytest.raises(error) as join:
+        tree.add_node_to_domain(node, ROOT_DOMAIN)
+    message = str(expected.value)
+    assert str(partition.value) == str(join.value) == message
+    assert message.startswith("node id must be")
+    assert len(tree) == 1 and tree.domain(ROOT_DOMAIN).members == [1]
 
 
 class TestGrowth:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -305,6 +306,93 @@ def test_entry_errors_are_exact(array, entries, path, message):
     with pytest.raises(ValidationError) as info:
         load_scenario(scenario_text(**entry_doc(array, entries)))
     assert (info.value.path, info.value.message) == (path, message)
+
+
+def params(**changes) -> dict:
+    """MINIMAL's params with ``changes`` applied; a None value deletes the key."""
+    merged = dict(MINIMAL["params"], **changes)
+    return {key: value for key, value in merged.items() if value is not None}
+
+
+ITINERARY = dict(nodes=[1, 2, 3], central=2)
+
+# Exact (path, message) of the error each malformed top-level field raises.
+FIELD_ERRORS = [
+    (dict(nodes="1"), "nodes", "expected an array, got str"),
+    (dict(nodes=[]), "nodes", "must not be empty"),
+    (dict(nodes=[1, 1]), "nodes[1]", "duplicate node 1"),
+    (dict(nodes=[0]), "nodes[0]", "must be at least 1, got 0"),
+    (dict(nodes=[True]), "nodes[0]", "expected an integer, got True"),
+    (dict(nodes=[1.0]), "nodes[0]", "expected an integer, got Decimal('1.0')"),
+    (dict(central=9), "central", "central node 9 is not in nodes"),
+    (dict(central="1"), "central", "expected an integer, got '1'"),
+    (dict(central=0), "central", "must be at least 1, got 0"),
+    (dict(m_max=0), "m_max", "must be at least 1, got 0"),
+    (dict(m_max="3"), "m_max", "expected an integer, got '3'"),
+    (dict(m_max=2.5), "m_max", "expected an integer, got Decimal('2.5')"),
+    (dict(params=[]), "params", "expected an object, got list"),
+    (dict(params=params(extra=1)), "params.extra", "unknown key"),
+    (dict(params=params(d=None)), "params.d", "missing required key"),
+    (dict(params=params(ma_res=None)), "params.ma_res", "missing required key"),
+    (dict(params=params(num_vars=0)), "params.num_vars", "must be at least 1, got 0"),
+    (dict(params=params(num_vars=2.0)), "params.num_vars",
+     "expected an integer, got Decimal('2.0')"),
+    (dict(params=params(s_req=-1)), "params.s_req", "must be non-negative, got -1"),
+    (dict(params=params(s_res=-0.5)), "params.s_res",
+     "must be non-negative, got -0.5"),
+    (dict(params=params(d="1")), "params.d", "expected a number, got '1'"),
+    (dict(params=params(ma_size=True)), "params.ma_size", "expected a number, got True"),
+    (dict(domain_k=[]), "domain_k", "expected an object, got list"),
+    (dict(domain_k={"x": 1}), "domain_k.x", "malformed domain id 'x'"),
+    (dict(domain_k={"1.01": 1}), "domain_k.1.01", "malformed domain id '1.01'"),
+    (dict(domain_k={"1.1": -1}), "domain_k.1.1", "must be non-negative, got -1"),
+    (dict(domain_k={"1.1": "2"}), "domain_k.1.1", "expected a number, got '2'"),
+    (dict(domain_k={"1": True}), "domain_k.1", "expected a number, got True"),
+    (dict(polling_counts="1"), "polling_counts", "expected an array, got str"),
+    (dict(polling_counts=[-1]), "polling_counts[0]", "must be at least 0, got -1"),
+    (dict(polling_counts=[1.5]), "polling_counts[0]",
+     "expected an integer, got Decimal('1.5')"),
+    (dict(polling_counts=[True]), "polling_counts[0]", "expected an integer, got True"),
+    (dict(models="cs"), "models", "expected an array, got str"),
+    (dict(models=["snmp"]), "models[0]",
+     "unknown model 'snmp' (choose from ('cs', 'flatbed', 'imasnm'))"),
+    (dict(models=["cs", "cs"]), "models[1]", "duplicate model 'cs'"),
+    (dict(models=[1]), "models[0]", "expected a string, got int"),
+    (dict(ITINERARY, flatbed_itinerary="2"), "flatbed_itinerary",
+     "expected an array, got str"),
+    (dict(ITINERARY, flatbed_itinerary=[]), "flatbed_itinerary", "must not be empty"),
+    (dict(ITINERARY, flatbed_itinerary=[1, 2]), "flatbed_itinerary[0]",
+     "itinerary must start at the central node 2"),
+    (dict(ITINERARY, flatbed_itinerary=[2, 9]), "flatbed_itinerary[1]",
+     "unknown node 9"),
+    (dict(ITINERARY, flatbed_itinerary=[2, 1, 1]), "flatbed_itinerary[2]",
+     "node 1 repeated"),
+    (dict(ITINERARY, flatbed_itinerary=[2, True]), "flatbed_itinerary[1]",
+     "expected an integer, got True"),
+    (dict(ITINERARY, flatbed_itinerary=[2, 0]), "flatbed_itinerary[1]",
+     "must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("overrides, path, message", FIELD_ERRORS)
+def test_field_errors_are_exact(overrides, path, message):
+    with pytest.raises(ValidationError) as info:
+        load_scenario(scenario_text(**overrides))
+    assert (info.value.path, info.value.message) == (path, message)
+
+
+def test_a_long_itinerary_loads_in_linear_time():
+    # A repeat check that scans a list takes seconds on 3·10⁴ stops.
+    nodes = list(range(1, 30_001))
+    plain = scenario_text(nodes=nodes)
+    started = time.perf_counter()
+    load_scenario(plain)
+    fixed = time.perf_counter() - started
+    started = time.perf_counter()
+    scenario = load_scenario(scenario_text(nodes=nodes, flatbed_itinerary=nodes))
+    elapsed = time.perf_counter() - started
+    assert scenario.flatbed_itinerary == tuple(nodes)
+    assert elapsed < max(1.0, 20 * fixed)
 
 
 class TestCoefficientObjects:
