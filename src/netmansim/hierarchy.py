@@ -1,10 +1,10 @@
-"""Manager hierarchy: domain partitioning and grow-and-split cloning.
+"""Manager hierarchy: domain partitioning and clone-on-join growth.
 
 A ``ManagerTree`` assigns every managed node to exactly one domain. Each
-domain is run by a manager hosted on one of its member nodes. When a
-domain outgrows ``m_max`` the manager keeps its first ``m_max`` members
-and spawns a child manager for the overflow, which is split the same way
-in turn, so the tree deepens as the network grows.
+domain is run by a manager hosted on one of its member nodes. Nodes join
+one at a time: a domain below ``m_max`` members takes the node, and a
+full one clones a child manager hosted on the node, so the tree deepens
+as the network grows.
 """
 
 from __future__ import annotations
@@ -89,7 +89,11 @@ ROOT_DOMAIN = DomainId((1,))
 
 @dataclass
 class Domain:
-    """One managed domain: an ordered member list and its manager's host."""
+    """One managed domain: an ordered member list and its manager's host.
+
+    The ``ManagerTree`` holding the domain owns ``members`` and grows it
+    one join at a time.
+    """
 
     id: DomainId
     members: list[NodeId]
@@ -130,9 +134,9 @@ class _ManagerRecord:
 class ManagerTree:
     """Mutable hierarchy of domain managers.
 
-    Build one with ``initial_partition``; grow it with
-    ``add_node_to_domain``. Mutating operations return the tree itself so
-    calls can be chained. The tree is single-writer: share it between
+    Build one with ``initial_partition``; grow it one node at a time
+    with ``add_node_to_domain``, which returns the tree itself so calls
+    can be chained. The tree is single-writer: share it between
     threads only once quiescent.
     """
 
@@ -215,53 +219,22 @@ class ManagerTree:
         return record
 
     def add_node_to_domain(self, node: NodeId, domain: DomainId) -> "ManagerTree":
-        """Append a newly discovered node to a domain, splitting as needed."""
+        """Add a newly discovered node to a domain.
+
+        A domain with fewer than ``m_max`` members appends the node. A
+        full domain clones its next child domain instead, whose only
+        member and manager host is the node, so a join costs O(1).
+        """
         _check_node_id(node)
         record = self._record(domain)
         owner = self._node_domain.get(node)
         if owner is not None:
             raise DuplicateNode(f"node {node} already belongs to {owner.name}")
-        record.domain.members.append(node)
+        if len(record.domain.members) < self._m_max:
+            record.domain.members.append(node)
+        else:
+            record = self._install(record, [node], node)
         self._node_domain[node] = record
-        return self._grow(record)
-
-    def handle_growth(self, domain: DomainId) -> "ManagerTree":
-        """Split ``domain`` while it exceeds ``m_max``, then each new child.
-
-        The manager keeps the first ``m_max`` members in join order and
-        hands the rest to one newly spawned child, which is split the
-        same way in turn. If the manager's own host would leave the
-        retained set it swaps places with the last retained member, so a
-        manager never migrates. The child's manager is placed on the
-        lowest-id moved node.
-        """
-        return self._grow(self._record(domain))
-
-    def _grow(self, record: _ManagerRecord) -> "ManagerTree":
-        node_domain = self._node_domain
-        members = record.domain.members
-        for member in members:
-            owner = node_domain.get(member)
-            if owner is not None and owner is not record:
-                raise DuplicateNode(f"node {member} already belongs to {owner.name}")
-            node_domain[member] = record
-        m_max = self._m_max
-        # A loop, not recursion: one batch can spawn thousands of levels.
-        # Each moved node is registered once, in the domain that keeps it.
-        while len(members) > m_max:
-            host_index = members.index(record.domain.manager_host)
-            if host_index >= m_max:
-                last_kept = m_max - 1
-                members[host_index], members[last_kept] = (
-                    members[last_kept],
-                    members[host_index],
-                )
-            moved = members[m_max:]
-            del members[m_max:]
-            node_domain.update(dict.fromkeys(members, record))
-            record = self._install(record, moved, min(moved))
-            members = moved
-        node_domain.update(dict.fromkeys(members, record))
         return self
 
     def domain_of(self, node: NodeId) -> DomainId:

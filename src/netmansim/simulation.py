@@ -24,7 +24,7 @@ from .costs import (
     cost_imasnm_deploy,
     cost_imasnm_poll,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UnknownDomain, Unreachable, ValidationError
 from .hierarchy import DomainId, DomainState, ManagerTree
 from .topology import Network, NodeId
 
@@ -560,8 +560,9 @@ def apply_event(state: SimulationState, event: Event) -> SimulationState:
     """Apply one event to the state, in place, and return the state.
 
     AddNode inserts the node and its links into the network first, then
-    hands the node to the hierarchy (which may split domains). Snapshot
-    appends a record of the current hierarchy and changes nothing else.
+    hands the node to the hierarchy, which may clone a child domain.
+    Snapshot appends a record of the current hierarchy and changes
+    nothing else.
     """
     if isinstance(event, AddNode):
         network = state.network.add_node(event.node)
@@ -585,27 +586,30 @@ def _model_costs(
     network = state.network
     per_poll: dict[str, Fraction] = {}
     deploy: dict[str, Fraction] = {}
-    for model in models:
-        deploy[model] = Fraction(0)
-        if model == "cs":
-            per_poll[model] = cost_centralized(
-                network, scenario.central, sorted(network.nodes), scenario.params
-            )
-        elif model == "flatbed":
-            itinerary = scenario.flatbed_itinerary
-            if itinerary is None:
-                others = sorted(network.nodes - {scenario.central})
-                itinerary = (scenario.central, *others)
-            per_poll[model] = (
-                cost_flatbed(network, itinerary, scenario.params)
-                if len(itinerary) >= 2
-                else Fraction(0)
-            )
-        else:
-            per_poll[model] = cost_imasnm_poll(
-                network, state.tree, scenario.params, scenario.domain_k
-            )
-            deploy[model] = cost_imasnm_deploy(network, state.tree, scenario.params)
+    try:
+        for model in models:
+            deploy[model] = Fraction(0)
+            if model == "cs":
+                per_poll[model] = cost_centralized(
+                    network, scenario.central, sorted(network.nodes), scenario.params
+                )
+            elif model == "flatbed":
+                itinerary = scenario.flatbed_itinerary
+                if itinerary is None:
+                    others = sorted(network.nodes - {scenario.central})
+                    itinerary = (scenario.central, *others)
+                per_poll[model] = (
+                    cost_flatbed(network, itinerary, scenario.params)
+                    if len(itinerary) >= 2
+                    else Fraction(0)
+                )
+            else:
+                per_poll[model] = cost_imasnm_poll(
+                    network, state.tree, scenario.params, scenario.domain_k
+                )
+                deploy[model] = cost_imasnm_deploy(network, state.tree, scenario.params)
+    except Unreachable as exc:
+        raise ValidationError("models", f"{model} cannot be priced: {exc}") from None
     return per_poll, deploy
 
 
@@ -621,7 +625,9 @@ def run(
     ``models`` and ``polling_counts`` default to the scenario's own; pass
     them to override from a CLI or a sweep. Costs are evaluated on the
     final post-event state; with ``costs_at_snapshots`` every snapshot
-    additionally carries the per-model costs at that instant.
+    additionally carries the per-model costs at that instant. A join into
+    a missing domain, a ``domain_k`` key that names no domain, or a pair a
+    model needs but cannot reach raises ``ValidationError``.
     """
     chosen = tuple(scenario.models if models is None else models)
     for model in chosen:
@@ -650,8 +656,12 @@ def run(
     # The tables of the latest snapshot, while no AddNode has changed
     # the state since: the final state is then priced already.
     priced = None
-    for event in scenario.events:
-        apply_event(state, event)
+    for index, event in enumerate(scenario.events):
+        try:
+            apply_event(state, event)
+        except UnknownDomain as exc:
+            path = f"events[{index}].add_node.domain"
+            raise ValidationError(path, str(exc)) from None
         if isinstance(event, AddNode):
             priced = None
         elif costs_at_snapshots:
@@ -659,6 +669,10 @@ def run(
             state.snapshots[-1] = replace(
                 state.snapshots[-1], per_poll=priced[0], deploy=priced[1]
             )
+
+    for key in scenario.domain_k:
+        if DomainId.parse(key) not in state.tree:
+            raise ValidationError(f"domain_k.{key}", f"no such domain: {key}")
 
     per_poll, deploy = priced or _model_costs(scenario, state, ordered_models)
     return SimulationResult(

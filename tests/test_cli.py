@@ -195,6 +195,24 @@ class TestSimulate:
             assert captured.out == out
             assert captured.err == "error: a byte total has too many digits to print\n"
 
+    @pytest.mark.parametrize(
+        "name, models, error",
+        [
+            (
+                "reference18",
+                "cs,flatbed,imasnm",
+                "flatbed cannot be priced: no path between 1 and 2",
+            ),
+            ("growth19", "cs", "cs cannot be priced: no path between 10 and 1"),
+        ],
+    )
+    def test_a_model_that_cannot_be_priced_is_bad_input(
+        self, capsys, name, models, error
+    ):
+        assert main(["simulate", "--scenario", name, "--models", models]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: models: {error}\n")
+
     def test_unknown_bundled_name_is_io_failure(self, capsys):
         assert main(["simulate", "--scenario", "nonesuch"]) == 2
         assert "nonesuch" in capsys.readouterr().err
@@ -229,6 +247,34 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: scenario is nested too deeply to parse\n"
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (
+                lambda doc: doc["events"].append(
+                    {"add_node": {"node": 99, "domain": "1.7"}}
+                ),
+                "events[16].add_node.domain: no such domain: 1.7",
+            ),
+            (
+                lambda doc: doc.update(domain_k={"1.9.9": 2}),
+                "domain_k.1.9.9: no such domain: 1.9.9",
+            ),
+        ],
+        ids=["join", "domain_k"],
+    )
+    def test_a_domain_that_never_exists_is_bad_input(
+        self, capsys, tmp_path, edit, error
+    ):
+        doc = bundled_doc("reference18")
+        edit(doc)
+        path = tmp_path / "missing.scenario.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "simulate", "explain"):
+            assert main([command, "--scenario", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {error}\n")
 
 
 class TestExplain:

@@ -137,8 +137,8 @@ def small_hierarchy() -> tuple[Network, ManagerTree]:
     # root {1,2} hosting 1, one child {3,4} hosting 3, joined 1 -5- 3
     net = Network(nodes=[1, 2, 3, 4], links=[(1, 2, 1), (1, 3, 5), (3, 4, 1)])
     tree = ManagerTree.initial_partition([1, 2], 2, 1)
-    tree.domain(ROOT_DOMAIN).members.extend([3, 4])
-    tree.handle_growth(ROOT_DOMAIN)
+    tree.add_node_to_domain(3, ROOT_DOMAIN)
+    tree.add_node_to_domain(4, ROOT_DOMAIN.child(1))
     assert [d.members for d in tree.domains()] == [[1, 2], [3, 4]]
     return net, tree
 

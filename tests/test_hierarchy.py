@@ -1,8 +1,9 @@
-"""Domain ids, partitioning and grow-and-split."""
+"""Domain ids, partitioning and growth one join at a time."""
 
 from __future__ import annotations
 
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -175,32 +176,6 @@ class TestGrowth:
         assert tree.parent_of(did("1.3.1")) == did("1.3")
         assert tree.domain_of(11) == did("1.3.1")
 
-    def test_five_member_domain_splits_three_two(self):
-        tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
-        tree.domain(did("1.3")).members.extend([11, 12])
-        tree.handle_growth(did("1.3"))
-        assert tree.domain(did("1.3")).members == [7, 8, 9]
-        assert tree.domain(did("1.3.1")).members == [11, 12]
-        assert tree.domain_of(12) == did("1.3.1")
-
-    def test_six_member_domain_splits_three_three(self):
-        tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
-        tree.domain(did("1.2")).members.extend([14, 15, 16])
-        tree.handle_growth(did("1.2"))
-        assert tree.domain(did("1.2")).members == [4, 5, 6]
-        assert tree.domain(did("1.2.1")).members == [14, 15, 16]
-        assert tree.domain(did("1.2.1")).manager_host == 14
-
-    def test_recursive_split_produces_descendant_chain(self):
-        # 8 members with m_max=3: ceil(8/3) - 1 = 2 new managers
-        tree = ManagerTree.initial_partition([1, 2, 3], 3, 1)
-        tree.domain(did("1")).members.extend([4, 5, 6, 7, 8])
-        tree.handle_growth(did("1"))
-        assert tree.domain(did("1")).members == [1, 2, 3]
-        assert tree.domain(did("1.1")).members == [4, 5, 6]
-        assert tree.domain(did("1.1.1")).members == [7, 8]
-        assert len(tree) == 3
-
     def test_sibling_indices_count_up_in_spawn_order(self):
         tree = ManagerTree.initial_partition([1, 2, 3], 3, 3)
         for node in (4, 5, 6):
@@ -209,33 +184,12 @@ class TestGrowth:
         assert tree.domain(did("1.1")).members == [4]
         assert tree.domain(did("1.3")).members == [6]
 
-    def test_manager_never_migrates_on_split(self):
-        # the moved block's host lands past the retained range and must swap
-        tree = ManagerTree.initial_partition([1, 2, 10], 2, 10)
-        tree.domain(did("1.1")).members.extend([14, 13, 11])
-        tree.handle_growth(did("1.1"))
-        assert tree.domain(did("1.1")).members == [1, 2]
-        assert tree.domain(did("1.1.1")).members == [14, 11]
-        assert tree.domain(did("1.1.1")).manager_host == 11
-        assert tree.domain(did("1.1.1.1")).members == [13]
-        for domain in tree.domains():
-            assert domain.manager_host in domain.members
-
-    def test_growth_is_idempotent_below_the_bound(self):
-        tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
-        before = {str(d.id): list(d.members) for d in tree.domains()}
-        tree.handle_growth(did("1.2"))
-        after = {str(d.id): list(d.members) for d in tree.domains()}
-        assert before == after
-
     def test_errors(self):
         tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
         with pytest.raises(UnknownDomain):
             tree.add_node_to_domain(42, did("1.9"))
         with pytest.raises(DuplicateNode):
             tree.add_node_to_domain(5, did("1.1"))
-        with pytest.raises(UnknownDomain):
-            tree.handle_growth(did("1.9"))
         with pytest.raises(ValueError):
             ManagerTree(0)
 
@@ -250,16 +204,6 @@ class TestGrowth:
         assert rendered[:4] == ["1", "1.1", "1.1.1", "1.2"]
         assert rendered[-2:] == ["1.9", "1.10"]
         check_tree_invariants(tree, set(range(1, 13)))
-
-    def test_one_batch_splits_thousands_of_levels_without_recursion(self):
-        # m_max=1: every split moves all but one member one level down
-        tree = ManagerTree.initial_partition([1], 1, 1)
-        tree.domain(ROOT_DOMAIN).members.extend(range(2, 3002))
-        tree.handle_growth(ROOT_DOMAIN)
-        assert len(tree) == 3001
-        assert tree.domain_of(3001).depth == 3000
-        check_tree_invariants(tree, set(range(1, 3002)))
-
 
 # -- randomized growth sequences --------------------------------------------
 
@@ -326,20 +270,42 @@ def test_growth_replay_is_deterministic(case):
     ] == [(str(d.id), d.members, d.manager_host) for d in second.domains()]
 
 
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=0, max_value=40),
-)
-def test_spawn_count_matches_batch_overflow(m_max, extra):
-    # splitting a domain of size s spawns ceil(s / m_max) - 1 managers
-    tree = ManagerTree.initial_partition([1], m_max, 1)
-    tree.domain(ROOT_DOMAIN).members.extend(range(2, 2 + extra))
-    tree.handle_growth(ROOT_DOMAIN)
-    size = 1 + extra
-    expected_new = -(-size // m_max) - 1 if size > m_max else 0
-    assert len(tree) == 1 + expected_new
-    check_tree_invariants(tree, set(range(1, size + 1)))
-    assert tree.domain_of(size) is not None
+@given(growth_runs())
+def test_each_join_moves_no_node_and_adds_at_most_one_domain(case):
+    m_max, initial, central, choices = case
+    tree = ManagerTree.initial_partition(range(1, initial + 1), m_max, central)
+    owners = {node: tree.domain_of(node) for node in range(1, initial + 1)}
+    for node, choice in enumerate(choices, start=initial + 1):
+        before = tree.domain_ids()
+        target = before[choice % len(before)]
+        tree.add_node_to_domain(node, target)
+        added = set(tree.domain_ids()) - set(before)
+        assert len(tree) - len(before) == len(added) <= 1
+        if added:
+            (clone,) = added
+            assert tree.parent_of(clone) == target
+            assert tree.domain(clone).manager_host == node
+            assert tree.domain(clone).members == [node]
+        else:
+            assert tree.domain(target).members[-1] == node
+        owners[node] = tree.domain_of(node)
+        assert all(tree.domain_of(n) == domain for n, domain in owners.items())
+
+
+def test_joins_run_in_linear_time():
+    # A join that re-scans its domain's members makes this quadratic:
+    # about 5 s for 5000 joins into one domain of 5000 nodes.
+    nodes = range(1, 5001)
+    started = time.perf_counter()
+    ManagerTree.initial_partition(nodes, 10_000, 1)
+    partition = time.perf_counter() - started
+    tree = ManagerTree.initial_partition(nodes, 10_000, 1)
+    started = time.perf_counter()
+    for node in range(5001, 10_001):
+        tree.add_node_to_domain(node, ROOT_DOMAIN)
+    elapsed = time.perf_counter() - started
+    assert len(tree) == 1 and len(tree.domain(ROOT_DOMAIN).members) == 10_000
+    assert elapsed < max(1.0, 20 * partition)
 
 
 def test_chain_deeper_than_the_recursion_limit():

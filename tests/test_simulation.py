@@ -492,6 +492,50 @@ class TestBundledScenarios:
         assert scenario.central == 10
 
 
+class TestRunErrorsOfMeaning:
+    """What only a replay or a pricing finds is bad input with a JSON path."""
+
+    def test_join_into_a_missing_domain(self, reference18_scenario):
+        join = AddNode(99, DomainId.parse("1.7"))
+        events = (*reference18_scenario.events, join)
+        with pytest.raises(ValidationError) as caught:
+            run(replace(reference18_scenario, events=events), models=())
+        assert (caught.value.path, caught.value.message) == (
+            f"events[{len(events) - 1}].add_node.domain",
+            "no such domain: 1.7",
+        )
+
+    def test_domain_k_key_that_names_no_domain(self, reference18_scenario):
+        domain_k = {**reference18_scenario.domain_k, "1.9.9": Fraction(2)}
+        with pytest.raises(ValidationError) as caught:
+            run(replace(reference18_scenario, domain_k=domain_k), models=())
+        assert (caught.value.path, caught.value.message) == (
+            "domain_k.1.9.9",
+            "no such domain: 1.9.9",
+        )
+
+    @pytest.mark.parametrize(
+        "name, models, message",
+        [
+            (
+                "reference18",
+                ("cs", "flatbed", "imasnm"),
+                "flatbed cannot be priced: no path between 1 and 2",
+            ),
+            ("growth19", ("cs",), "cs cannot be priced: no path between 10 and 1"),
+        ],
+    )
+    def test_model_that_cannot_be_priced(self, name, models, message):
+        for at_snapshots in (False, True):
+            with pytest.raises(ValidationError) as caught:
+                run(
+                    load_bundled_scenario(name),
+                    models=models,
+                    costs_at_snapshots=at_snapshots,
+                )
+            assert (caught.value.path, caught.value.message) == ("models", message)
+
+
 class TestApplyEvent:
     def fresh_state(self) -> SimulationState:
         return SimulationState(
