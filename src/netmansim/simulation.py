@@ -522,6 +522,12 @@ def _scenario_from_raw(raw: object) -> Scenario:
                 "flatbed_itinerary[0]",
                 f"itinerary must start at the central node {central}",
             )
+        if len(stops) < len(all_nodes):
+            joined = (event.node for event in events if isinstance(event, AddNode))
+            missing = next(n for n in (*nodes, *joined) if n not in stops)
+            raise ValidationError(
+                "flatbed_itinerary", f"node {missing} is never visited"
+            )
 
     notes: str | None = None
     if "notes" in top:
@@ -594,10 +600,15 @@ def _model_costs(
                     network, scenario.central, sorted(network.nodes), scenario.params
                 )
             elif model == "flatbed":
-                itinerary = scenario.flatbed_itinerary
-                if itinerary is None:
-                    others = sorted(network.nodes - {scenario.central})
+                present = network.nodes
+                if scenario.flatbed_itinerary is None:
+                    others = sorted(present - {scenario.central})
                     itinerary = (scenario.central, *others)
+                else:
+                    # at a snapshot, the listed stops that have joined
+                    itinerary = tuple(
+                        n for n in scenario.flatbed_itinerary if n in present
+                    )
                 per_poll[model] = (
                     cost_flatbed(network, itinerary, scenario.params)
                     if len(itinerary) >= 2

@@ -21,6 +21,12 @@ and kept. That is the rent-or-buy break-even: a source asked for many
 targets, as a polling manager is, pays for one tree, while the hops of a
 flat-bed round trip each label a small patch around their two ends.
 
+The pair search grows the side whose heap holds fewer entries, Pohl's
+cardinality rule, so a side that is about to run dry (a target in a small
+component) is expanded first. Once the two sides have met, a neighbour
+whose label plus the other side's nearest frontier reaches the best
+meeting sum is skipped: no path through it can be cheaper.
+
 Versions made from one another by ``add_node`` and ``add_link`` share two
 insertion-ordered tables, node -> join position and link -> (position,
 coefficient), and each keeps only its own node and link counts: a version
@@ -89,14 +95,16 @@ class _PathEngine:
     """Integer Dijkstra over one network version, with memoised answers.
 
     A query that no kept tree answers runs a bidirectional search between
-    its two ends, and the answer is kept for that pair, in either order.
-    Each source adds up the labels its pair searches set. Once the total
-    reaches the version's node count, what one full search costs, the
-    source's next new target builds its single-source tree instead, kept
-    for the rest of this version's life; it answers every query that
-    starts or ends at the source. Sources that each ask for one target, as
-    the hops of a flat-bed round trip do, so never fill an all-pairs
-    table, even when the same version is priced twice.
+    its two ends, growing the side with fewer heap entries and skipping
+    labels that cannot beat the best meeting, and the answer is kept for
+    that pair, in either order. Each source adds up the labels its pair
+    searches set. Once the total reaches the version's node count, what
+    one full search costs, the source's next new target builds its
+    single-source tree instead, kept for the rest of this version's life;
+    it answers every query that starts or ends at the source. Sources that
+    each ask for one target, as the hops of a flat-bed round trip do, so
+    never fill an all-pairs table, even when the same version is priced
+    twice.
     """
 
     __slots__ = ("scale", "_adjacency", "_trees", "_pairs", "_labelled")
@@ -156,11 +164,20 @@ class _PathEngine:
     def _meet(self, source: NodeId, target: NodeId) -> tuple[int | None, int]:
         """Bidirectional Dijkstra: (scaled cost or None, labels set).
 
-        Each step expands the side whose frontier is nearer. ``meeting`` is
-        the cheapest sum of a forward and a backward label on one node,
-        checked whenever either label is set. Once the two frontiers add up
-        to at least that sum, no path through an unlabelled node can beat
+        Each step expands the side whose heap holds fewer entries, ties
+        going forward (Pohl's cardinality rule). ``meeting`` is the
+        cheapest sum of a forward and a backward label on one node,
+        checked whenever either label is set, so it never exceeds that sum
+        on a node labelled by both sides. Once the two frontiers add up to
+        at least ``meeting``, no path through an unlabelled node can beat
         it, so it is the answer.
+
+        Before a pop, ``bound`` is ``meeting`` less the other side's
+        nearest frontier; a neighbour whose candidate reaches it is neither
+        labelled nor pushed, because a path through it at that cost cannot
+        beat ``meeting``. While the sides have not met, ``bound`` is
+        infinite and nothing is skipped, so a target out of reach still
+        ends with an empty heap and ``None``.
         """
         adjacency = self._adjacency
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -174,15 +191,19 @@ class _PathEngine:
             backward_top = backward_heap[0][0]
             if forward_top + backward_top >= meeting:
                 break
-            if forward_top <= backward_top:
+            if len(forward_heap) <= len(backward_heap):
                 frontier, labels, other = forward_heap, forward, backward
+                bound = meeting - backward_top
             else:
                 frontier, labels, other = backward_heap, backward, forward
+                bound = meeting - forward_top
             dist, node = heappop(frontier)
             if dist > labels[node]:
                 continue
             for neighbor, weight in adjacency[node]:
                 candidate = dist + weight
+                if candidate >= bound:
+                    continue
                 known = labels.get(neighbor)
                 if known is None or candidate < known:
                     labels[neighbor] = candidate

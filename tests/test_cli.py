@@ -213,6 +213,48 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: models: {error}\n")
 
+    @staticmethod
+    def write_late_join(tmp_path, itinerary):
+        # Node 3 joins between the two snapshots, linked to 1 at cost 1.
+        return write_scenario(
+            tmp_path,
+            nodes=[1, 2],
+            events=[
+                {"snapshot": "before"},
+                {"add_node": {"node": 3, "domain": "1", "links": [[1, 1]]}},
+                {"snapshot": "after"},
+            ],
+            flatbed_itinerary=itinerary,
+            models=["flatbed"],
+        )
+
+    def test_an_itinerary_that_skips_a_joined_node_is_bad_input(
+        self, capsys, tmp_path
+    ):
+        path = self.write_late_join(tmp_path, [1, 2])
+        for command in (
+            ["validate"],
+            ["simulate"],
+            ["simulate", "--snapshots"],
+            ["explain"],
+        ):
+            assert main([*command, "--scenario", path]) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "",
+                "error: flatbed_itinerary: node 3 is never visited\n",
+            )
+
+    def test_an_itinerary_is_priced_over_the_stops_present(self, capsys, tmp_path):
+        path = self.write_late_join(tmp_path, [1, 3, 2])
+        assert main(["simulate", "--scenario", path, "--snapshots"]) == 0
+        out = capsys.readouterr().out
+        # s_ma = d = 1. Before 3 joins the hops are 1-2 and 2-1:
+        # 1 * 2 + 1 * (0 + 1) = 3 bytes. After, 1-3, 3-2 (through 1) and
+        # 2-1 cost 1, 2 and 1: 1 * 4 + 1 * (0 + 2 + 2) = 8 bytes.
+        assert "flatbed: per-poll 3 bytes" in out
+        assert "flatbed: per-poll 8 bytes" in out
+
     def test_unknown_bundled_name_is_io_failure(self, capsys):
         assert main(["simulate", "--scenario", "nonesuch"]) == 2
         assert "nonesuch" in capsys.readouterr().err

@@ -783,6 +783,48 @@ class TestRun:
         # 2-1 costs 1, 1-3 costs 1, return 3-2 costs min(5, 1+1) = 2
         assert result.per_poll_of("flatbed") == 40
 
+    @staticmethod
+    def late_join_text(itinerary) -> str:
+        # Node 4 joins between the two snapshots, linked to 1; the
+        # triangle 1-2-3 and the link 4-1 all cost 1.
+        return scenario_text(
+            nodes=[1, 2, 3],
+            central=2,
+            links=[[1, 2, 1], [2, 3, 1], [1, 3, 1]],
+            events=[
+                {"snapshot": "before"},
+                {"add_node": {"node": 4, "domain": "1", "links": [[1, 1]]}},
+                {"snapshot": "after"},
+            ],
+            flatbed_itinerary=itinerary,
+            params=dict(MINIMAL["params"], s_ma=10),
+            polling_counts=[1],
+            models=["flatbed"],
+        )
+
+    @pytest.mark.parametrize(
+        "itinerary, missing", [([2, 1], 3), ([2, 1, 3], 4), ([2, 3, 1], 4)]
+    )
+    def test_itinerary_must_visit_every_node_that_ever_joins(
+        self, itinerary, missing
+    ):
+        # The first node left out, in nodes-then-events order, is named.
+        with pytest.raises(ValidationError) as info:
+            load_scenario(self.late_join_text(itinerary))
+        assert (info.value.path, info.value.message) == (
+            "flatbed_itinerary",
+            f"node {missing} is never visited",
+        )
+
+    def test_itinerary_visits_only_the_stops_present_at_each_snapshot(self):
+        text = self.late_join_text([2, 4, 1, 3])
+        result = run(load_scenario(text), costs_at_snapshots=True)
+        before, after = (snap.per_poll["flatbed"] for snap in result.snapshots)
+        # before 4 joins: hops 2-1, 1-3, 3-2 cost 1 each, 10 bytes a unit
+        assert before == 30
+        # after: 2-4 costs 2 (through 1), then 4-1, 1-3 and 3-2 cost 1
+        assert after == result.per_poll_of("flatbed") == 50
+
 
 class TestGrowth19Storyline:
     def test_snapshot_manager_sets(self):

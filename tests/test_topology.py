@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import statistics
 from enum import IntEnum
 from fractions import Fraction
 
@@ -242,14 +243,18 @@ def test_sources_pay_for_a_tree_only_at_the_break_even():
             assert net.path_cost(n, n % 6 + 1) == (5 if n == 6 else 1)
     engine = net._engine
     assert engine._trees == {}
-    # A search between neighbours expands only the source, so it labels
-    # the target and the source with its neighbours; the 6-1 search
-    # labels 4 nodes forward and 3 backward.
+    # Both heaps start with one entry and ties go forward. A search between
+    # neighbours expands only the source, so it labels the target and the
+    # source with its neighbours. Expanding 6, 5, 4, 3 or 2 pushes one new
+    # entry, so the heaps stay level and the 6-1 search walks forward
+    # alone: 6 nodes forward and 1 backward.
     assert engine._labelled == {1: 3, 2: 4, 3: 4, 4: 4, 5: 4, 6: 7}
-    # 1 has labelled 3 of the version's 6 nodes: one more pair search.
+    # 1 has labelled 3 of the version's 6 nodes: one more pair search. It
+    # too walks forward alone, 1 then 2: 1, 2 and 3 forward and only 3
+    # backward, 4 more.
     assert net.path_cost(1, 3) == 2
     assert engine._trees == {}
-    assert engine._labelled[1] == 8
+    assert engine._labelled[1] == 7
     # 1 and 6 have now labelled at least 6 nodes, so their next new
     # targets build their trees.
     assert net.path_cost(6, 3) == 3
@@ -261,11 +266,18 @@ def test_sources_pay_for_a_tree_only_at_the_break_even():
     assert engine._pairs == pairs
     assert 5 not in engine._trees and engine._labelled[5] == 4
     # A derived version starts from nothing: no tree, no labels counted.
+    # In the ring, expanding 6 labels 5 and 1 and leaves two forward
+    # entries, so 2 expands next; it labels 1, meeting at 2, and 3. The
+    # tops now add up to 2: 3 nodes each way.
     linked = net.add_link(1, 6, 1)
     assert linked._engine is None
     assert linked.path_cost(6, 2) == 2
     assert linked._engine._trees == {}
     assert linked._engine._labelled == {6: 6}
+    # 6 has labelled exactly the version's 6 nodes: its next new target
+    # builds its tree.
+    assert linked.path_cost(6, 3) == 3
+    assert set(linked._engine._trees) == {6}
 
 
 def test_pair_search_stops_once_the_meeting_is_proven():
@@ -555,6 +567,84 @@ def test_model_query_patterns_on_a_seeded_mesh_match_fraction_reference():
     mothers = {central} | {mother for mother, _ in manager_links}
     assert central in net._engine._trees
     assert set(net._engine._trees) <= mothers
+
+
+def test_flat_bed_hops_on_a_seeded_mesh_label_a_small_patch():
+    # Each hop n -> n+1 is its source's only query, so the source's label
+    # count is that one search. Growing the side with fewer heap entries
+    # and skipping labels that cannot beat the meeting keep the median
+    # hop to about a quarter of the 300 nodes; growing the side with the
+    # nearer top labelled 165.
+    net, _ = _seeded_mesh("path-engine-mesh")
+    for n in range(1, 300):
+        try:
+            net.path_cost(n, n + 1)
+        except Unreachable:
+            pass
+    engine = net._engine
+    assert engine._trees == {} and len(engine._labelled) == 299
+    assert statistics.median(engine._labelled.values()) <= 100
+
+
+def test_a_hop_into_an_island_stops_when_the_island_runs_dry():
+    # 296 is the hub of the 5-node island. Its side holds at most 4 heap
+    # entries, so it keeps being expanded while the mesh side's heap grows
+    # past it, and it runs dry long before the mesh side is labelled.
+    net, _ = _seeded_mesh("path-engine-mesh")
+    with pytest.raises(Unreachable):
+        net.path_cost(295, 296)
+    assert net._engine._labelled[295] <= 20
+
+
+def _each_pair_matches_reference(nodes, links) -> None:
+    """Ask every ordered pair on a fresh version: each is one pair search."""
+    for i in nodes:
+        for j in nodes:
+            if i != j:
+                _answers_match_reference(Network(nodes=nodes, links=links), [(i, j)])
+
+
+def test_pair_search_with_tied_shortest_paths_matches_reference():
+    # A 4 x 4 grid of unit links: every pair not on one row or column has
+    # several shortest paths of the same cost.
+    links = [(n, n + 1, 1) for n in range(1, 17) if n % 4]
+    links += [(n, n + 4, 1) for n in range(1, 13)]
+    _each_pair_matches_reference(range(1, 17), links)
+
+
+def test_pair_search_over_zero_cost_links_matches_reference():
+    # The only cheapest 1-5 path, 1-2-3-4-5, costs 1 and three of its four
+    # links cost 0; the detour through 6 costs 4. A zero-cost neighbour of
+    # the popped node is never skipped: its candidate equals the popped
+    # label, which is below the bound while the loop runs.
+    links = [(1, 2, 0), (2, 3, 0), (3, 4, 1), (4, 5, 0), (1, 6, 2), (6, 5, 2)]
+    _each_pair_matches_reference(range(1, 7), links)
+
+
+def test_pair_search_skips_a_candidate_equal_to_the_bound():
+    # 1-2 costs 2 directly and 2 through 3. Expanding 1 labels 2, meeting
+    # at 2, and 3 at 1. The forward heap now holds two entries, so 2
+    # expands next, with bound 2 - 1 = 1: 3's candidate 1 equals it and 1's
+    # is 2, so both are skipped; a path through either cannot beat 2. The
+    # backward heap is then empty: 3 labels forward and 1 backward.
+    links = [(1, 2, 2), (1, 3, 1), (2, 3, 1)]
+    net = Network(nodes=range(1, 4), links=links)
+    assert net.path_cost(1, 2) == 2
+    assert net._engine._labelled == {1: 4}
+    _each_pair_matches_reference(range(1, 4), links)
+
+
+def test_pair_search_into_another_component_prunes_nothing():
+    # 1 is the hub of leaves 2 to 5; 10-11 is a separate component. With no
+    # meeting the bound is infinite: expanding 1 labels its 4 leaves, then
+    # the backward side, now the smaller heap, labels 11 and runs dry.
+    links = [(1, n, 1) for n in range(2, 6)] + [(10, 11, 1)]
+    nodes = [1, 2, 3, 4, 5, 10, 11]
+    net = Network(nodes=nodes, links=links)
+    with pytest.raises(Unreachable):
+        net.path_cost(1, 10)
+    assert net._engine._labelled == {1: 5 + 2}
+    _each_pair_matches_reference(nodes, links)
 
 
 @given(mixed_networks(max_nodes=12), st.data())
