@@ -4,7 +4,8 @@ A ``ManagerTree`` assigns every managed node to exactly one domain. Each
 domain is run by a manager hosted on one of its member nodes. Nodes join
 one at a time: a domain below ``m_max`` members takes the node, and a
 full one clones a child manager hosted on the node, so the tree deepens
-as the network grows.
+as the network grows. Only the tree changes membership; it hands out
+frozen ``Domain`` and ``DomainState`` values, each taken when read.
 """
 
 from __future__ import annotations
@@ -87,16 +88,16 @@ class DomainId:
 ROOT_DOMAIN = DomainId((1,))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Domain:
-    """One managed domain: an ordered member list and its manager's host.
+    """One managed domain as it stood when read: members and manager host.
 
-    The ``ManagerTree`` holding the domain owns ``members`` and grows it
-    one join at a time.
+    Only the ``ManagerTree`` changes membership. A ``Domain`` read before
+    a join keeps its old members; a fresh read shows the new one.
     """
 
     id: DomainId
-    members: list[NodeId]
+    members: tuple[NodeId, ...]
     manager_host: NodeId
 
     @property
@@ -120,15 +121,34 @@ class DomainState:
 class _ManagerRecord:
     """One domain, linked directly to its parent's and children's records.
 
-    ``name`` is the dotted id, rendered once. ``state`` is the last
-    ``DomainState`` built for the domain, reused while it still matches.
+    ``members`` is the tree's own list. ``name`` is the dotted id,
+    rendered once. ``domain`` and ``state`` are the frozen views last
+    handed out, built on read and sharing one members tuple: a join into
+    the domain drops both, and a new child drops ``state``.
     """
 
-    domain: Domain
-    parent: _ManagerRecord | None
+    id: DomainId
     name: str
+    host: NodeId
+    members: list[NodeId]
+    parent: _ManagerRecord | None
     children: list[_ManagerRecord] = field(default_factory=list)
+    domain: Domain | None = None
     state: DomainState | None = None
+
+    def view(self) -> Domain:
+        if self.domain is None:
+            members = self.state.members if self.state else tuple(self.members)
+            self.domain = Domain(self.id, members, self.host)
+        return self.domain
+
+    def snapshot(self) -> DomainState:
+        if self.state is None:
+            members = self.domain.members if self.domain else tuple(self.members)
+            parent = None if self.parent is None else self.parent.name
+            children = tuple(child.name for child in self.children)
+            self.state = DomainState(self.name, self.host, members, parent, children)
+        return self.state
 
 
 class ManagerTree:
@@ -187,29 +207,26 @@ class ManagerTree:
         for index in range(full_chunks):
             chunk = others[index * m_max : (index + 1) * m_max]
             tree._install(root, chunk, chunk[0])
-        tree._node_domain = {
-            node: record
-            for record in tree._managers.values()
-            for node in record.domain.members
-        }
         return tree
 
     def _install(
         self, parent: _ManagerRecord | None, members: list[NodeId], host: NodeId
     ) -> _ManagerRecord:
-        """Add the root, or ``parent``'s next child; the caller registers members."""
+        """Add the root, or ``parent``'s next child, and register its members."""
         if parent is None:
             domain_id, name = ROOT_DOMAIN, str(ROOT_DOMAIN)
         else:
             index = len(parent.children) + 1
-            domain_id = parent.domain.id.child(index)
+            domain_id = parent.id.child(index)
             name = f"{parent.name}.{index}"
-        record = _ManagerRecord(Domain(domain_id, members, host), parent, name)
+        record = _ManagerRecord(domain_id, name, host, members, parent)
         self._managers[domain_id] = record
+        self._node_domain.update(dict.fromkeys(members, record))
         if parent is None:
             self._root = record
         else:
             parent.children.append(record)
+            parent.state = None  # its children changed
         return record
 
     def _record(self, domain: DomainId) -> _ManagerRecord:
@@ -230,11 +247,12 @@ class ManagerTree:
         owner = self._node_domain.get(node)
         if owner is not None:
             raise DuplicateNode(f"node {node} already belongs to {owner.name}")
-        if len(record.domain.members) < self._m_max:
-            record.domain.members.append(node)
+        if len(record.members) < self._m_max:
+            record.members.append(node)
+            record.domain = record.state = None
+            self._node_domain[node] = record
         else:
-            record = self._install(record, [node], node)
-        self._node_domain[node] = record
+            self._install(record, [node], node)
         return self
 
     def domain_of(self, node: NodeId) -> DomainId:
@@ -242,7 +260,7 @@ class ManagerTree:
         record = self._node_domain.get(node)
         if record is None:
             raise UnassignedNode(f"node {node} is not assigned to any domain")
-        return record.domain.id
+        return record.id
 
     # -- read-only views ------------------------------------------------
 
@@ -253,14 +271,14 @@ class ManagerTree:
         return len(self._managers)
 
     def domain(self, domain: DomainId) -> Domain:
-        return self._record(domain).domain
+        return self._record(domain).view()
 
     def parent_of(self, domain: DomainId) -> DomainId | None:
         parent = self._record(domain).parent
-        return None if parent is None else parent.domain.id
+        return None if parent is None else parent.id
 
     def children_of(self, domain: DomainId) -> tuple[DomainId, ...]:
-        return tuple(child.domain.id for child in self._record(domain).children)
+        return tuple(child.id for child in self._record(domain).children)
 
     def _preorder(self) -> Iterator[_ManagerRecord]:
         """Every record, parents first and children in join order.
@@ -275,16 +293,16 @@ class ManagerTree:
 
     def domain_ids(self) -> list[DomainId]:
         """All domain ids, in id order (depth-first)."""
-        return [record.domain.id for record in self._preorder()]
+        return [record.id for record in self._preorder()]
 
     def domains(self) -> list[Domain]:
         """All domains, in id order (depth-first), from one walk of the tree."""
-        return [record.domain for record in self._preorder()]
+        return [record.view() for record in self._preorder()]
 
     def parent_child_edges(self) -> list[tuple[Domain, Domain]]:
         """Every (mother, child) domain pair, in child id order, from one walk."""
         return [
-            (record.parent.domain, record.domain)
+            (record.parent.view(), record.view())
             for record in self._preorder()
             if record.parent is not None
         ]
@@ -292,28 +310,8 @@ class ManagerTree:
     def states(self) -> tuple[DomainState, ...]:
         """An immutable ``DomainState`` of every domain, in id order.
 
-        A domain whose host, members and child count are those of the
-        state last built for it gets that same state object back, so
-        successive calls share the states of unchanged domains.
+        A domain with no join and no new child since the last call gets
+        the same state object back, so successive calls share the states
+        of unchanged domains.
         """
-        states = []
-        for record in self._preorder():
-            domain = record.domain
-            members = tuple(domain.members)
-            state = record.state
-            if (
-                state is None
-                or state.members != members
-                or state.manager_host != domain.manager_host
-                or len(state.children) != len(record.children)
-            ):
-                parent = record.parent
-                state = record.state = DomainState(
-                    id=record.name,
-                    manager_host=domain.manager_host,
-                    members=members,
-                    parent=None if parent is None else parent.name,
-                    children=tuple(child.name for child in record.children),
-                )
-            states.append(state)
-        return tuple(states)
+        return tuple(record.snapshot() for record in self._preorder())

@@ -10,6 +10,7 @@ scenarios produce equal results, value for value.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -186,6 +187,9 @@ def _expect_number(
 
     json parsing maps floats to Decimal, so decimal literals stay exact.
     ``memo`` keeps one Fraction per value, shared by "1" and "1.0" alike.
+    A Decimal whose digits and exponent together pass the interpreter's
+    int digit limit, which json already applies to integer literals, is
+    rejected before it becomes a huge exact integer.
     """
     if type(value) not in _NUMBER_TYPES:
         raise ValidationError(path, f"expected a number, got {value!r}")
@@ -193,6 +197,13 @@ def _expect_number(
     if number is None:
         if value < 0:
             raise ValidationError(path, f"must be non-negative, got {value}")
+        if type(value) is Decimal:
+            _, digits, exponent = value.as_tuple()
+            size = len(digits) + abs(exponent)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if 0 < limit < size:
+                message = f"has {size} digits counting its exponent, over {limit}"
+                raise ValidationError(path, message)
         number = memo[value] = Fraction(value)
     return number
 

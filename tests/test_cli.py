@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import sys
 from importlib import resources
 
 import pytest
@@ -187,13 +188,35 @@ class TestSimulate:
         )
 
     def test_totals_too_long_to_print_are_a_runtime_error(self, capsys, tmp_path):
-        path = reference18_with_param(tmp_path, "s_req", "1e5000")
+        # Each literal is within the digit limit; (s_req + s_res) * num_vars
+        # is not.
+        path = reference18_with_param(tmp_path, "s_req", "1e3000")
+        with open(path, encoding="utf-8") as stream:
+            text = stream.read()
+        assert text.count('"num_vars": 5,') == 1
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.write(text.replace('"num_vars": 5,', f'"num_vars": 1{"0" * 3000},'))
         snapshot = REFERENCE18_SNAPSHOT.splitlines(keepends=True)[0]
         for extra, out in (([], ""), (["--snapshots"], snapshot)):
             assert main(["simulate", "--scenario", path, *extra]) == 2
             captured = capsys.readouterr()
             assert captured.out == out
             assert captured.err == "error: a byte total has too many digits to print\n"
+
+    @pytest.mark.parametrize("literal", ["1e5000", "1e-5000"])
+    def test_literals_past_the_digit_limit_are_bad_input(
+        self, capsys, tmp_path, literal
+    ):
+        path = reference18_with_param(tmp_path, "s_req", literal)
+        limit = sys.get_int_max_str_digits()
+        for command in ("simulate", "validate"):
+            assert main([command, "--scenario", path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: params.s_req: has 5001 digits counting its exponent,"
+                f" over {limit}\n"
+            )
 
     @pytest.mark.parametrize(
         "name, models, error",

@@ -139,7 +139,7 @@ def small_hierarchy() -> tuple[Network, ManagerTree]:
     tree = ManagerTree.initial_partition([1, 2], 2, 1)
     tree.add_node_to_domain(3, ROOT_DOMAIN)
     tree.add_node_to_domain(4, ROOT_DOMAIN.child(1))
-    assert [d.members for d in tree.domains()] == [[1, 2], [3, 4]]
+    assert [d.members for d in tree.domains()] == [(1, 2), (3, 4)]
     return net, tree
 
 
@@ -335,7 +335,7 @@ def test_singleton_domains_cost_only_their_sweeps():
     # plus the report edges
     net = Network(nodes=[1, 2], links=[(1, 2, 1)])
     tree = ManagerTree.initial_partition([1, 2], 1, 1)
-    assert [d.members for d in tree.domains()] == [[1], [2]]
+    assert [d.members for d in tree.domains()] == [(1,), (2,)]
     p = params(mda_size=100)
     assert cost_imasnm_poll(net, tree, p) == 200
     with_reports = params(mda_size=100, ma_res=7)

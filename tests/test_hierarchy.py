@@ -93,22 +93,22 @@ class TestInitialPartition:
         tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
         table = {str(d.id): (d.manager_host, d.members) for d in tree.domains()}
         assert table == {
-            "1": (10, [10]),
-            "1.1": (1, [1, 2, 3]),
-            "1.2": (4, [4, 5, 6]),
-            "1.3": (7, [7, 8, 9]),
+            "1": (10, (10,)),
+            "1.1": (1, (1, 2, 3)),
+            "1.2": (4, (4, 5, 6)),
+            "1.3": (7, (7, 8, 9)),
         }
 
     def test_leftover_nodes_stay_with_the_central_manager(self):
         tree = ManagerTree.initial_partition([1, 2, 3, 4, 5, 6, 7], 3, 7)
         table = {str(d.id): d.members for d in tree.domains()}
-        assert table == {"1": [7], "1.1": [1, 2, 3], "1.2": [4, 5, 6]}
+        assert table == {"1": (7,), "1.1": (1, 2, 3), "1.2": (4, 5, 6)}
         partial = ManagerTree.initial_partition([1, 2, 3], 3, 3)
-        assert {str(d.id): d.members for d in partial.domains()} == {"1": [3, 1, 2]}
+        assert {str(d.id): d.members for d in partial.domains()} == {"1": (3, 1, 2)}
 
     def test_single_node_network(self):
         tree = ManagerTree.initial_partition([5], 1, 5)
-        assert [d.members for d in tree.domains()] == [[5]]
+        assert [d.members for d in tree.domains()] == [(5,)]
 
     def test_input_order_does_not_matter(self):
         a = ManagerTree.initial_partition([4, 1, 3, 2, 5], 2, 5)
@@ -155,22 +155,22 @@ def test_node_ids_are_checked_as_the_network_checks_them(node, error):
     message = str(expected.value)
     assert str(partition.value) == str(join.value) == message
     assert message.startswith("node id must be")
-    assert len(tree) == 1 and tree.domain(ROOT_DOMAIN).members == [1]
+    assert len(tree) == 1 and tree.domain(ROOT_DOMAIN).members == (1,)
 
 
 class TestGrowth:
     def test_add_without_overflow_keeps_domain(self):
         tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
         tree.add_node_to_domain(13, did("1"))
-        assert tree.domain(did("1")).members == [10, 13]
+        assert tree.domain(did("1")).members == (10, 13)
         assert len(tree) == 4
 
     def test_overflow_spawns_one_child_with_lowest_id_host(self):
         tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
         tree.add_node_to_domain(11, did("1.3"))
-        assert tree.domain(did("1.3")).members == [7, 8, 9]
+        assert tree.domain(did("1.3")).members == (7, 8, 9)
         clone = tree.domain(did("1.3.1"))
-        assert clone.members == [11]
+        assert clone.members == (11,)
         assert clone.manager_host == 11
         assert tree.children_of(did("1.3")) == (did("1.3.1"),)
         assert tree.parent_of(did("1.3.1")) == did("1.3")
@@ -181,8 +181,26 @@ class TestGrowth:
         for node in (4, 5, 6):
             tree.add_node_to_domain(node, did("1"))
         assert tree.children_of(did("1")) == (did("1.1"), did("1.2"), did("1.3"))
-        assert tree.domain(did("1.1")).members == [4]
-        assert tree.domain(did("1.3")).members == [6]
+        assert tree.domain(did("1.1")).members == (4,)
+        assert tree.domain(did("1.3")).members == (6,)
+
+    def test_members_change_only_through_joins(self):
+        # Appending to a read Domain's members once left 13 unassigned and
+        # let it join the root twice.
+        tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
+        before = tree.domain(ROOT_DOMAIN)
+        with pytest.raises(AttributeError):
+            before.members.append(13)
+        with pytest.raises(AttributeError):
+            before.members = (10, 13)
+        with pytest.raises(UnassignedNode):
+            tree.domain_of(13)
+        tree.add_node_to_domain(13, ROOT_DOMAIN)
+        with pytest.raises(DuplicateNode):
+            tree.add_node_to_domain(13, ROOT_DOMAIN)
+        assert before.members == (10,)
+        assert tree.domain(ROOT_DOMAIN).members == (10, 13)
+        assert tree.domain_of(13) == ROOT_DOMAIN
 
     def test_errors(self):
         tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
@@ -231,6 +249,14 @@ def check_tree_invariants(tree: ManagerTree, expected_nodes: set[int]) -> None:
         assert [c.path[-1] for c in children] == list(range(1, len(children) + 1))
     assert len(members_seen) == len(set(members_seen))
     assert set(members_seen) == expected_nodes
+    # Each domain's Domain and DomainState agree, whichever was read first.
+    for domain, state in zip(tree.domains(), tree.states(), strict=True):
+        parent = tree.parent_of(domain.id)
+        assert state.id == str(domain.id)
+        assert state.members == domain.members
+        assert state.manager_host == domain.manager_host
+        assert state.parent == (None if parent is None else str(parent))
+        assert state.children == tuple(map(str, tree.children_of(domain.id)))
 
 
 @st.composite
@@ -262,6 +288,18 @@ def test_random_growth_preserves_invariants(case):
 
 
 @given(growth_runs())
+def test_views_read_between_joins_stay_current(case):
+    # Reads keep their views on the tree; a join must drop what it changes.
+    m_max, initial, central, choices = case
+    tree = ManagerTree.initial_partition(range(1, initial + 1), m_max, central)
+    for node, choice in enumerate(choices, start=initial + 1):
+        check_tree_invariants(tree, set(range(1, node)))
+        targets = tree.domain_ids()
+        tree.add_node_to_domain(node, targets[choice % len(targets)])
+    check_tree_invariants(tree, set(range(1, initial + 1 + len(choices))))
+
+
+@given(growth_runs())
 def test_growth_replay_is_deterministic(case):
     first = replay(*case)
     second = replay(*case)
@@ -285,7 +323,7 @@ def test_each_join_moves_no_node_and_adds_at_most_one_domain(case):
             (clone,) = added
             assert tree.parent_of(clone) == target
             assert tree.domain(clone).manager_host == node
-            assert tree.domain(clone).members == [node]
+            assert tree.domain(clone).members == (node,)
         else:
             assert tree.domain(target).members[-1] == node
         owners[node] = tree.domain_of(node)

@@ -314,6 +314,44 @@ def params(**changes) -> dict:
     return {key: value for key, value in merged.items() if value is not None}
 
 
+# A number literal in each place the loader reads one, and its JSON path.
+LITERAL_PLACES = [
+    (dict(params=params(s_req="@")), "params.s_req"),
+    (entry_doc("links", [[1, 2, "@"]]), "links[0][2]"),
+    (entry_doc("k_override", [[1, 2, "@"]]), "k_override[0][2]"),
+]
+PLACE_IDS = [path for _, path in LITERAL_PLACES]
+
+
+@pytest.mark.parametrize(
+    "literal", ["1e5000", "1e-5000", "1." + "0" * 5000], ids=["big", "small", "long"]
+)
+@pytest.mark.parametrize("doc, path", LITERAL_PLACES, ids=PLACE_IDS)
+def test_literals_past_the_digit_limit_are_rejected(doc, path, literal):
+    # 1e5000 would be a 5001-digit integer, and 1e-5000 its reciprocal.
+    text = scenario_text(**doc).replace('"@"', literal)
+    with pytest.raises(ValidationError, match="counting its exponent") as info:
+        load_scenario(text)
+    assert info.value.path == path
+
+
+@pytest.mark.parametrize("doc", [doc for doc, _ in LITERAL_PLACES], ids=PLACE_IDS)
+def test_literals_within_the_digit_limit_load_exactly(doc):
+    text = scenario_text(**doc)
+    spelt_out = {"1e3000": "1" + "0" * 3000, "1e-3000": "0." + "0" * 2999 + "1"}
+    for short, long in spelt_out.items():
+        assert load_scenario(text.replace('"@"', short)) == load_scenario(
+            text.replace('"@"', long)
+        )
+
+
+def test_a_digit_limit_of_zero_means_no_limit(monkeypatch):
+    monkeypatch.setattr(simulation.sys, "get_int_max_str_digits", lambda: 0)
+    doc, _ = LITERAL_PLACES[0]
+    scenario = load_scenario(scenario_text(**doc).replace('"@"', "1e5000"))
+    assert scenario.params.s_req == 10**5000
+
+
 ITINERARY = dict(nodes=[1, 2, 3], central=2)
 
 # Exact (path, message) of the error each malformed top-level field raises.
@@ -595,12 +633,13 @@ class TestApplyEvent:
         assert old["1.3"] is not new["1.3"] and new["1.3"].children == ("1.3.1",)
         assert old["1.3"].members == new["1.3"].members == (7, 8, 9)
 
-        # Direct edits of a live Domain show in the next snapshot too.
-        state.tree.domain(DomainId.parse("1.2")).members.append(13)
+        # A Domain's members cannot be edited, so snapshot c shares 1.2 with b.
+        with pytest.raises(AttributeError):
+            state.tree.domain(DomainId.parse("1.2")).members.append(13)
         apply_event(state, Snapshot("c"))
         c = {d.id: d for d in state.snapshots[2].domains}
-        assert c["1.2"].members == (4, 5, 6, 13)
-        assert c["1.1"] is new["1.1"] and new["1.2"].members == (4, 5, 6)
+        assert c["1.2"] is new["1.2"] and new["1.2"].members == (4, 5, 6)
+        assert c["1.1"] is new["1.1"]
 
 
 def single_node_scenario_text() -> str:

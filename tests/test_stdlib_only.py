@@ -1,10 +1,12 @@
-"""The package imports nothing but the standard library and itself."""
+"""The package imports only the standard library and itself, and parses as 3.10."""
 
 from __future__ import annotations
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "netmansim"
 
@@ -45,3 +47,17 @@ def test_the_check_catches_third_party_imports():
         "    import networkx as nx\n"
     )
     assert outside_imports(source) == ["numpy", "scipy.sparse", "networkx"]
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10.
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 8
+    for module in modules:
+        ast.parse(module.read_text("utf-8"), module.name, feature_version=(3, 10))
+
+
+def test_the_parse_catches_newer_syntax():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
