@@ -28,7 +28,15 @@ class NetmanError(Exception):
 
 
 class TopologyError(NetmanError):
-    """Problem with the managed network graph."""
+    """Problem with the managed network graph.
+
+    ``entry`` names the entry of ``Network``'s arguments that was rejected,
+    as an expression on them such as ``"links[3][1]"``, or is None.
+    """
+
+    def __init__(self, message: str, entry: str | None = None) -> None:
+        super().__init__(message)
+        self.entry = entry
 
 
 class DuplicateNode(TopologyError):
@@ -39,12 +47,12 @@ class UnknownNode(TopologyError):
     """A node id is not part of the network or hierarchy."""
 
 
-class SelfLink(TopologyError):
-    """A link may not join a node to itself."""
+class SelfLink(TopologyError, ValueError):
+    """A link may not join a node to itself, nor a pinned cost be non-zero."""
 
 
-class DuplicateLink(TopologyError):
-    """The same unordered node pair was linked twice."""
+class DuplicateLink(TopologyError, ValueError):
+    """The same unordered node pair was linked, or its cost pinned, twice."""
 
 
 class NegativeCoeff(TopologyError):

@@ -25,7 +25,9 @@ from .costs import (
     cost_imasnm_deploy,
     cost_imasnm_poll,
 )
-from .errors import ParseError, UnknownDomain, Unreachable, ValidationError
+from .errors import (
+    ParseError, TopologyError, UnknownDomain, Unreachable, ValidationError
+)
 from .hierarchy import DomainId, DomainState, ManagerTree
 from .topology import Network, NodeId
 
@@ -73,7 +75,12 @@ Event = Union[AddNode, Snapshot]
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated scenario, ready to run."""
+    """A fully validated scenario, ready to run.
+
+    ``network`` is the initial ``Network``, built, and so checked, when the
+    scenario is made. Every ``run`` starts from it, and Network versions
+    share their tables, so run one scenario from one thread at a time.
+    """
 
     name: str
     nodes: tuple[NodeId, ...]
@@ -88,6 +95,11 @@ class Scenario:
     models: tuple[str, ...]
     flatbed_itinerary: tuple[NodeId, ...] | None = None
     notes: str | None = None
+    network: Network = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        network = Network(self.nodes, self.links, self.k_override)
+        object.__setattr__(self, "network", network)
 
 
 @dataclass(frozen=True)
@@ -209,12 +221,12 @@ def _expect_number(
 
 
 def _expect_triple(
-    entry: object, where: str, index: int, shape: str, known: set, memo: dict
+    entry: object, where: str, index: int, shape: str, known: set | None, memo: dict
 ) -> tuple[NodeId, NodeId, Fraction]:
     """Check entry ``index`` of the ``where`` array, an ``[id, id, number]``.
 
     Each item's type is checked in order, then both ids are looked up in
-    ``known``. JSON paths are formatted only for the error raised.
+    ``known``, if given. JSON paths are formatted only for the error raised.
     """
     if not isinstance(entry, list) or len(entry) != 3:
         path = f"{where}[{index}]"
@@ -228,10 +240,11 @@ def _expect_triple(
     number = memo.get(value) if type(value) in _NUMBER_TYPES else None
     if number is None:
         number = _expect_number(value, f"{where}[{index}][2]", memo)
-    if a not in known:
-        raise ValidationError(f"{where}[{index}][0]", f"unknown node {a}")
-    if b not in known:
-        raise ValidationError(f"{where}[{index}][1]", f"unknown node {b}")
+    if known is not None:
+        if a not in known:
+            raise ValidationError(f"{where}[{index}][0]", f"unknown node {a}")
+        if b not in known:
+            raise ValidationError(f"{where}[{index}][1]", f"unknown node {b}")
     return a, b, number
 
 
@@ -340,37 +353,24 @@ def _scenario_from_raw(raw: object) -> Scenario:
     if not name:
         raise ValidationError("name", "must not be empty")
 
-    nodes: list[NodeId] = []
-    node_set: set[NodeId] = set()
-    for index, entry in enumerate(_expect_array(top["nodes"], "nodes")):
-        node = _expect_int(entry, f"nodes[{index}]", minimum=1)
-        if node in node_set:
-            raise ValidationError(f"nodes[{index}]", f"duplicate node {node}")
-        nodes.append(node)
-        node_set.add(node)
+    # Repeats, link endpoints and self-pairs are Network's to check.
+    nodes = tuple(_expect_array(top["nodes"], "nodes"))
+    for index, node in enumerate(nodes):
+        if type(node) is not int or node < 1:
+            _expect_int(node, f"nodes[{index}]", minimum=1)
     if not nodes:
         raise ValidationError("nodes", "must not be empty")
 
     # one Fraction per distinct number literal (see _expect_number)
     memo: dict[object, Fraction] = {}
-    links: list[tuple[NodeId, NodeId, Fraction]] = []
-    seen_pairs: set[tuple[NodeId, NodeId]] = set()
-    for index, entry in enumerate(_expect_array(top["links"], "links")):
-        a, b, coeff = _expect_triple(
-            entry, "links", index, "[a, b, coeff]", node_set, memo
-        )
-        if a == b:
-            raise ValidationError(f"links[{index}]", f"link joins node {a} to itself")
-        pair = (a, b) if a <= b else (b, a)
-        if pair in seen_pairs:
-            raise ValidationError(
-                f"links[{index}]", f"duplicate link {pair[0]}-{pair[1]}"
-            )
-        seen_pairs.add(pair)
-        links.append((a, b, coeff))
+    links = tuple(
+        _expect_triple(entry, "links", index, "[a, b, coeff]", None, memo)
+        for index, entry in enumerate(_expect_array(top["links"], "links"))
+    )
 
+    all_nodes = set(nodes)
     central = _expect_int(top["central"], "central", minimum=1)
-    if central not in node_set:
+    if central not in all_nodes:
         raise ValidationError("central", f"central node {central} is not in nodes")
 
     m_max = _expect_int(top["m_max"], "m_max", minimum=1)
@@ -395,7 +395,6 @@ def _scenario_from_raw(raw: object) -> Scenario:
     }
     params = CostParams(num_vars=num_vars, **sizes)
 
-    all_nodes = set(node_set)
     events: list[Event] = []
     snapshot_labels: set[str] = set()
     for index, entry in enumerate(_expect_array(top["events"], "events")):
@@ -461,26 +460,12 @@ def _scenario_from_raw(raw: object) -> Scenario:
         else:
             raise ValidationError(f"{path}.{kind}", "unknown event kind")
 
-    k_override: list[tuple[NodeId, NodeId, Fraction]] = []
-    if "k_override" in top:
-        seen_override: set[tuple[NodeId, NodeId]] = set()
+    k_override = tuple(
+        _expect_triple(entry, "k_override", index, "[i, j, cost]", all_nodes, memo)
         for index, entry in enumerate(
-            _expect_array(top["k_override"], "k_override")
-        ):
-            i, j, cost = _expect_triple(
-                entry, "k_override", index, "[i, j, cost]", all_nodes, memo
-            )
-            if i == j and cost != 0:
-                raise ValidationError(
-                    f"k_override[{index}]", "a node's cost to itself must be 0"
-                )
-            pair = (i, j) if i <= j else (j, i)
-            if pair in seen_override:
-                raise ValidationError(
-                    f"k_override[{index}]", f"duplicate pair {pair[0]}-{pair[1]}"
-                )
-            seen_override.add(pair)
-            k_override.append((i, j, cost))
+            _expect_array(top.get("k_override", []), "k_override")
+        )
+    )
 
     domain_k: dict[str, Fraction] = {}
     if "domain_k" in top:
@@ -518,13 +503,14 @@ def _scenario_from_raw(raw: object) -> Scenario:
         for index, entry in enumerate(
             _expect_array(top["flatbed_itinerary"], "flatbed_itinerary")
         ):
-            path = f"flatbed_itinerary[{index}]"
-            stop = _expect_int(entry, path, minimum=1)
-            if stop not in all_nodes:
-                raise ValidationError(path, f"unknown node {stop}")
-            if stop in stops:
-                raise ValidationError(path, f"node {stop} repeated")
-            stops[stop] = None
+            # every id in all_nodes is a checked, positive int
+            if not (type(entry) is int and entry in all_nodes) or entry in stops:
+                path = f"flatbed_itinerary[{index}]"
+                _expect_int(entry, path, minimum=1)
+                if entry not in all_nodes:
+                    raise ValidationError(path, f"unknown node {entry}")
+                raise ValidationError(path, f"node {entry} repeated")
+            stops[entry] = None
         if not stops:
             raise ValidationError("flatbed_itinerary", "must not be empty")
         flatbed_itinerary = tuple(stops)
@@ -553,21 +539,24 @@ def _scenario_from_raw(raw: object) -> Scenario:
         else:
             raise ValidationError("notes", "expected a string or array of strings")
 
-    return Scenario(
-        name=name,
-        nodes=tuple(nodes),
-        links=tuple(links),
-        k_override=tuple(k_override),
-        central=central,
-        m_max=m_max,
-        params=params,
-        domain_k=domain_k,
-        events=tuple(events),
-        polling_counts=tuple(polling_counts),
-        models=tuple(models),
-        flatbed_itinerary=flatbed_itinerary,
-        notes=notes,
-    )
+    try:
+        return Scenario(
+            name=name,
+            nodes=nodes,
+            links=links,
+            k_override=k_override,
+            central=central,
+            m_max=m_max,
+            params=params,
+            domain_k=domain_k,
+            events=tuple(events),
+            polling_counts=tuple(polling_counts),
+            models=tuple(models),
+            flatbed_itinerary=flatbed_itinerary,
+            notes=notes,
+        )
+    except TopologyError as exc:
+        raise ValidationError(exc.entry, str(exc)) from None
 
 
 # -- engine -----------------------------------------------------------------
@@ -642,7 +631,7 @@ def run(
     polling_counts: Iterable[int] | None = None,
     costs_at_snapshots: bool = False,
 ) -> SimulationResult:
-    """Execute a scenario and price its final network.
+    """Execute a scenario from its ``network`` and price its final network.
 
     ``models`` and ``polling_counts`` default to the scenario's own; pass
     them to override from a CLI or a sweep. Costs are evaluated on the
@@ -670,7 +659,7 @@ def run(
     ordered_counts = tuple(sorted(set(counts)))
 
     state = SimulationState(
-        network=Network(scenario.nodes, scenario.links, scenario.k_override),
+        network=scenario.network,
         tree=ManagerTree.initial_partition(
             scenario.nodes, scenario.m_max, scenario.central
         ),

@@ -222,7 +222,8 @@ class Network:
     one as it was, so the path answers cached for a version never go
     stale, and a caller may keep an earlier version and still query it.
     Pair-cost overrides may mention nodes that have not joined yet; they
-    only take effect once both endpoints exist.
+    only take effect once both endpoints exist. A pair is pinned at most
+    once, in either order.
 
     Each version also owns a path engine, built on its first path search
     and never shared with the versions derived from it. It is a cache:
@@ -249,28 +250,29 @@ class Network:
         k_override: OverrideSpec | None = None,
     ) -> None:
         order: dict[NodeId, int] = {}
-        for node in nodes:
+        for index, node in enumerate(nodes):
             _check_node_id(node)
             if node in order:
-                raise DuplicateNode(f"node {node} listed twice")
-            order[node] = len(order)
+                raise DuplicateNode(f"duplicate node {node}", f"nodes[{index}]")
+            order[node] = index
 
         link_map: dict[Pair, tuple[int, Fraction]] = {}
-        for a, b, value in links:
+        for index, (a, b, value) in enumerate(links):
             # Plain ints already in ``order`` have passed every id check.
             if not (type(a) is type(b) is int and a in order and b in order):
                 _check_node_id(a)
                 _check_node_id(b)
-                if a not in order:
-                    raise UnknownNode(f"link endpoint {a} is not a node")
-                if b not in order:
-                    raise UnknownNode(f"link endpoint {b} is not a node")
+                for end, node in enumerate((a, b)):
+                    if node not in order:
+                        entry = f"links[{index}][{end}]"
+                        raise UnknownNode(f"unknown node {node}", entry)
             if a == b:
-                raise SelfLink(f"link {a}-{b} joins a node to itself")
+                raise SelfLink(f"link joins node {a} to itself", f"links[{index}]")
             key = (a, b) if a <= b else (b, a)
             if key in link_map:
-                raise DuplicateLink(f"link {key[0]}-{key[1]} listed twice")
-            link_map[key] = (len(link_map), _coeff(value, "link", a, b))
+                message = f"duplicate link {key[0]}-{key[1]}"
+                raise DuplicateLink(message, f"links[{index}]")
+            link_map[key] = (index, _coeff(value, "link", a, b))
 
         override_map: dict[Pair, Fraction] = {}
         if k_override is not None:
@@ -279,20 +281,19 @@ class Network:
                 items = ((a, b, v) for (a, b), v in k_override.items())
             else:
                 items = k_override
-            for a, b, value in items:
-                if not (type(a) is type(b) is int and a in order and b in order):
+            for index, (a, b, value) in enumerate(items):
+                # Ids of nodes still to join pass here too.
+                if not (type(a) is type(b) is int and a > 0 and b > 0):
                     _check_node_id(a)
                     _check_node_id(b)
                 key = (a, b) if a <= b else (b, a)
                 cost = _coeff(value, "k_override", a, b)
                 if a == b and cost != 0:
-                    raise ValueError(
-                        f"k_override {a}-{b}: self pair must cost 0"
-                    )
-                if key in override_map and override_map[key] != cost:
-                    raise ValueError(
-                        f"k_override {key[0]}-{key[1]}: conflicting values"
-                    )
+                    message = "a node's cost to itself must be 0"
+                    raise SelfLink(message, f"k_override[{index}]")
+                if key in override_map:
+                    message = f"duplicate pair {key[0]}-{key[1]}"
+                    raise DuplicateLink(message, f"k_override[{index}]")
                 override_map[key] = cost
 
         self._order = order

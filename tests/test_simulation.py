@@ -16,6 +16,7 @@ from netmansim import (
     ManagerTree,
     Network,
     ParseError,
+    SelfLink,
     SimulationState,
     Snapshot,
     UnknownDomain,
@@ -268,6 +269,8 @@ ENTRY_ERRORS = [
     ("links", [[9, 1, 1]], "links[0][0]", "unknown node 9"),
     ("links", [[1, 1, 1]], "links[0]", "link joins node 1 to itself"),
     ("links", [[1, 2, 1], [2, 1, 1]], "links[1]", "duplicate link 1-2"),
+    ("links", [[1, 2, 1], [2, 2, 1]], "links[1]", "link joins node 2 to itself"),
+    ("links", [[1, 2, 1], [2, 9, 1]], "links[1][1]", "unknown node 9"),
     ("links", [[9, 1, -1]], "links[0][2]", "must be non-negative, got -1"),
     ("links", [[1, "x", "y"]], "links[0][1]", "expected an integer, got 'x'"),
     ("k_override", [5], "k_override[0]", "expected an array, got int"),
@@ -283,6 +286,8 @@ ENTRY_ERRORS = [
     ("k_override", [[1, 9, 1]], "k_override[0][1]", "unknown node 9"),
     ("k_override", [[1, 1, 1]], "k_override[0]", "a node's cost to itself must be 0"),
     ("k_override", [[1, 2, 1], [2, 1, 1]], "k_override[1]", "duplicate pair 1-2"),
+    ("k_override", [[1, 2, 1], [2, 2, 1]], "k_override[1]",
+     "a node's cost to itself must be 0"),
     ("k_override", [[9, 1, -1]], "k_override[0][2]", "must be non-negative, got -1"),
     ("add_node.links", [5], f"{EVENT}[0]", "expected an array, got int"),
     ("add_node.links", [[1, 1, 1]], f"{EVENT}[0]",
@@ -359,6 +364,7 @@ FIELD_ERRORS = [
     (dict(nodes="1"), "nodes", "expected an array, got str"),
     (dict(nodes=[]), "nodes", "must not be empty"),
     (dict(nodes=[1, 1]), "nodes[1]", "duplicate node 1"),
+    (dict(nodes=[1, 2, 2]), "nodes[2]", "duplicate node 2"),
     (dict(nodes=[0]), "nodes[0]", "must be at least 1, got 0"),
     (dict(nodes=[True]), "nodes[0]", "expected an integer, got True"),
     (dict(nodes=[1.0]), "nodes[0]", "expected an integer, got Decimal('1.0')"),
@@ -753,6 +759,49 @@ class TestRun:
         result = run(scenario, costs_at_snapshots=True)
         assert result.snapshots[0].per_poll == {"cs": 1}
         assert result.per_poll == {"cs": 4} == run(scenario).per_poll
+
+    def test_runs_reuse_the_loaded_network_and_leave_it_unchanged(self, monkeypatch):
+        # A snapshot prices the loaded network itself, then joins with links
+        # grow it, one into a full domain, and 1-4 is pinned before 4 joins.
+        text = scenario_text(
+            nodes=[1, 2, 3],
+            links=[[1, 2, 1], [2, 3, 2.5]],
+            k_override=[[1, 4, 3]],
+            m_max=2,
+            params={**MINIMAL["params"], "s_req": 1},
+            events=[
+                {"snapshot": "before"},
+                {"add_node": {"node": 4, "domain": "1", "links": [[3, 1]]}},
+                {"add_node": {"node": 5, "domain": "1.1", "links": [[4, 1]]}},
+                {"snapshot": "after"},
+            ],
+            models=["cs", "flatbed", "imasnm"],
+        )
+        scenario = load_scenario(text)
+        builds = []
+        build = Network.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "__init__", counting)
+        plain = run(scenario)
+        priced = run(scenario, costs_at_snapshots=True)
+        assert run(scenario) == plain
+        assert run(scenario, costs_at_snapshots=True) == priced
+        assert (priced.per_poll, priced.deploy) == (plain.per_poll, plain.deploy)
+        assert priced.snapshots[0].per_poll != priced.per_poll
+        assert builds == []
+        monkeypatch.undo()
+        fresh = Network(scenario.nodes, scenario.links, scenario.k_override)
+        assert scenario.network == fresh
+
+    def test_a_scenario_built_in_code_is_checked_when_built(self):
+        scenario = load_scenario(scenario_text(nodes=[1, 2], links=[[1, 2, 1]]))
+        with pytest.raises(SelfLink) as info:
+            replace(scenario, links=((2, 2, Fraction(1)),))
+        assert info.value.entry == "links[0]"
 
     def test_whole_network_in_one_domain_has_no_deploy_cost(self):
         text = scenario_text(
