@@ -30,8 +30,8 @@ class NetmanError(Exception):
 class TopologyError(NetmanError):
     """Problem with the managed network graph.
 
-    ``entry`` names the entry of ``Network``'s arguments that was rejected,
-    as an expression on them such as ``"links[3][1]"``, or is None.
+    ``entry`` names the rejected entry of ``Network``'s arguments as an
+    expression on them, ``"links[3][1]"`` or ``"k_override[(1, 2)]"``, or is None.
     """
 
     def __init__(self, message: str, entry: str | None = None) -> None:
@@ -47,6 +47,7 @@ class UnknownNode(TopologyError):
     """A node id is not part of the network or hierarchy."""
 
 
+# Also ValueErrors, so callers that caught Network's old bad-pin ValueError still do.
 class SelfLink(TopologyError, ValueError):
     """A link may not join a node to itself, nor a pinned cost be non-zero."""
 

@@ -75,12 +75,7 @@ Event = Union[AddNode, Snapshot]
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated scenario, ready to run.
-
-    ``network`` is the initial ``Network``, built, and so checked, when the
-    scenario is made. Every ``run`` starts from it, and Network versions
-    share their tables, so run one scenario from one thread at a time.
-    """
+    """A fully validated scenario, ready to run; its ``network`` is built when made."""
 
     name: str
     nodes: tuple[NodeId, ...]
@@ -240,11 +235,10 @@ def _expect_triple(
     number = memo.get(value) if type(value) in _NUMBER_TYPES else None
     if number is None:
         number = _expect_number(value, f"{where}[{index}][2]", memo)
-    if known is not None:
-        if a not in known:
-            raise ValidationError(f"{where}[{index}][0]", f"unknown node {a}")
-        if b not in known:
-            raise ValidationError(f"{where}[{index}][1]", f"unknown node {b}")
+    if known is not None and a not in known:
+        raise ValidationError(f"{where}[{index}][0]", f"unknown node {a}")
+    if known is not None and b not in known:
+        raise ValidationError(f"{where}[{index}][1]", f"unknown node {b}")
     return a, b, number
 
 
@@ -503,14 +497,13 @@ def _scenario_from_raw(raw: object) -> Scenario:
         for index, entry in enumerate(
             _expect_array(top["flatbed_itinerary"], "flatbed_itinerary")
         ):
-            # every id in all_nodes is a checked, positive int
-            if not (type(entry) is int and entry in all_nodes) or entry in stops:
-                path = f"flatbed_itinerary[{index}]"
-                _expect_int(entry, path, minimum=1)
-                if entry not in all_nodes:
-                    raise ValidationError(path, f"unknown node {entry}")
-                raise ValidationError(path, f"node {entry} repeated")
-            stops[entry] = None
+            path = f"flatbed_itinerary[{index}]"
+            stop = _expect_int(entry, path, minimum=1)
+            if stop not in all_nodes:
+                raise ValidationError(path, f"unknown node {stop}")
+            if stop in stops:
+                raise ValidationError(path, f"node {stop} repeated")
+            stops[stop] = None
         if not stops:
             raise ValidationError("flatbed_itinerary", "must not be empty")
         flatbed_itinerary = tuple(stops)
@@ -631,7 +624,7 @@ def run(
     polling_counts: Iterable[int] | None = None,
     costs_at_snapshots: bool = False,
 ) -> SimulationResult:
-    """Execute a scenario from its ``network`` and price its final network.
+    """Execute a scenario from a copy of its ``network``; price the final one.
 
     ``models`` and ``polling_counts`` default to the scenario's own; pass
     them to override from a CLI or a sweep. Costs are evaluated on the
@@ -659,7 +652,7 @@ def run(
     ordered_counts = tuple(sorted(set(counts)))
 
     state = SimulationState(
-        network=scenario.network,
+        network=scenario.network._detached(),
         tree=ManagerTree.initial_partition(
             scenario.nodes, scenario.m_max, scenario.central
         ),

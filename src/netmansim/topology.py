@@ -277,7 +277,8 @@ class Network:
         override_map: dict[Pair, Fraction] = {}
         if k_override is not None:
             items: Iterable[tuple[NodeId, NodeId, NumberLike]]
-            if isinstance(k_override, Mapping):
+            keyed = isinstance(k_override, Mapping)
+            if keyed:
                 items = ((a, b, v) for (a, b), v in k_override.items())
             else:
                 items = k_override
@@ -289,11 +290,11 @@ class Network:
                 key = (a, b) if a <= b else (b, a)
                 cost = _coeff(value, "k_override", a, b)
                 if a == b and cost != 0:
-                    message = "a node's cost to itself must be 0"
-                    raise SelfLink(message, f"k_override[{index}]")
+                    entry = f"k_override[{(a, b) if keyed else index}]"
+                    raise SelfLink("a node's cost to itself must be 0", entry)
                 if key in override_map:
-                    message = f"duplicate pair {key[0]}-{key[1]}"
-                    raise DuplicateLink(message, f"k_override[{index}]")
+                    entry = f"k_override[{(a, b) if keyed else index}]"
+                    raise DuplicateLink(f"duplicate pair {key[0]}-{key[1]}", entry)
                 override_map[key] = cost
 
         self._order = order
@@ -328,6 +329,11 @@ class Network:
         clone._override = self._override
         clone._engine = None
         return clone
+
+    def _detached(self) -> "Network":
+        """An equal version whose growth leaves this one's tables alone."""
+        order, links = self._order.copy(), self._links.copy()
+        return self._version(order, self._node_count, links, self._link_count)
 
     @property
     def nodes(self) -> frozenset[NodeId]:

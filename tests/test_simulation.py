@@ -796,6 +796,9 @@ class TestRun:
         monkeypatch.undo()
         fresh = Network(scenario.nodes, scenario.links, scenario.k_override)
         assert scenario.network == fresh
+        # The joins grew copies: the loaded tables keep their size.
+        assert len(scenario.network._order) == len(scenario.nodes)
+        assert len(scenario.network._links) == len(scenario.links)
 
     def test_a_scenario_built_in_code_is_checked_when_built(self):
         scenario = load_scenario(scenario_text(nodes=[1, 2], links=[[1, 2, 1]]))

@@ -73,6 +73,23 @@ def test_override_self_pair_must_cost_zero():
         Network(nodes=[1], k_override={(1, 1): 2})
 
 
+@pytest.mark.parametrize(
+    "overrides, error, entry",
+    [
+        ([(1, 2, 1), (1, 1, 2)], SelfLink, "k_override[1]"),
+        ({(1, 2): 1, (1, 1): 2}, SelfLink, "k_override[(1, 1)]"),
+        ([(1, 2, 1), (2, 1, 1)], DuplicateLink, "k_override[1]"),
+        ({(1, 2): 1, (2, 1): 1}, DuplicateLink, "k_override[(2, 1)]"),
+    ],
+)
+def test_override_errors_name_the_rejected_entry(overrides, error, entry):
+    # A list entry is named by its index, a mapping entry by its key; a
+    # pair pinned twice is refused even when both costs agree.
+    with pytest.raises(error) as info:
+        Network(nodes=[1, 2], k_override=overrides)
+    assert info.value.entry == entry
+
+
 def test_override_may_mention_absent_nodes():
     # overrides can be declared before discovery events add the nodes
     net = Network(nodes=[1], k_override={(1, 9): 4})
@@ -705,6 +722,8 @@ def test_versions_branched_off_an_older_one_match_fresh_builds(net, data):
     # Two children of one version that already has a descendant, grown in
     # turns, so each appends where the other has appended before.
     base = trunk[data.draw(st.integers(min_value=0, max_value=len(trunk) - 2))]
+    if data.draw(st.booleans()):  # a detached copy carries the later entries
+        base = (base[0]._detached(), base[1])
     branches = [[base], [base]]
     for side in data.draw(st.lists(st.sampled_from([0, 1]), min_size=2, max_size=10)):
         branches[side].append(_grow(*branches[side][-1], data))
