@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ItineraryTooShort
-from .hierarchy import DomainId, ManagerTree
+from .hierarchy import DomainState, ManagerTree
 from .topology import Network, NodeId, NumberLike
 
 __all__ = [
@@ -210,22 +210,23 @@ def cost_domain_flatbed(
 
 
 def _domain_coefficient(
-    domain_k: Mapping[str, NumberLike] | None, domain_id: DomainId
+    domain_k: Mapping[str, NumberLike] | None, name: str
 ) -> Fraction:
     if not domain_k:
         return Fraction(1)
-    name = str(domain_id)
     value = domain_k.get(name)
     if value is None:
         return Fraction(1)
     return _size(value, f"domain_k[{name!r}]")
 
 
-def _parent_links(net: Network, tree: ManagerTree) -> Fraction:
-    """Sum of the path costs of every mother-to-child manager link."""
+def _parent_links(net: Network, states: Sequence[DomainState]) -> Fraction:
+    """Sum of the path costs from each state's parent's manager host to its own."""
+    hosts = {state.id: state.manager_host for state in states}
     return _weighted_sum(
-        (1, net.path_cost(mother.manager_host, child.manager_host))
-        for mother, child in tree.parent_child_edges()
+        (1, net.path_cost(hosts[state.parent], state.manager_host))
+        for state in states
+        if state.parent is not None
     )
 
 
@@ -235,7 +236,7 @@ def cost_imasnm_deploy(
     params: CostParams,
 ) -> Fraction:
     """One-time bytes to ship a manager agent down every parent link."""
-    return params.ma_size * _parent_links(net, tree)
+    return params.ma_size * _parent_links(net, tree.states())
 
 
 def cost_imasnm_poll(
@@ -250,12 +251,14 @@ def cost_imasnm_poll(
     and every manager sweeps its own domain with a data agent. Per-domain
     coefficients come from ``domain_k`` (keyed by dotted domain id) and
     default to 1. The sweeps add up to mda_size * sum((r_q + 1) * k_q),
-    the sum of ``cost_domain_flatbed`` over the domains.
+    the sum of ``cost_domain_flatbed`` over the domains. Both parts read
+    one ``tree.states()`` call, the tree's cached ``DomainState``s.
     """
-    reports = params.ma_res * _parent_links(net, tree)
+    states = tree.states()
+    reports = params.ma_res * _parent_links(net, states)
     sweeps = params.mda_size * _weighted_sum(
-        (domain.managed_count + 1, _domain_coefficient(domain_k, domain.id))
-        for domain in tree.domains()
+        (len(state.members), _domain_coefficient(domain_k, state.id))
+        for state in states
     )
     return reports + sweeps
 

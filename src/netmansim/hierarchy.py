@@ -4,8 +4,8 @@ A ``ManagerTree`` assigns every managed node to exactly one domain. Each
 domain is run by a manager hosted on one of its member nodes. Nodes join
 one at a time: a domain below ``m_max`` members takes the node, and a
 full one clones a child manager hosted on the node, so the tree deepens
-as the network grows. Only the tree changes membership; it hands out
-frozen ``Domain`` and ``DomainState`` values, each taken when read.
+as the network grows. Only the tree changes membership; it keeps one
+frozen ``DomainState`` per domain and builds each ``Domain`` from it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     UnknownDomain,
     UnknownNode,
 )
-from .topology import NodeId, _check_node_id
+from .topology import NodeId, _check_node_id, _node_order
 
 __all__ = [
     "DomainId",
@@ -122,9 +122,9 @@ class _ManagerRecord:
     """One domain, linked directly to its parent's and children's records.
 
     ``members`` is the tree's own list. ``name`` is the dotted id,
-    rendered once. ``domain`` and ``state`` are the frozen views last
-    handed out, built on read and sharing one members tuple: a join into
-    the domain drops both, and a new child drops ``state``.
+    rendered once. ``state`` is the frozen view last handed out, built on
+    read; a join into the domain or a new child drops it. ``view()``
+    builds a ``Domain`` from it on each read, sharing its members tuple.
     """
 
     id: DomainId
@@ -133,20 +133,16 @@ class _ManagerRecord:
     members: list[NodeId]
     parent: _ManagerRecord | None
     children: list[_ManagerRecord] = field(default_factory=list)
-    domain: Domain | None = None
     state: DomainState | None = None
 
     def view(self) -> Domain:
-        if self.domain is None:
-            members = self.state.members if self.state else tuple(self.members)
-            self.domain = Domain(self.id, members, self.host)
-        return self.domain
+        return Domain(self.id, self.snapshot().members, self.host)
 
     def snapshot(self) -> DomainState:
         if self.state is None:
-            members = self.domain.members if self.domain else tuple(self.members)
             parent = None if self.parent is None else self.parent.name
             children = tuple(child.name for child in self.children)
+            members = tuple(self.members)
             self.state = DomainState(self.name, self.host, members, parent, children)
         return self.state
 
@@ -187,20 +183,14 @@ class ManagerTree:
         The central node plus any leftover nodes form the root domain,
         managed from the central node.
         """
-        node_list = list(nodes)
-        if not node_list:
+        order = _node_order(nodes)
+        if not order:
             raise EmptyNetwork("cannot partition zero nodes")
-        seen: set[NodeId] = set()
-        for node in node_list:
-            _check_node_id(node)
-            if node in seen:
-                raise DuplicateNode(f"node {node} listed twice")
-            seen.add(node)
-        if central not in seen:
+        if central not in order:
             raise UnknownNode(f"central node {central} is not in the node list")
 
         tree = cls(m_max)
-        others = sorted(seen - {central})
+        others = sorted(order.keys() - {central})
         full_chunks = len(others) // m_max
         root_members = [central] + others[full_chunks * m_max :]
         root = tree._install(None, root_members, central)
@@ -249,7 +239,7 @@ class ManagerTree:
             raise DuplicateNode(f"node {node} already belongs to {owner.name}")
         if len(record.members) < self._m_max:
             record.members.append(node)
-            record.domain = record.state = None
+            record.state = None
             self._node_domain[node] = record
         else:
             self._install(record, [node], node)

@@ -91,6 +91,18 @@ def _check_node_id(node: object) -> NodeId:
     return node
 
 
+def _node_order(nodes: Iterable[NodeId]) -> dict[NodeId, int]:
+    """Each node -> its index; a repeat raises ``DuplicateNode`` at ``nodes[i]``."""
+    order: dict[NodeId, int] = {}
+    for index, node in enumerate(nodes):
+        if not (type(node) is int and node > 0):
+            _check_node_id(node)
+        if node in order:
+            raise DuplicateNode(f"duplicate node {node}", f"nodes[{index}]")
+        order[node] = index
+    return order
+
+
 class _PathEngine:
     """Integer Dijkstra over one network version, with memoised answers.
 
@@ -249,13 +261,7 @@ class Network:
         links: Iterable[LinkSpec] = (),
         k_override: OverrideSpec | None = None,
     ) -> None:
-        order: dict[NodeId, int] = {}
-        for index, node in enumerate(nodes):
-            _check_node_id(node)
-            if node in order:
-                raise DuplicateNode(f"duplicate node {node}", f"nodes[{index}]")
-            order[node] = index
-
+        order = _node_order(nodes)
         link_map: dict[Pair, tuple[int, Fraction]] = {}
         for index, (a, b, value) in enumerate(links):
             # Plain ints already in ``order`` have passed every id check.

@@ -140,6 +140,13 @@ class TestSimulate:
         )
         assert code == 1
         assert "--models" in capsys.readouterr().err
+        for value, message in (
+            (",", "--models: expected a comma-separated model list"),
+            ("cs,cs", "--models: duplicate model"),
+        ):
+            code = main(["simulate", "--scenario", "reference18", "--models", value])
+            assert code == 1
+            assert message in capsys.readouterr().err
 
     def test_bad_pollings_argument(self, capsys):
         for value in ("-1", "x", ""):

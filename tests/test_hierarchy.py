@@ -40,6 +40,8 @@ class TestDomainId:
         for text in ("", "1.", ".1", "a", "1.a", "1..2", "01", "1.03", "-1", "1.0"):
             with pytest.raises(ValueError):
                 DomainId.parse(text)
+        with pytest.raises(ValueError, match="^domain id must be a string, got 5$"):
+            DomainId.parse(5)
 
     def test_parse_rejects_non_ascii_digits(self):
         # str.isdigit accepts these, but int() either misreads them ("١"
@@ -158,6 +160,15 @@ def test_node_ids_are_checked_as_the_network_checks_them(node, error):
     assert len(tree) == 1 and tree.domain(ROOT_DOMAIN).members == (1,)
 
 
+def test_a_repeated_node_is_named_as_the_network_names_it():
+    with pytest.raises(DuplicateNode) as expected:
+        Network([1, 2, 2])
+    with pytest.raises(DuplicateNode) as partition:
+        ManagerTree.initial_partition([1, 2, 2], 3, 1)
+    for info in (expected, partition):
+        assert (str(info.value), info.value.entry) == ("duplicate node 2", "nodes[2]")
+
+
 class TestGrowth:
     def test_add_without_overflow_keeps_domain(self):
         tree = ManagerTree.initial_partition(range(1, 11), 3, 10)
@@ -200,6 +211,8 @@ class TestGrowth:
             tree.add_node_to_domain(13, ROOT_DOMAIN)
         assert before.members == (10,)
         assert tree.domain(ROOT_DOMAIN).members == (10, 13)
+        # A Domain shares the members tuple of its domain's current state.
+        assert tree.domain(ROOT_DOMAIN).members is tree.states()[0].members
         assert tree.domain_of(13) == ROOT_DOMAIN
 
     def test_errors(self):
@@ -210,6 +223,8 @@ class TestGrowth:
             tree.add_node_to_domain(5, did("1.1"))
         with pytest.raises(ValueError):
             ManagerTree(0)
+        with pytest.raises(ValueError, match="^m_max must be an int, got '3'$"):
+            ManagerTree("3")
 
     def test_domain_ids_are_in_numeric_depth_first_order(self):
         # One central node plus ten one-node chunks make 1.1 to 1.10;

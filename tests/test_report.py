@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -147,6 +148,11 @@ class TestCompare:
 
 
 class TestEmitCsv:
+    def test_a_report_without_models_is_rejected(self, reference18_report):
+        empty = replace(reference18_report, models=())
+        with pytest.raises(EmptyResult):
+            emit_csv(empty, io.StringIO())
+
     def test_binary_sink(self, reference18_report):
         sink = io.BytesIO()
         emit_csv(reference18_report, sink)

@@ -284,6 +284,7 @@ ENTRY_ERRORS = [
     ("k_override", [[1, 2, -0.5]], "k_override[0][2]",
      "must be non-negative, got -0.5"),
     ("k_override", [[1, 9, 1]], "k_override[0][1]", "unknown node 9"),
+    ("k_override", [[9, 1, 1]], "k_override[0][0]", "unknown node 9"),
     ("k_override", [[1, 1, 1]], "k_override[0]", "a node's cost to itself must be 0"),
     ("k_override", [[1, 2, 1], [2, 1, 1]], "k_override[1]", "duplicate pair 1-2"),
     ("k_override", [[1, 2, 1], [2, 2, 1]], "k_override[1]",
@@ -361,6 +362,7 @@ ITINERARY = dict(nodes=[1, 2, 3], central=2)
 
 # Exact (path, message) of the error each malformed top-level field raises.
 FIELD_ERRORS = [
+    (dict(name=""), "name", "must not be empty"),
     (dict(nodes="1"), "nodes", "expected an array, got str"),
     (dict(nodes=[]), "nodes", "must not be empty"),
     (dict(nodes=[1, 1]), "nodes[1]", "duplicate node 1"),
@@ -601,6 +603,12 @@ class TestApplyEvent:
         with pytest.raises(UnknownDomain):
             apply_event(state, AddNode(5, DomainId.parse("1.9"), ()))
 
+    def test_unknown_event_type_is_a_type_error(self):
+        state = self.fresh_state()
+        with pytest.raises(TypeError, match="unknown event type"):
+            apply_event(state, object())
+        assert state.snapshots == [] and len(state.tree) == 2
+
     def test_snapshot_records_without_mutating(self):
         state = self.fresh_state()
         before = {str(d.id): list(d.members) for d in state.tree.domains()}
@@ -760,10 +768,11 @@ class TestRun:
         assert result.snapshots[0].per_poll == {"cs": 1}
         assert result.per_poll == {"cs": 4} == run(scenario).per_poll
 
-    def test_runs_reuse_the_loaded_network_and_leave_it_unchanged(self, monkeypatch):
+    @staticmethod
+    def growing_scenario_text(**overrides) -> str:
         # A snapshot prices the loaded network itself, then joins with links
         # grow it, one into a full domain, and 1-4 is pinned before 4 joins.
-        text = scenario_text(
+        doc = dict(
             nodes=[1, 2, 3],
             links=[[1, 2, 1], [2, 3, 2.5]],
             k_override=[[1, 4, 3]],
@@ -777,7 +786,10 @@ class TestRun:
             ],
             models=["cs", "flatbed", "imasnm"],
         )
-        scenario = load_scenario(text)
+        return scenario_text(**{**doc, **overrides})
+
+    def test_runs_reuse_the_loaded_network_and_leave_it_unchanged(self, monkeypatch):
+        scenario = load_scenario(self.growing_scenario_text())
         builds = []
         build = Network.__init__
 
@@ -799,6 +811,23 @@ class TestRun:
         # The joins grew copies: the loaded tables keep their size.
         assert len(scenario.network._order) == len(scenario.nodes)
         assert len(scenario.network._links) == len(scenario.links)
+
+    def test_imasnm_is_priced_from_the_domain_states_alone(self, monkeypatch):
+        params = {**MINIMAL["params"], "ma_size": 7, "mda_size": 3, "ma_res": 2}
+        text = self.growing_scenario_text(domain_k={"1.1": 5}, params=params)
+        scenario = load_scenario(text)
+        expected = run(scenario, costs_at_snapshots=True)
+
+        def refuse(self):
+            raise AssertionError("pricing read a Domain view")
+
+        monkeypatch.setattr(ManagerTree, "domains", refuse)
+        monkeypatch.setattr(ManagerTree, "parent_child_edges", refuse)
+        result = run(scenario, costs_at_snapshots=True)
+        assert result == expected
+        assert result.snapshots[1].per_poll == expected.per_poll
+        assert result.deploy["imasnm"] > 0
+        assert result.per_poll["imasnm"] != result.snapshots[0].per_poll["imasnm"]
 
     def test_a_scenario_built_in_code_is_checked_when_built(self):
         scenario = load_scenario(scenario_text(nodes=[1, 2], links=[[1, 2, 1]]))

@@ -164,6 +164,8 @@ def test_node_ids_must_be_positive_ints():
          "node id must be positive, got 0"),
         (lambda: Network([1, 2]).add_link("1", 2, 1), TypeError,
          "node id must be an int, got '1'"),
+        (lambda: Network([1, 2]).add_link(9, 1, 1), UnknownNode,
+         "link endpoint 9 is not a node"),
     ],
 )
 def test_construction_errors_are_exact(make, error, message):
@@ -315,6 +317,8 @@ def test_networks_compare_by_value():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Network(nodes=[1, 2], links=[(1, 2, 2)])
+    assert repr(a) == "Network(nodes=2, links=1, overrides=0)"
+    assert (Network([1]) == 5) is False
 
 
 # -- randomized checks against an exhaustive oracle -------------------------
