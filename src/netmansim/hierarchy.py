@@ -100,11 +100,6 @@ class Domain:
     members: tuple[NodeId, ...]
     manager_host: NodeId
 
-    @property
-    def managed_count(self) -> int:
-        """Number of members the manager polls besides its own host."""
-        return len(self.members) - 1
-
 
 @dataclass(frozen=True)
 class DomainState:

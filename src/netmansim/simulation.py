@@ -29,7 +29,7 @@ from .errors import (
     ParseError, TopologyError, UnknownDomain, Unreachable, ValidationError
 )
 from .hierarchy import DomainId, DomainState, ManagerTree
-from .topology import Network, NodeId
+from .topology import Network, NodeId, _link_key
 
 __all__ = [
     "MODEL_NAMES",
@@ -405,15 +405,13 @@ def _scenario_from_raw(raw: object) -> Scenario:
             )
             node = _expect_int(body["node"], f"{body_path}.node", minimum=1)
             if node in all_nodes:
-                raise ValidationError(
-                    f"{body_path}.node",
-                    f"node {node} already exists",
-                )
+                raise ValidationError(f"{body_path}.node", f"duplicate node {node}")
             domain = _parse_domain_id(body["domain"], f"{body_path}.domain")
+            all_nodes.add(node)
             event_links: list[tuple[NodeId, Fraction]] = []
             if "links" in body:
                 links_path = f"{body_path}.links"
-                peers: set[NodeId] = set()
+                taken: set[tuple[NodeId, NodeId]] = set()  # this join's links
                 for li, link_entry in enumerate(
                     _expect_array(body["links"], links_path)
                 ):
@@ -429,21 +427,12 @@ def _scenario_from_raw(raw: object) -> Scenario:
                     coeff = memo.get(value) if type(value) in _NUMBER_TYPES else None
                     if coeff is None:
                         coeff = _expect_number(value, f"{links_path}[{li}][1]", memo)
-                    if peer == node:
-                        raise ValidationError(
-                            f"{links_path}[{li}][0]", "peer is the node itself"
-                        )
-                    if peer not in all_nodes:
-                        raise ValidationError(
-                            f"{links_path}[{li}][0]", f"unknown node {peer}"
-                        )
-                    if peer in peers:
-                        raise ValidationError(
-                            f"{links_path}[{li}][0]", f"duplicate peer {peer}"
-                        )
-                    peers.add(peer)
+                    try:
+                        taken.add(_link_key(node, peer, all_nodes, taken))
+                    except TopologyError as exc:
+                        path = f"{links_path}[{li}][0]"
+                        raise ValidationError(path, str(exc)) from None
                     event_links.append((peer, coeff))
-            all_nodes.add(node)
             events.append(AddNode(node, domain, tuple(event_links)))
         elif kind == "snapshot":
             label = _expect_str(obj[kind], f"{path}.snapshot")
@@ -558,8 +547,10 @@ def _scenario_from_raw(raw: object) -> Scenario:
 def apply_event(state: SimulationState, event: Event) -> SimulationState:
     """Apply one event to the state, in place, and return the state.
 
-    AddNode inserts the node and its links into the network first, then
-    hands the node to the hierarchy, which may clone a child domain.
+    AddNode builds the network with the node and its links, then hands
+    the node to the hierarchy, which may clone a child domain; the state
+    takes the new network only once both steps have succeeded, so a
+    failed join leaves it as it was.
     Snapshot appends a record of the current hierarchy and changes
     nothing else.
     """
@@ -567,8 +558,8 @@ def apply_event(state: SimulationState, event: Event) -> SimulationState:
         network = state.network.add_node(event.node)
         for peer, coeff in event.links:
             network = network.add_link(event.node, peer, coeff)
-        state.network = network
         state.tree.add_node_to_domain(event.node, event.domain)
+        state.network = network
     elif isinstance(event, Snapshot):
         state.snapshots.append(SnapshotRecord(event.label, state.tree.states()))
     else:

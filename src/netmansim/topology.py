@@ -30,9 +30,10 @@ meeting sum is skipped: no path through it can be cheaper.
 Versions made from one another by ``add_node`` and ``add_link`` share two
 insertion-ordered tables, node -> join position and link -> (position,
 coefficient), and each keeps only its own node and link counts: a version
-holds exactly the entries whose position is below its count. Growing the
-newest version appends to the shared tables, so a join costs O(1) however
-large the network; growing an older one first copies its own prefix.
+holds exactly the entries whose position is below its count. One rule
+grows them: a version that holds every entry of its tables appends to
+them, so a join costs O(1) however large the network, and any other
+version grows a copy of its own prefix.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Mapping, Union
+from typing import Container, Iterable, Mapping, Union
 
 from .errors import (
     DuplicateLink,
@@ -101,6 +102,41 @@ def _node_order(nodes: Iterable[NodeId]) -> dict[NodeId, int]:
             raise DuplicateNode(f"duplicate node {node}", f"nodes[{index}]")
         order[node] = index
     return order
+
+
+def _link_key(
+    a: NodeId, b: NodeId, known: Container, taken: Container, index: int | None = None
+) -> Pair:
+    """The ``(low, high)`` key of an ``a``-``b`` link, if it may be added.
+
+    The one link rule: both ids valid, both ends in ``known``, no
+    self-link, and a key not in ``taken``. With ``index``, an error's
+    ``entry`` names ``links[index]`` or the end at fault, formatted only
+    when raised.
+    """
+    # Plain ints already in ``known`` have passed every id check.
+    if not (type(a) is type(b) is int and a in known and b in known):
+        _check_node_id(a)
+        _check_node_id(b)
+        for end, node in enumerate((a, b)):
+            if node not in known:
+                entry = None if index is None else f"links[{index}][{end}]"
+                raise UnknownNode(f"unknown node {node}", entry)
+    if a == b:
+        entry = None if index is None else f"links[{index}]"
+        raise SelfLink(f"link joins node {a} to itself", entry)
+    key = (a, b) if a <= b else (b, a)
+    if key in taken:
+        entry = None if index is None else f"links[{index}]"
+        raise DuplicateLink(f"duplicate link {key[0]}-{key[1]}", entry)
+    return key
+
+
+def _prefix(table: dict, count: int) -> dict:
+    """A new dict of the first ``count`` entries of ``table``."""
+    if len(table) == count:
+        return table.copy()
+    return dict(islice(table.items(), count))
 
 
 class _PathEngine:
@@ -232,18 +268,22 @@ class Network:
 
     ``add_node`` and ``add_link`` return a new ``Network`` and leave this
     one as it was, so the path answers cached for a version never go
-    stale, and a caller may keep an earlier version and still query it.
-    Pair-cost overrides may mention nodes that have not joined yet; they
-    only take effect once both endpoints exist. A pair is pinned at most
-    once, in either order.
+    stale, and a caller may keep an earlier version and still query it,
+    or grow it again. Pair-cost overrides may mention nodes that have not
+    joined yet; they only take effect once both endpoints exist. A pair
+    is pinned at most once, in either order.
+
+    The constructor, ``add_node``, ``add_link`` and ``path_cost`` word
+    each node or link fault alike, as ``unknown node N`` for one.
 
     Each version also owns a path engine, built on its first path search
     and never shared with the versions derived from it. It is a cache:
     it takes no part in equality or hashing.
 
     Versions derived from one another share their node and link tables
-    (see the module docstring), so make and read them from one thread at
-    a time.
+    (see the module docstring): the newest grows them in place and an
+    older one grows a copy of its own entries. So make and read them from
+    one thread at a time.
     """
 
     __slots__ = (
@@ -264,20 +304,7 @@ class Network:
         order = _node_order(nodes)
         link_map: dict[Pair, tuple[int, Fraction]] = {}
         for index, (a, b, value) in enumerate(links):
-            # Plain ints already in ``order`` have passed every id check.
-            if not (type(a) is type(b) is int and a in order and b in order):
-                _check_node_id(a)
-                _check_node_id(b)
-                for end, node in enumerate((a, b)):
-                    if node not in order:
-                        entry = f"links[{index}][{end}]"
-                        raise UnknownNode(f"unknown node {node}", entry)
-            if a == b:
-                raise SelfLink(f"link joins node {a} to itself", f"links[{index}]")
-            key = (a, b) if a <= b else (b, a)
-            if key in link_map:
-                message = f"duplicate link {key[0]}-{key[1]}"
-                raise DuplicateLink(message, f"links[{index}]")
+            key = _link_key(a, b, order, link_map, index)
             link_map[key] = (index, _coeff(value, "link", a, b))
 
         override_map: dict[Pair, Fraction] = {}
@@ -337,9 +364,16 @@ class Network:
         return clone
 
     def _detached(self) -> "Network":
-        """An equal version whose growth leaves this one's tables alone."""
-        order, links = self._order.copy(), self._links.copy()
+        """An equal version over a copy of this version's own entries."""
+        order = _prefix(self._order, self._node_count)
+        links = _prefix(self._links, self._link_count)
         return self._version(order, self._node_count, links, self._link_count)
+
+    def _growable(self) -> "Network":
+        """This version if it holds every entry of its tables, else a detached one."""
+        if (len(self._order), len(self._links)) == (self._node_count, self._link_count):
+            return self
+        return self._detached()
 
     @property
     def nodes(self) -> frozenset[NodeId]:
@@ -381,37 +415,20 @@ class Network:
         """Return a copy of this network with ``node`` added."""
         _check_node_id(node)
         if self._has_node(node):
-            raise DuplicateNode(f"node {node} already present")
-        count = self._node_count
-        order = self._order
-        if len(order) != count:
-            # An older version: later versions own the entries past its
-            # prefix, so it grows a copy of the prefix.
-            order = dict(islice(order.items(), count))
-        order[node] = count
-        return self._version(order, count + 1, self._links, self._link_count)
+            raise DuplicateNode(f"duplicate node {node}")
+        base = self._growable()
+        count = base._node_count
+        base._order[node] = count
+        return self._version(base._order, count + 1, base._links, base._link_count)
 
     def add_link(self, a: NodeId, b: NodeId, coeff: NumberLike) -> "Network":
         """Return a copy of this network with an ``a``-``b`` link added."""
-        _check_node_id(a)
-        _check_node_id(b)
-        if not self._has_node(a):
-            raise UnknownNode(f"link endpoint {a} is not a node")
-        if not self._has_node(b):
-            raise UnknownNode(f"link endpoint {b} is not a node")
-        if a == b:
-            raise SelfLink(f"link {a}-{b} joins a node to itself")
-        key = (a, b) if a <= b else (b, a)
-        count = self._link_count
-        links = self._links
-        entry = links.get(key)
-        if entry is not None and entry[0] < count:
-            raise DuplicateLink(f"link {key[0]}-{key[1]} already present")
+        base = self._growable()
+        key = _link_key(a, b, base._order, base._links)
         cost = _coeff(coeff, "link", a, b)
-        if len(links) != count:
-            links = dict(islice(links.items(), count))
-        links[key] = (count, cost)
-        return self._version(self._order, self._node_count, links, count + 1)
+        count = base._link_count
+        base._links[key] = (count, cost)
+        return self._version(base._order, base._node_count, base._links, count + 1)
 
     def path_cost(self, i: NodeId, j: NodeId) -> Fraction:
         """Cost of the cheapest path between ``i`` and ``j``.
@@ -429,9 +446,9 @@ class Network:
         or ends at ``i``.
         """
         if not self._has_node(i):
-            raise UnknownNode(f"node {i} is not part of the network")
+            raise UnknownNode(f"unknown node {i}")
         if not self._has_node(j):
-            raise UnknownNode(f"node {j} is not part of the network")
+            raise UnknownNode(f"unknown node {j}")
         override = self._override.get((i, j) if i <= j else (j, i))
         if override is not None:
             return override

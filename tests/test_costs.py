@@ -384,7 +384,7 @@ def _reference_imasnm_poll(net, tree, p: CostParams, domain_k=None) -> Fraction:
     sweeps = sum(
         (
             p.mda_size
-            * (domain.managed_count + 1)
+            * len(domain.members)
             * Fraction((domain_k or {}).get(str(domain.id), 1))
             for domain in tree.domains()
         ),
@@ -485,7 +485,7 @@ def test_cost_kernel_equals_the_per_term_reference(case):
     expected = sum(
         (
             cost_domain_flatbed(
-                domain.managed_count,
+                len(domain.members) - 1,
                 (domain_k or {}).get(str(domain.id), 1),
                 sweeps_only,
             )

@@ -20,6 +20,7 @@ from netmansim import (
     SimulationState,
     Snapshot,
     UnknownDomain,
+    UnknownNode,
     ValidationError,
     apply_event,
     bundled_scenario_names,
@@ -301,8 +302,12 @@ ENTRY_ERRORS = [
     ("add_node.links", [[1, -1]], f"{EVENT}[0][1]", "must be non-negative, got -1"),
     ("add_node.links", [[1, -0.5]], f"{EVENT}[0][1]", "must be non-negative, got -0.5"),
     ("add_node.links", [[9, 1]], f"{EVENT}[0][0]", "unknown node 9"),
-    ("add_node.links", [[3, 1]], f"{EVENT}[0][0]", "peer is the node itself"),
-    ("add_node.links", [[1, 1], [1, 2]], f"{EVENT}[1][0]", "duplicate peer 1"),
+    # A join's link faults read as the same faults do in ``links``.
+    ("add_node.links", [[3, 1]], f"{EVENT}[0][0]", "link joins node 3 to itself"),
+    ("add_node.links", [[1, 1], [1, 2]], f"{EVENT}[1][0]", "duplicate link 1-3"),
+    ("add_node.links", [[1, 1], [3, 1]], f"{EVENT}[1][0]",
+     "link joins node 3 to itself"),
+    ("add_node.links", [[1, 1], [9, 1]], f"{EVENT}[1][0]", "unknown node 9"),
     ("add_node.links", [[9, -1]], f"{EVENT}[0][1]", "must be non-negative, got -1"),
 ]
 
@@ -367,6 +372,8 @@ FIELD_ERRORS = [
     (dict(nodes=[]), "nodes", "must not be empty"),
     (dict(nodes=[1, 1]), "nodes[1]", "duplicate node 1"),
     (dict(nodes=[1, 2, 2]), "nodes[2]", "duplicate node 2"),
+    (dict(events=[{"add_node": {"node": 1, "domain": "1"}}]),
+     "events[0].add_node.node", "duplicate node 1"),
     (dict(nodes=[0]), "nodes[0]", "must be at least 1, got 0"),
     (dict(nodes=[True]), "nodes[0]", "expected an integer, got True"),
     (dict(nodes=[1.0]), "nodes[0]", "expected an integer, got Decimal('1.0')"),
@@ -603,6 +610,22 @@ class TestApplyEvent:
         with pytest.raises(UnknownDomain):
             apply_event(state, AddNode(5, DomainId.parse("1.9"), ()))
 
+    def test_a_failed_join_changes_nothing(self, reference18_state):
+        # The network step and the tree step both succeed before the state
+        # takes the new network, so a corrected retry of the join succeeds.
+        state = reference18_state
+        network, domains = state.network, state.tree.states()
+        link = ((1, Fraction(2)),)
+        with pytest.raises(UnknownDomain):
+            apply_event(state, AddNode(99, DomainId.parse("1.9"), link))
+        with pytest.raises(UnknownNode, match="^unknown node 98$"):
+            apply_event(state, AddNode(99, DomainId.parse("1"), ((98, 1),)))
+        assert state.network is network and 99 not in network.nodes
+        assert state.tree.states() == domains
+        apply_event(state, AddNode(99, DomainId.parse("1"), link))
+        assert state.network.path_cost(99, 1) == 2
+        assert sum(99 in d.members for d in state.tree.states()) == 1
+
     def test_unknown_event_type_is_a_type_error(self):
         state = self.fresh_state()
         with pytest.raises(TypeError, match="unknown event type"):
@@ -797,7 +820,15 @@ class TestRun:
             builds.append(args)
             build(self, *args, **kwargs)
 
+        copies = []
+        detach = Network._detached
+
+        def copying(self):
+            copies.append(self)
+            return detach(self)
+
         monkeypatch.setattr(Network, "__init__", counting)
+        monkeypatch.setattr(Network, "_detached", copying)
         plain = run(scenario)
         priced = run(scenario, costs_at_snapshots=True)
         assert run(scenario) == plain
@@ -805,6 +836,9 @@ class TestRun:
         assert (priced.per_poll, priced.deploy) == (plain.per_poll, plain.deploy)
         assert priced.snapshots[0].per_poll != priced.per_poll
         assert builds == []
+        # Each run copies the tables once, and its joins grow that copy.
+        assert len(copies) == 4
+        assert all(copy is scenario.network for copy in copies)
         monkeypatch.undo()
         fresh = Network(scenario.nodes, scenario.links, scenario.k_override)
         assert scenario.network == fresh

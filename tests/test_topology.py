@@ -164,8 +164,22 @@ def test_node_ids_must_be_positive_ints():
          "node id must be positive, got 0"),
         (lambda: Network([1, 2]).add_link("1", 2, 1), TypeError,
          "node id must be an int, got '1'"),
-        (lambda: Network([1, 2]).add_link(9, 1, 1), UnknownNode,
-         "link endpoint 9 is not a node"),
+        # One wording per fault, from the constructor and from growth alike.
+        (lambda: Network([1, 2, 1]), DuplicateNode, "duplicate node 1"),
+        (lambda: Network([1, 2]).add_node(1), DuplicateNode, "duplicate node 1"),
+        (lambda: Network([1, 2], [(9, 1, 1)]), UnknownNode, "unknown node 9"),
+        (lambda: Network([1, 2]).add_link(9, 1, 1), UnknownNode, "unknown node 9"),
+        (lambda: Network([1, 2], [(1, 9, 1)]), UnknownNode, "unknown node 9"),
+        (lambda: Network([1, 2]).add_link(1, 9, 1), UnknownNode, "unknown node 9"),
+        (lambda: Network([1, 2], [(2, 2, 1)]), SelfLink,
+         "link joins node 2 to itself"),
+        (lambda: Network([1, 2]).add_link(2, 2, 1), SelfLink,
+         "link joins node 2 to itself"),
+        (lambda: Network([1, 2], [(1, 2, 1), (2, 1, 1)]), DuplicateLink,
+         "duplicate link 1-2"),
+        (lambda: Network([1, 2], [(1, 2, 1)]).add_link(2, 1, 1), DuplicateLink,
+         "duplicate link 1-2"),
+        (lambda: Network([1, 2]).path_cost(1, 9), UnknownNode, "unknown node 9"),
     ],
 )
 def test_construction_errors_are_exact(make, error, message):
@@ -726,7 +740,9 @@ def test_versions_branched_off_an_older_one_match_fresh_builds(net, data):
     # Two children of one version that already has a descendant, grown in
     # turns, so each appends where the other has appended before.
     base = trunk[data.draw(st.integers(min_value=0, max_value=len(trunk) - 2))]
-    if data.draw(st.booleans()):  # a detached copy carries the later entries
+    # A detached copy holds only its own entries: the branch that grows
+    # first appends to them, and the other grows a copy of its prefix.
+    if data.draw(st.booleans()):
         base = (base[0]._detached(), base[1])
     branches = [[base], [base]]
     for side in data.draw(st.lists(st.sampled_from([0, 1]), min_size=2, max_size=10)):
