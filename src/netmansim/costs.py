@@ -209,14 +209,18 @@ def cost_domain_flatbed(
     return params.mda_size * (managed + 1) * coeff
 
 
+# The default domain coefficient, shared: a Fraction is immutable.
+_ONE = Fraction(1)
+
+
 def _domain_coefficient(
     domain_k: Mapping[str, NumberLike] | None, name: str
 ) -> Fraction:
     if not domain_k:
-        return Fraction(1)
+        return _ONE
     value = domain_k.get(name)
     if value is None:
-        return Fraction(1)
+        return _ONE
     return _size(value, f"domain_k[{name!r}]")
 
 

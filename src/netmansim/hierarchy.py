@@ -136,7 +136,7 @@ class _ManagerRecord:
     def snapshot(self) -> DomainState:
         if self.state is None:
             parent = None if self.parent is None else self.parent.name
-            children = tuple(child.name for child in self.children)
+            children = tuple([child.name for child in self.children])
             members = tuple(self.members)
             self.state = DomainState(self.name, self.host, members, parent, children)
         return self.state
@@ -299,4 +299,9 @@ class ManagerTree:
         the same state object back, so successive calls share the states
         of unchanged domains.
         """
-        return tuple(record.snapshot() for record in self._preorder())
+        return tuple(
+            [
+                record.snapshot() if record.state is None else record.state
+                for record in self._preorder()
+            ]
+        )

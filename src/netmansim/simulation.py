@@ -242,15 +242,48 @@ def _expect_triple(
     return a, b, number
 
 
+def _expect_triples(
+    array: list, where: str, shape: str, known: set | None, memo: dict
+) -> tuple[tuple[NodeId, NodeId, Fraction], ...]:
+    """Check every entry of the ``where`` array with ``_expect_triple``'s rules.
+
+    An entry passes an inline test when it is a list of three whose ids
+    are plain positive ``int``s, in ``known`` if given, and whose number
+    is already in ``memo``, which holds only numbers already checked.
+    Any other entry goes to ``_expect_triple``, which checks it in order
+    and raises at its JSON path, so an entry fails the same way on
+    either path.
+    """
+    triples = []
+    append = triples.append
+    for index, entry in enumerate(array):
+        if type(entry) is list and len(entry) == 3:
+            a, b, value = entry
+            if (
+                type(a) is int
+                and type(b) is int
+                and a > 0
+                and b > 0
+                and (type(value) is int or type(value) is Decimal)
+                and (known is None or (a in known and b in known))
+            ):
+                number = memo.get(value)
+                if number is not None:
+                    append((a, b, number))
+                    continue
+        append(_expect_triple(entry, where, index, shape, known, memo))
+    return tuple(triples)
+
+
 def _expect_keys(
-    obj: dict, path: str, required: Iterable[str], optional: Iterable[str] = ()
+    obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
 ) -> None:
-    required = set(required)
-    allowed = required | set(optional)
     for key in obj:
-        if key not in allowed:
+        if key not in required and key not in optional:
             raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
-    for key in sorted(required - obj.keys()):
+    missing = [key for key in required if key not in obj]
+    if missing:
+        key = min(missing)
         raise ValidationError(f"{path}.{key}" if path else key, "missing required key")
 
 
@@ -357,9 +390,10 @@ def _scenario_from_raw(raw: object) -> Scenario:
 
     # one Fraction per distinct number literal (see _expect_number)
     memo: dict[object, Fraction] = {}
-    links = tuple(
-        _expect_triple(entry, "links", index, "[a, b, coeff]", None, memo)
-        for index, entry in enumerate(_expect_array(top["links"], "links"))
+    # Each checked array is dropped from ``top``, so its entries' lists
+    # are freed now rather than left for the garbage collector to walk.
+    links = _expect_triples(
+        _expect_array(top.pop("links"), "links"), "links", "[a, b, coeff]", None, memo
     )
 
     all_nodes = set(nodes)
@@ -443,11 +477,12 @@ def _scenario_from_raw(raw: object) -> Scenario:
         else:
             raise ValidationError(f"{path}.{kind}", "unknown event kind")
 
-    k_override = tuple(
-        _expect_triple(entry, "k_override", index, "[i, j, cost]", all_nodes, memo)
-        for index, entry in enumerate(
-            _expect_array(top.get("k_override", []), "k_override")
-        )
+    k_override = _expect_triples(
+        _expect_array(top.pop("k_override", []), "k_override"),
+        "k_override",
+        "[i, j, cost]",
+        all_nodes,
+        memo,
     )
 
     domain_k: dict[str, Fraction] = {}

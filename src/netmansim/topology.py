@@ -28,12 +28,19 @@ whose label plus the other side's nearest frontier reaches the best
 meeting sum is skipped: no path through it can be cheaper.
 
 Versions made from one another by ``add_node`` and ``add_link`` share two
-insertion-ordered tables, node -> join position and link -> (position,
-coefficient), and each keeps only its own node and link counts: a version
-holds exactly the entries whose position is below its count. One rule
+insertion-ordered tables, node -> join position and link -> coefficient,
+and each keeps only its own node and link counts: a version holds exactly
+the first entries of each table, as many as its counts say. One rule
 grows them: a version that holds every entry of its tables appends to
 them, so a join costs O(1) however large the network, and any other
 version grows a copy of its own prefix.
+
+A network of 10^4 nodes is built from tens of thousands of links and
+pins, so the constructor tests each entry inline: a link between two
+known plain ``int`` ids that is neither a self-link nor taken, and a
+coefficient that is already a non-negative ``Fraction``, need no call.
+Any other entry goes to the shared checks, ``_link_key`` and ``_coeff``,
+which decide every error, so an entry fails the same way on either path.
 """
 
 from __future__ import annotations
@@ -220,12 +227,13 @@ class _PathEngine:
         at least ``meeting``, no path through an unlabelled node can beat
         it, so it is the answer.
 
-        Before a pop, ``bound`` is ``meeting`` less the other side's
-        nearest frontier; a neighbour whose candidate reaches it is neither
-        labelled nor pushed, because a path through it at that cost cannot
-        beat ``meeting``. While the sides have not met, ``bound`` is
-        infinite and nothing is skipped, so a target out of reach still
-        ends with an empty heap and ``None``.
+        ``bound`` is ``meeting`` less the other side's nearest frontier,
+        set before a pop and lowered with ``meeting`` whenever a neighbour
+        of the popped node lowers it; a neighbour whose candidate reaches
+        it is neither labelled nor pushed, because a path through it at
+        that cost cannot beat ``meeting``. While the sides have not met,
+        ``bound`` is infinite and nothing is skipped, so a target out of
+        reach still ends with an empty heap and ``None``.
         """
         adjacency = self._adjacency
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -241,10 +249,11 @@ class _PathEngine:
                 break
             if len(forward_heap) <= len(backward_heap):
                 frontier, labels, other = forward_heap, forward, backward
-                bound = meeting - backward_top
+                other_top = backward_top
             else:
                 frontier, labels, other = backward_heap, backward, forward
-                bound = meeting - forward_top
+                other_top = forward_top
+            bound = meeting - other_top
             dist, node = heappop(frontier)
             if dist > labels[node]:
                 continue
@@ -259,6 +268,7 @@ class _PathEngine:
                     opposite = other.get(neighbor)
                     if opposite is not None and candidate + opposite < meeting:
                         meeting = candidate + opposite
+                        bound = meeting - other_top
         labels_set = len(forward) + len(backward)
         return (None if meeting == math.inf else meeting), labels_set
 
@@ -274,7 +284,10 @@ class Network:
     is pinned at most once, in either order.
 
     The constructor, ``add_node``, ``add_link`` and ``path_cost`` word
-    each node or link fault alike, as ``unknown node N`` for one.
+    each node or link fault alike, as ``unknown node N`` for one. The
+    constructor passes a well-formed link or pin on an inline test and
+    hands any other to the checks ``add_link`` uses (see the module
+    docstring), so both raise the same error for the same entry.
 
     Each version also owns a path engine, built on its first path search
     and never shared with the versions derived from it. It is a cache:
@@ -302,10 +315,20 @@ class Network:
         k_override: OverrideSpec | None = None,
     ) -> None:
         order = _node_order(nodes)
-        link_map: dict[Pair, tuple[int, Fraction]] = {}
+        link_map: dict[Pair, Fraction] = {}
         for index, (a, b, value) in enumerate(links):
-            key = _link_key(a, b, order, link_map, index)
-            link_map[key] = (index, _coeff(value, "link", a, b))
+            # Known plain ints have passed every id check (see _link_key).
+            if not (
+                type(a) is type(b) is int
+                and a != b
+                and a in order
+                and b in order
+                and (key := (a, b) if a < b else (b, a)) not in link_map
+            ):
+                key = _link_key(a, b, order, link_map, index)
+            if not (type(value) is Fraction and value.numerator >= 0):
+                value = _coeff(value, "link", a, b)
+            link_map[key] = value
 
         override_map: dict[Pair, Fraction] = {}
         if k_override is not None:
@@ -321,7 +344,10 @@ class Network:
                     _check_node_id(a)
                     _check_node_id(b)
                 key = (a, b) if a <= b else (b, a)
-                cost = _coeff(value, "k_override", a, b)
+                if type(value) is Fraction and value.numerator >= 0:
+                    cost = value
+                else:
+                    cost = _coeff(value, "k_override", a, b)
                 if a == b and cost != 0:
                     entry = f"k_override[{(a, b) if keyed else index}]"
                     raise SelfLink("a node's cost to itself must be 0", entry)
@@ -337,21 +363,15 @@ class Network:
         self._override = override_map
         self._engine: _PathEngine | None = None
 
-    def _has_node(self, node: NodeId) -> bool:
-        return self._order.get(node, self._node_count) < self._node_count
-
     def _link_items(self) -> list[tuple[Pair, Fraction]]:
         """This version's links, in the order they were added."""
-        return [
-            (key, cost)
-            for key, (_, cost) in islice(self._links.items(), self._link_count)
-        ]
+        return list(islice(self._links.items(), self._link_count))
 
     def _version(
         self,
         order: dict[NodeId, int],
         node_count: int,
-        links: dict[Pair, tuple[int, Fraction]],
+        links: dict[Pair, Fraction],
         link_count: int,
     ) -> "Network":
         clone = Network.__new__(Network)
@@ -414,7 +434,7 @@ class Network:
     def add_node(self, node: NodeId) -> "Network":
         """Return a copy of this network with ``node`` added."""
         _check_node_id(node)
-        if self._has_node(node):
+        if self._order.get(node, self._node_count) < self._node_count:
             raise DuplicateNode(f"duplicate node {node}")
         base = self._growable()
         count = base._node_count
@@ -425,9 +445,8 @@ class Network:
         """Return a copy of this network with an ``a``-``b`` link added."""
         base = self._growable()
         key = _link_key(a, b, base._order, base._links)
-        cost = _coeff(coeff, "link", a, b)
+        base._links[key] = _coeff(coeff, "link", a, b)
         count = base._link_count
-        base._links[key] = (count, cost)
         return self._version(base._order, base._node_count, base._links, count + 1)
 
     def path_cost(self, i: NodeId, j: NodeId) -> Fraction:
@@ -445,9 +464,10 @@ class Network:
         keeps its whole tree, which then answers every query that starts
         or ends at ``i``.
         """
-        if not self._has_node(i):
+        order, count = self._order, self._node_count
+        if order.get(i, count) >= count:
             raise UnknownNode(f"unknown node {i}")
-        if not self._has_node(j):
+        if order.get(j, count) >= count:
             raise UnknownNode(f"unknown node {j}")
         override = self._override.get((i, j) if i <= j else (j, i))
         if override is not None:

@@ -562,6 +562,73 @@ def write_deep_tree(tmp_path):
     )
 
 
+def write_pinned_mesh(tmp_path):
+    """A seeded 300-node scenario whose joined nodes are priced only by pins.
+
+    250 nodes start on a random spanning tree plus 50 more links; 50 more
+    join initial child domains with no links at all, and a snapshot after
+    the 25th join prices the network half-grown. Every pair a model
+    asks for that has a joined end is pinned in ``k_override``, and half
+    of the others are, so the rest are searched. Pins are non-dyadic
+    decimals, one value is spelt both ``1`` and ``1.0``, and ``domain_k``
+    prices two domains apart from the default.
+    """
+    rng = random.Random("golden-pinned300")
+    link_coeffs = [0.1, 0.5, 1, 1.0, 1.25, 2]
+    pin_costs = [0.1, 0.3, 0.7, 1, 1.0, 2.5]
+    initial = list(range(1, 251))
+    links = [
+        [rng.randrange(1, node), node, rng.choice(link_coeffs)] for node in initial[1:]
+    ]
+    linked = {(a, b) for a, b, _ in links}
+    while len(links) < 299:
+        a, b = sorted(rng.sample(initial, 2))
+        if (a, b) not in linked:
+            linked.add((a, b))
+            links.append([a, b, rng.choice(link_coeffs)])
+    central, m_max = 17, 5
+    # The initial chunks 1.1 to 1.49 are full, so each join clones a child
+    # of its domain hosted on the joined node.
+    others = [node for node in initial if node != central]
+    chunk_hosts = others[::m_max][: len(others) // m_max]
+    events, wanted = [], []
+    for node in range(251, 301):
+        k = rng.randrange(len(chunk_hosts))
+        events.append({"add_node": {"node": node, "domain": f"1.{k + 1}"}})
+        wanted.append((chunk_hosts[k], node))
+        if node == 275:
+            events.append({"snapshot": "half-joined"})
+    everyone = sorted([*others, *range(251, 301)])
+    wanted += [(central, node) for node in everyone]
+    wanted += zip(everyone, everyone[1:])
+    pins = {}
+    for a, b in wanted:
+        key = (min(a, b), max(a, b))
+        if key not in pins and (b > 250 or rng.random() < 0.5):
+            pins[key] = rng.choice(pin_costs)
+    k_override = [
+        [b, a, c] if rng.random() < 0.5 else [a, b, c] for (a, b), c in pins.items()
+    ]
+    rng.shuffle(k_override)
+    params = dict(
+        s_req=120, s_res=280, num_vars=4, s_ma=2048, d=64, ma_size=4096,
+        mda_size=512, ma_res=96,
+    )
+    return write_scenario(
+        tmp_path,
+        name="pinned300",
+        nodes=initial,
+        links=links,
+        central=central,
+        m_max=m_max,
+        params=params,
+        events=events,
+        k_override=k_override,
+        domain_k={"1": 1.5, "1.2": 0.1},
+        polling_counts=[1, 10, 100],
+    )
+
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -584,6 +651,16 @@ class TestGoldenOutput:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out == SEARCHED_MESH
+
+    def test_pinned_mesh_stdout_and_csv_are_exact(self, capsys, tmp_path):
+        path = write_pinned_mesh(tmp_path)
+        csv_path = tmp_path / "pinned300.csv"
+        argv = ["simulate", "--scenario", path, "--snapshots", "--csv", str(csv_path)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == read_golden("pinned300_stdout.txt")
+        assert csv_path.read_text(encoding="utf-8") == read_golden("pinned300.csv")
 
     def test_snapshot_lines_list_every_model_in_canonical_order(
         self, capsys, tmp_path

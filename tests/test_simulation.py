@@ -195,11 +195,17 @@ class TestLoadScenario:
             scenario_text(nodes=[1, 2], k_override=[[1, 2, 1], [2, 1, 1]]),
             "k_override[1]",
         )
+        # A pin may name a node that joins later, on its first number and
+        # on one already seen alike.
         text = scenario_text(
+            nodes=[1, 2],
             events=[{"add_node": {"node": 5, "domain": "1"}}],
-            k_override=[[1, 5, 3]],
+            k_override=[[1, 5, 3], [5, 2, 3]],
         )
-        assert load_scenario(text).k_override == ((1, 5, Fraction(3)),)
+        assert load_scenario(text).k_override == (
+            (1, 5, Fraction(3)),
+            (5, 2, Fraction(3)),
+        )
 
     def test_domain_k_validation(self):
         rejects(scenario_text(domain_k={"x": 1}), "domain_k.x")
@@ -274,6 +280,15 @@ ENTRY_ERRORS = [
     ("links", [[1, 2, 1], [2, 9, 1]], "links[1][1]", "unknown node 9"),
     ("links", [[9, 1, -1]], "links[0][2]", "must be non-negative, got -1"),
     ("links", [[1, "x", "y"]], "links[0][1]", "expected an integer, got 'x'"),
+    # After a well-formed entry, whose number 1 is then known: each fault
+    # below passes the loader's inline test to ``_expect_triple``.
+    ("links", [[1, 2, 1], [1, True, 1]], "links[1][1]",
+     "expected an integer, got True"),
+    ("links", [[1, 2, 1], [1, 2, True]], "links[1][2]", "expected a number, got True"),
+    ("links", [[1, 2, 1], ["1", 2, 1]], "links[1][0]", "expected an integer, got '1'"),
+    ("links", [[1, 2, 1], [1, 2]], "links[1]", "expected [a, b, coeff], got 2 items"),
+    ("links", [[1, 2, 0.5], [2, 1, -0.5]], "links[1][2]",
+     "must be non-negative, got -0.5"),
     ("k_override", [5], "k_override[0]", "expected an array, got int"),
     ("k_override", [[1, 2]], "k_override[0]", "expected [i, j, cost], got 2 items"),
     ("k_override", [[True, 2, 1]], "k_override[0][0]", "expected an integer, got True"),
@@ -291,6 +306,17 @@ ENTRY_ERRORS = [
     ("k_override", [[1, 2, 1], [2, 2, 1]], "k_override[1]",
      "a node's cost to itself must be 0"),
     ("k_override", [[9, 1, -1]], "k_override[0][2]", "must be non-negative, got -1"),
+    ("k_override", [[1, 2, 1], [1, True, 1]], "k_override[1][1]",
+     "expected an integer, got True"),
+    ("k_override", [[1, 2, 1], [1, 2, True]], "k_override[1][2]",
+     "expected a number, got True"),
+    ("k_override", [[1, 2, 1], ["1", 2, 1]], "k_override[1][0]",
+     "expected an integer, got '1'"),
+    ("k_override", [[1, 2, 1], [1, 2]], "k_override[1]",
+     "expected [i, j, cost], got 2 items"),
+    ("k_override", [[1, 2, 0.5], [2, 1, -0.5]], "k_override[1][2]",
+     "must be non-negative, got -0.5"),
+    ("k_override", [[1, 2, 1], [2, 9, 1]], "k_override[1][1]", "unknown node 9"),
     ("add_node.links", [5], f"{EVENT}[0]", "expected an array, got int"),
     ("add_node.links", [[1, 1, 1]], f"{EVENT}[0]",
      "expected [peer, coeff], got 3 items"),

@@ -180,6 +180,26 @@ def test_node_ids_must_be_positive_ints():
         (lambda: Network([1, 2], [(1, 2, 1)]).add_link(2, 1, 1), DuplicateLink,
          "duplicate link 1-2"),
         (lambda: Network([1, 2]).path_cost(1, 9), UnknownNode, "unknown node 9"),
+        # Entries after a well-formed one, and faults the constructor's
+        # inline test passes on to the shared checks.
+        (lambda: Network([1, 2, 3], [(1, 2, 1), (True, 3, 1)]), TypeError,
+         "node id must be an int, got True"),
+        (lambda: Network([1, 2, 3], [(1, 2, 1), (3, "1", 1)]), TypeError,
+         "node id must be an int, got '1'"),
+        (lambda: Network([1, 2, 3], [(1, 2, 1), (2, 3, True), (3, 1, "x")]), TypeError,
+         "link 3-1: not a number: 'x'"),
+        (lambda: Network([1, 2, 3], [(1, 2, Fraction(1, 2)), (2, 3, Fraction(-1, 2))]),
+         NegativeCoeff, "link 2-3: Fraction(-1, 2) is negative"),
+        (lambda: Network(
+            [1, 2], k_override=[(1, 2, Fraction(1, 2)), (2, 3, Fraction(-1, 2))]
+        ), NegativeCoeff, "k_override 2-3: Fraction(-1, 2) is negative"),
+        (lambda: Network([1, 2], k_override=[(1, 2, 1), (3, True, 1)]), TypeError,
+         "node id must be an int, got True"),
+        (lambda: Network([1, 2, 3], [(1, 2, 1), (2, 3, 1), (2, 1, 1)]), DuplicateLink,
+         "duplicate link 1-2"),
+        # An unknown end is found before a negative coefficient.
+        (lambda: Network(links=[(1, 2, Fraction(-1, 2))]), UnknownNode,
+         "unknown node 1"),
     ],
 )
 def test_construction_errors_are_exact(make, error, message):
@@ -300,29 +320,36 @@ def test_sources_pay_for_a_tree_only_at_the_break_even():
     assert 5 not in engine._trees and engine._labelled[5] == 4
     # A derived version starts from nothing: no tree, no labels counted.
     # In the ring, expanding 6 labels 5 and 1 and leaves two forward
-    # entries, so 2 expands next; it labels 1, meeting at 2, and 3. The
-    # tops now add up to 2: 3 nodes each way.
+    # entries, so 2 expands next; it labels 1, meeting at 2, which lowers
+    # the bound to 2 - 1 = 1, so 3's candidate 1 is skipped. The tops now
+    # add up to 2: 3 nodes forward and 2 backward.
     linked = net.add_link(1, 6, 1)
     assert linked._engine is None
     assert linked.path_cost(6, 2) == 2
     assert linked._engine._trees == {}
-    assert linked._engine._labelled == {6: 6}
-    # 6 has labelled exactly the version's 6 nodes: its next new target
-    # builds its tree.
+    assert linked._engine._labelled == {6: 5}
+    # 6 has labelled 5 of the version's 6 nodes: one more pair search,
+    # which labels 6, 5, 1 and 2 forward and 3, 2 and 4 backward.
     assert linked.path_cost(6, 3) == 3
+    assert linked._engine._trees == {}
+    assert linked._engine._labelled == {6: 5 + 7}
+    # Now its next new target builds its tree.
+    assert linked.path_cost(6, 4) == 2
     assert set(linked._engine._trees) == {6}
 
 
 def test_pair_search_stops_once_the_meeting_is_proven():
-    # 1 and 2 share a link and each has 20 leaves. Expanding 1 labels 2,
-    # which meets the backward side at cost 1; the backward frontier is at
-    # 0, so the sum is proven and 2's leaves are never labelled.
+    # 1 and 2 share a link and each has 20 leaves. Expanding 1 labels 2
+    # first, which meets the backward side at cost 1; the backward frontier
+    # is at 0, so the bound drops to 1 and 1's leaves, at 1, are skipped.
+    # The sum is then proven and 2's leaves are never labelled either:
+    # 1 and 2 forward, 2 backward.
     links = [(1, 2, 1)]
     links += [(1, n, 1) for n in range(3, 23)]
     links += [(2, n, 1) for n in range(23, 43)]
     net = Network(nodes=range(1, 43), links=links)
     assert net.path_cost(1, 2) == 1
-    assert net._engine._labelled == {1: 22 + 1}
+    assert net._engine._labelled == {1: 2 + 1}
 
 
 def test_networks_compare_by_value():
