@@ -110,7 +110,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
-    run(scenario, models=(), polling_counts=())
     print(
         f"ok: {scenario.name} ({len(scenario.nodes)} initial nodes, "
         f"{len(scenario.events)} events, models: "

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateNode,
@@ -80,10 +80,6 @@ class DomainId:
             return DomainId(self.path + (index,))  # raises the usual error
         return DomainId._unchecked(self.path + (index,))
 
-    @property
-    def depth(self) -> int:
-        return len(self.path) - 1
-
 
 ROOT_DOMAIN = DomainId((1,))
 
@@ -142,6 +138,14 @@ class _ManagerRecord:
         return self.state
 
 
+def _check_m_max(m_max: object) -> int:
+    if isinstance(m_max, bool) or not isinstance(m_max, int):
+        raise ValueError(f"m_max must be an int, got {m_max!r}")
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
+    return m_max
+
+
 class ManagerTree:
     """Mutable hierarchy of domain managers.
 
@@ -152,11 +156,7 @@ class ManagerTree:
     """
 
     def __init__(self, m_max: int) -> None:
-        if isinstance(m_max, bool) or not isinstance(m_max, int):
-            raise ValueError(f"m_max must be an int, got {m_max!r}")
-        if m_max < 1:
-            raise ValueError(f"m_max must be at least 1, got {m_max}")
-        self._m_max = m_max
+        self._m_max = _check_m_max(m_max)
         # Only public lookups go through _managers; records link directly.
         self._managers: dict[DomainId, _ManagerRecord] = {}
         self._root: _ManagerRecord | None = None
@@ -240,6 +240,35 @@ class ManagerTree:
             self._install(record, [node], node)
         return self
 
+    @staticmethod
+    def _replay_shape(
+        node_count: int, m_max: int, domains: Sequence[DomainId]
+    ) -> tuple[dict[tuple[int, ...], list[int]], int]:
+        """The tree's shape after joins into ``domains``, counted, not built.
+
+        The count-only twin of ``initial_partition`` on ``node_count``
+        nodes followed by ``add_node_to_domain`` into each of ``domains``
+        in turn: each domain's ``DomainId.path`` maps to its ``[members,
+        children]`` counts, and a full domain starts child n+1. A join
+        into a domain that does not exist yet stops the replay. Returns
+        the counts and the number of joins replayed.
+        """
+        _check_m_max(m_max)
+        chunks, rest = divmod(node_count - 1, m_max)
+        shape = {ROOT_DOMAIN.path: [1 + rest, chunks]}
+        for index in range(1, chunks + 1):
+            shape[(1, index)] = [m_max, 0]
+        for done, domain in enumerate(domains):
+            counts = shape.get(domain.path)
+            if counts is None:
+                return shape, done
+            if counts[0] < m_max:
+                counts[0] += 1
+            else:
+                counts[1] += 1
+                shape[domain.path + (counts[1],)] = [1, 0]
+        return shape, len(domains)
+
     def domain_of(self, node: NodeId) -> DomainId:
         """Return the unique domain owning ``node``."""
         record = self._node_domain.get(node)
@@ -248,9 +277,6 @@ class ManagerTree:
         return record.id
 
     # -- read-only views ------------------------------------------------
-
-    def __contains__(self, domain: DomainId) -> bool:
-        return domain in self._managers
 
     def __len__(self) -> int:
         return len(self._managers)

@@ -74,9 +74,6 @@ class ReportRow:
     bytes: dict[str, Fraction]
     kb: dict[str, Decimal]
 
-    def bytes_of(self, model: str) -> Fraction:
-        return self.bytes[model]
-
     def kb_of(self, model: str) -> Decimal:
         return self.kb[model]
 

@@ -16,7 +16,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from typing import BinaryIO, Iterable, TextIO, Union
+from typing import BinaryIO, Iterable, Mapping, TextIO, Union
 
 from .costs import (
     CostParams,
@@ -25,11 +25,9 @@ from .costs import (
     cost_imasnm_deploy,
     cost_imasnm_poll,
 )
-from .errors import (
-    ParseError, TopologyError, UnknownDomain, Unreachable, ValidationError
-)
+from .errors import ParseError, TopologyError, Unreachable, ValidationError
 from .hierarchy import DomainId, DomainState, ManagerTree
-from .topology import Network, NodeId, _link_key
+from .topology import Network, NodeId, _check_node_id, _link_key
 
 __all__ = [
     "MODEL_NAMES",
@@ -75,7 +73,27 @@ Event = Union[AddNode, Snapshot]
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated scenario, ready to run; its ``network`` is built when made."""
+    """A fully validated scenario, ready to run.
+
+    Making one checks every rule of its meaning, whether the loader or
+    other code makes it. Its ``network`` is built from ``nodes``,
+    ``links`` and ``k_override``, and raises the ``TopologyError`` the
+    ``Network`` constructor raises. Then ``ValidationError``, with the
+    JSON path of the fault, is raised unless:
+
+    - ``nodes`` is not empty and holds ``central``;
+    - each join adds a new node, links it to nodes known by then, each
+      peer once and never itself, and joins a domain that exists then;
+    - snapshot labels are unique;
+    - every ``k_override`` id is a node that is initial or joins later;
+    - every ``domain_k`` key is a domain id that exists by the end;
+    - a ``flatbed_itinerary`` is not empty, names known nodes once each,
+      starts at ``central`` and visits every node that ever joins.
+
+    The domain rules replay the joins on member and child counts alone
+    (``ManagerTree._replay_shape``), not on a tree. A pair that a model
+    needs but cannot reach is found only when ``run`` prices it.
+    """
 
     name: str
     nodes: tuple[NodeId, ...]
@@ -95,6 +113,99 @@ class Scenario:
     def __post_init__(self) -> None:
         network = Network(self.nodes, self.links, self.k_override)
         object.__setattr__(self, "network", network)
+        if not self.nodes:
+            raise ValidationError("nodes", "must not be empty")
+        known = dict.fromkeys(self.nodes)
+        if self.central not in known:
+            message = f"central node {self.central} is not in nodes"
+            raise ValidationError("central", message)
+        joins = self._check_events(known)
+        self._check_pins(known)
+        self._check_itinerary(known)
+        self._check_domains(joins)
+
+    def _check_events(self, known: dict[NodeId, None]) -> dict[int, DomainId]:
+        """Check each join's node and links and each label; add joins to ``known``.
+
+        Returns the domain of each join, keyed by its event index.
+        """
+        joins: dict[int, DomainId] = {}
+        labels: set[str] = set()
+        for index, event in enumerate(self.events):
+            if isinstance(event, AddNode):
+                node = _check_node_id(event.node)
+                if node in known:
+                    path = f"events[{index}].add_node.node"
+                    raise ValidationError(path, f"duplicate node {node}")
+                known[node] = None
+                taken: set[tuple[NodeId, NodeId]] = set()  # this join's links
+                for peer_index, (peer, _) in enumerate(event.links):
+                    try:
+                        taken.add(_link_key(node, peer, known, taken))
+                    except TopologyError as exc:
+                        path = f"events[{index}].add_node.links[{peer_index}][0]"
+                        raise ValidationError(path, str(exc)) from None
+                joins[index] = event.domain
+            elif isinstance(event, Snapshot):
+                if event.label in labels:
+                    path = f"events[{index}].snapshot"
+                    raise ValidationError(path, f"duplicate label {event.label!r}")
+                labels.add(event.label)
+        return joins
+
+    def _check_pins(self, known: dict[NodeId, None]) -> None:
+        """Every pinned id is ``known``, in triples or a mapping by pair."""
+        pins = self.k_override
+        keyed = isinstance(pins, Mapping)
+        if keyed:
+            pins = [(a, b, cost) for (a, b), cost in pins.items()]
+        for index, (a, b, _) in enumerate(pins):
+            if a not in known or b not in known:
+                end, node = (0, a) if a not in known else (1, b)
+                entry = f"[{(a, b)}]" if keyed else f"[{index}][{end}]"
+                raise ValidationError(f"k_override{entry}", f"unknown node {node}")
+
+    def _check_itinerary(self, known: dict[NodeId, None]) -> None:
+        """A given itinerary visits each ``known`` node once, from ``central``."""
+        itinerary = self.flatbed_itinerary
+        if itinerary is None:
+            return
+        stops: set[NodeId] = set()
+        for index, stop in enumerate(itinerary):
+            if stop not in known:
+                path = f"flatbed_itinerary[{index}]"
+                raise ValidationError(path, f"unknown node {stop}")
+            if stop in stops:
+                path = f"flatbed_itinerary[{index}]"
+                raise ValidationError(path, f"node {stop} repeated")
+            stops.add(stop)
+        if not stops:
+            raise ValidationError("flatbed_itinerary", "must not be empty")
+        if itinerary[0] != self.central:
+            message = f"itinerary must start at the central node {self.central}"
+            raise ValidationError("flatbed_itinerary[0]", message)
+        if len(stops) < len(known):
+            # the first node left out, in nodes-then-joins order
+            missing = next(node for node in known if node not in stops)
+            message = f"node {missing} is never visited"
+            raise ValidationError("flatbed_itinerary", message)
+
+    def _check_domains(self, joins: dict[int, DomainId]) -> None:
+        """Each join's domain exists then, and each ``domain_k`` key by the end."""
+        domains = list(joins.values())
+        shape, replayed = ManagerTree._replay_shape(
+            len(self.nodes), self.m_max, domains
+        )
+        if replayed < len(domains):
+            path = f"events[{list(joins)[replayed]}].add_node.domain"
+            raise ValidationError(path, f"no such domain: {domains[replayed]}")
+        for key in self.domain_k:
+            try:
+                domain = DomainId.parse(key)
+            except ValueError as exc:
+                raise ValidationError(f"domain_k.{key}", str(exc)) from None
+            if domain.path not in shape:
+                raise ValidationError(f"domain_k.{key}", f"no such domain: {key}")
 
 
 @dataclass(frozen=True)
@@ -216,12 +327,12 @@ def _expect_number(
 
 
 def _expect_triple(
-    entry: object, where: str, index: int, shape: str, known: set | None, memo: dict
+    entry: object, where: str, index: int, shape: str, memo: dict
 ) -> tuple[NodeId, NodeId, Fraction]:
     """Check entry ``index`` of the ``where`` array, an ``[id, id, number]``.
 
-    Each item's type is checked in order, then both ids are looked up in
-    ``known``, if given. JSON paths are formatted only for the error raised.
+    Each item's type is checked in order. JSON paths are formatted only
+    for the error raised.
     """
     if not isinstance(entry, list) or len(entry) != 3:
         path = f"{where}[{index}]"
@@ -235,21 +346,17 @@ def _expect_triple(
     number = memo.get(value) if type(value) in _NUMBER_TYPES else None
     if number is None:
         number = _expect_number(value, f"{where}[{index}][2]", memo)
-    if known is not None and a not in known:
-        raise ValidationError(f"{where}[{index}][0]", f"unknown node {a}")
-    if known is not None and b not in known:
-        raise ValidationError(f"{where}[{index}][1]", f"unknown node {b}")
     return a, b, number
 
 
 def _expect_triples(
-    array: list, where: str, shape: str, known: set | None, memo: dict
+    array: list, where: str, shape: str, memo: dict
 ) -> tuple[tuple[NodeId, NodeId, Fraction], ...]:
     """Check every entry of the ``where`` array with ``_expect_triple``'s rules.
 
     An entry passes an inline test when it is a list of three whose ids
-    are plain positive ``int``s, in ``known`` if given, and whose number
-    is already in ``memo``, which holds only numbers already checked.
+    are plain positive ``int``s and whose number is already in ``memo``,
+    which holds only numbers already checked.
     Any other entry goes to ``_expect_triple``, which checks it in order
     and raises at its JSON path, so an entry fails the same way on
     either path.
@@ -265,13 +372,12 @@ def _expect_triples(
                 and a > 0
                 and b > 0
                 and (type(value) is int or type(value) is Decimal)
-                and (known is None or (a in known and b in known))
             ):
                 number = memo.get(value)
                 if number is not None:
                     append((a, b, number))
                     continue
-        append(_expect_triple(entry, where, index, shape, known, memo))
+        append(_expect_triple(entry, where, index, shape, memo))
     return tuple(triples)
 
 
@@ -299,8 +405,12 @@ def load_scenario(source: Union[BinaryIO, TextIO, bytes, str]) -> Scenario:
     """Parse and fully validate a scenario from a stream or JSON text.
 
     Raises ParseError for malformed JSON and ValidationError (carrying the
-    offending field path) for schema violations. The format is strict:
-    unknown keys are rejected.
+    offending field path) for a fault. The loader checks the JSON's shape:
+    types, keys, int minimums, number signs and sizes, event kinds, the
+    syntax of each join's domain, and the models. The format is strict:
+    unknown keys are rejected. Making the ``Scenario`` checks the rest,
+    and a ``TopologyError`` from its ``Network`` becomes a ValidationError
+    at the path of the rejected entry.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -380,27 +490,20 @@ def _scenario_from_raw(raw: object) -> Scenario:
     if not name:
         raise ValidationError("name", "must not be empty")
 
-    # Repeats, link endpoints and self-pairs are Network's to check.
+    # Repeats, emptiness and every rule across fields are Scenario's to check.
     nodes = tuple(_expect_array(top["nodes"], "nodes"))
     for index, node in enumerate(nodes):
         if type(node) is not int or node < 1:
             _expect_int(node, f"nodes[{index}]", minimum=1)
-    if not nodes:
-        raise ValidationError("nodes", "must not be empty")
 
     # one Fraction per distinct number literal (see _expect_number)
     memo: dict[object, Fraction] = {}
     # Each checked array is dropped from ``top``, so its entries' lists
     # are freed now rather than left for the garbage collector to walk.
     links = _expect_triples(
-        _expect_array(top.pop("links"), "links"), "links", "[a, b, coeff]", None, memo
+        _expect_array(top.pop("links"), "links"), "links", "[a, b, coeff]", memo
     )
-
-    all_nodes = set(nodes)
     central = _expect_int(top["central"], "central", minimum=1)
-    if central not in all_nodes:
-        raise ValidationError("central", f"central node {central} is not in nodes")
-
     m_max = _expect_int(top["m_max"], "m_max", minimum=1)
 
     params_obj = _expect_object(top["params"], "params")
@@ -424,7 +527,6 @@ def _scenario_from_raw(raw: object) -> Scenario:
     params = CostParams(num_vars=num_vars, **sizes)
 
     events: list[Event] = []
-    snapshot_labels: set[str] = set()
     for index, entry in enumerate(_expect_array(top["events"], "events")):
         path = f"events[{index}]"
         obj = _expect_object(entry, path)
@@ -438,14 +540,10 @@ def _scenario_from_raw(raw: object) -> Scenario:
                 body, body_path, required=("node", "domain"), optional=("links",)
             )
             node = _expect_int(body["node"], f"{body_path}.node", minimum=1)
-            if node in all_nodes:
-                raise ValidationError(f"{body_path}.node", f"duplicate node {node}")
             domain = _parse_domain_id(body["domain"], f"{body_path}.domain")
-            all_nodes.add(node)
             event_links: list[tuple[NodeId, Fraction]] = []
             if "links" in body:
                 links_path = f"{body_path}.links"
-                taken: set[tuple[NodeId, NodeId]] = set()  # this join's links
                 for li, link_entry in enumerate(
                     _expect_array(body["links"], links_path)
                 ):
@@ -461,19 +559,10 @@ def _scenario_from_raw(raw: object) -> Scenario:
                     coeff = memo.get(value) if type(value) in _NUMBER_TYPES else None
                     if coeff is None:
                         coeff = _expect_number(value, f"{links_path}[{li}][1]", memo)
-                    try:
-                        taken.add(_link_key(node, peer, all_nodes, taken))
-                    except TopologyError as exc:
-                        path = f"{links_path}[{li}][0]"
-                        raise ValidationError(path, str(exc)) from None
                     event_links.append((peer, coeff))
             events.append(AddNode(node, domain, tuple(event_links)))
         elif kind == "snapshot":
-            label = _expect_str(obj[kind], f"{path}.snapshot")
-            if label in snapshot_labels:
-                raise ValidationError(f"{path}.snapshot", f"duplicate label {label!r}")
-            snapshot_labels.add(label)
-            events.append(Snapshot(label))
+            events.append(Snapshot(_expect_str(obj[kind], f"{path}.snapshot")))
         else:
             raise ValidationError(f"{path}.{kind}", "unknown event kind")
 
@@ -481,7 +570,6 @@ def _scenario_from_raw(raw: object) -> Scenario:
         _expect_array(top.pop("k_override", []), "k_override"),
         "k_override",
         "[i, j, cost]",
-        all_nodes,
         memo,
     )
 
@@ -489,9 +577,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
     if "domain_k" in top:
         dk_obj = _expect_object(top["domain_k"], "domain_k")
         for key in dk_obj:
-            path = f"domain_k.{key}"
-            _parse_domain_id(key, path)
-            domain_k[key] = _expect_number(dk_obj[key], path, memo)
+            domain_k[key] = _expect_number(dk_obj[key], f"domain_k.{key}", memo)
 
     polling_counts: list[int] = []
     for index, entry in enumerate(
@@ -516,32 +602,12 @@ def _scenario_from_raw(raw: object) -> Scenario:
 
     flatbed_itinerary: tuple[NodeId, ...] | None = None
     if "flatbed_itinerary" in top:
-        # a dict, not a list, so the repeat check is O(1) per stop
-        stops: dict[NodeId, None] = {}
-        for index, entry in enumerate(
-            _expect_array(top["flatbed_itinerary"], "flatbed_itinerary")
-        ):
-            path = f"flatbed_itinerary[{index}]"
-            stop = _expect_int(entry, path, minimum=1)
-            if stop not in all_nodes:
-                raise ValidationError(path, f"unknown node {stop}")
-            if stop in stops:
-                raise ValidationError(path, f"node {stop} repeated")
-            stops[stop] = None
-        if not stops:
-            raise ValidationError("flatbed_itinerary", "must not be empty")
-        flatbed_itinerary = tuple(stops)
-        if flatbed_itinerary[0] != central:
-            raise ValidationError(
-                "flatbed_itinerary[0]",
-                f"itinerary must start at the central node {central}",
+        flatbed_itinerary = tuple(
+            _expect_int(entry, f"flatbed_itinerary[{index}]", minimum=1)
+            for index, entry in enumerate(
+                _expect_array(top["flatbed_itinerary"], "flatbed_itinerary")
             )
-        if len(stops) < len(all_nodes):
-            joined = (event.node for event in events if isinstance(event, AddNode))
-            missing = next(n for n in (*nodes, *joined) if n not in stops)
-            raise ValidationError(
-                "flatbed_itinerary", f"node {missing} is never visited"
-            )
+        )
 
     notes: str | None = None
     if "notes" in top:
@@ -655,9 +721,10 @@ def run(
     ``models`` and ``polling_counts`` default to the scenario's own; pass
     them to override from a CLI or a sweep. Costs are evaluated on the
     final post-event state; with ``costs_at_snapshots`` every snapshot
-    additionally carries the per-model costs at that instant. A join into
-    a missing domain, a ``domain_k`` key that names no domain, or a pair a
-    model needs but cannot reach raises ``ValidationError``.
+    additionally carries the per-model costs at that instant. The events
+    were checked when the scenario was made, so each of them applies. A
+    pair a model needs but cannot reach raises ``ValidationError`` at
+    ``models``.
     """
     chosen = tuple(scenario.models if models is None else models)
     for model in chosen:
@@ -686,12 +753,8 @@ def run(
     # The tables of the latest snapshot, while no AddNode has changed
     # the state since: the final state is then priced already.
     priced = None
-    for index, event in enumerate(scenario.events):
-        try:
-            apply_event(state, event)
-        except UnknownDomain as exc:
-            path = f"events[{index}].add_node.domain"
-            raise ValidationError(path, str(exc)) from None
+    for event in scenario.events:
+        apply_event(state, event)
         if isinstance(event, AddNode):
             priced = None
         elif costs_at_snapshots:
@@ -699,10 +762,6 @@ def run(
             state.snapshots[-1] = replace(
                 state.snapshots[-1], per_poll=priced[0], deploy=priced[1]
             )
-
-    for key in scenario.domain_k:
-        if DomainId.parse(key) not in state.tree:
-            raise ValidationError(f"domain_k.{key}", f"no such domain: {key}")
 
     per_poll, deploy = priced or _model_costs(scenario, state, ordered_models)
     return SimulationResult(

@@ -75,7 +75,6 @@ class TestDomainId:
         assert node.parent == did("1.3")
         assert did("1").parent is None
         assert did("1.3").child(2) == did("1.3.2")
-        assert node.depth == 2
         assert ROOT_DOMAIN == did("1")
 
     def test_ordering_is_depth_first(self):
@@ -343,6 +342,32 @@ def test_each_join_moves_no_node_and_adds_at_most_one_domain(case):
             assert tree.domain(target).members[-1] == node
         owners[node] = tree.domain_of(node)
         assert all(tree.domain_of(n) == domain for n, domain in owners.items())
+
+
+@given(growth_runs(), st.integers(min_value=0, max_value=99))
+def test_the_count_only_replay_matches_the_tree(case, stray):
+    # Join number ``stray``, if there is one, names the next child its
+    # target has yet to make: a domain that does not exist at that join.
+    m_max, initial, central, choices = case
+    tree = ManagerTree.initial_partition(range(1, initial + 1), m_max, central)
+    joins, rejected = [], None
+    for node, choice in enumerate(choices, start=initial + 1):
+        targets = tree.domain_ids()
+        target = targets[choice % len(targets)]
+        if len(joins) == stray:
+            target = target.child(len(tree.children_of(target)) + 1)
+        joins.append(target)
+        try:
+            tree.add_node_to_domain(node, target)
+        except UnknownDomain:
+            rejected = len(joins) - 1
+            break
+    shape, replayed = ManagerTree._replay_shape(initial, m_max, joins)
+    assert replayed == (len(joins) if rejected is None else rejected)
+    assert shape == {
+        did(state.id).path: [len(state.members), len(state.children)]
+        for state in tree.states()
+    }
 
 
 def test_joins_run_in_linear_time():

@@ -120,7 +120,7 @@ class TestCompare:
         report = reference18_report
         assert report.include_deploy is False
         row = report.rows[0]
-        assert row.bytes_of("imasnm") == Fraction("73557.4")
+        assert row.bytes["imasnm"] == Fraction("73557.4")
 
     def test_include_deploy_adds_setup_cost_once_per_row(self):
         result = run(load_bundled_scenario("reference18"))
@@ -129,10 +129,10 @@ class TestCompare:
         assert report.deploy_of("imasnm") == 100352
         assert report.deploy_of("cs") == 0
         for row in report.rows:
-            assert row.bytes_of("imasnm") == (
+            assert row.bytes["imasnm"] == (
                 row.polls * Fraction("73557.4") + 100352
             )
-            assert row.bytes_of("cs") == row.polls * 110220
+            assert row.bytes["cs"] == row.polls * 110220
 
     def test_zero_poll_row_renders_zero(self):
         scenario = load_bundled_scenario("reference18")

@@ -12,10 +12,12 @@ import pytest
 
 from netmansim import (
     AddNode,
+    CostParams,
     DomainId,
     ManagerTree,
     Network,
     ParseError,
+    Scenario,
     SelfLink,
     SimulationState,
     Snapshot,
@@ -210,9 +212,8 @@ class TestLoadScenario:
     def test_domain_k_validation(self):
         rejects(scenario_text(domain_k={"x": 1}), "domain_k.x")
         rejects(scenario_text(domain_k={"1.1": -1}), "domain_k.1.1")
-        assert load_scenario(scenario_text(domain_k={"1.1": 2})).domain_k == {
-            "1.1": Fraction(2)
-        }
+        text = scenario_text(nodes=[1, 2, 3, 4], domain_k={"1.1": 2})
+        assert load_scenario(text).domain_k == {"1.1": Fraction(2)}
 
     def test_polling_and_model_validation(self):
         rejects(scenario_text(polling_counts=[-1]), "polling_counts[0]")
@@ -460,6 +461,96 @@ def test_field_errors_are_exact(overrides, path, message):
     assert (info.value.path, info.value.message) == (path, message)
 
 
+# A 5-node chain 1-2-3-4-5 priced by the flat-bed model; with m_max 2
+# its domains are 1, 1.1 and 1.2.
+CHAIN = dict(
+    nodes=[1, 2, 3, 4, 5],
+    links=[[1, 2, 1], [2, 3, 1], [3, 4, 1], [4, 5, 1]],
+    m_max=2,
+    models=["flatbed"],
+)
+
+
+def chain_in_code() -> Scenario:
+    """The CHAIN scenario made in code, not loaded."""
+    zero = Fraction(0)
+    sizes = dict.fromkeys(("s_req", "s_res", "s_ma", "d", "ma_size", "mda_size"), zero)
+    return Scenario(
+        name="tiny",
+        nodes=(1, 2, 3, 4, 5),
+        links=tuple((a, a + 1, Fraction(1)) for a in range(1, 5)),
+        k_override=(),
+        central=1,
+        m_max=2,
+        params=CostParams(num_vars=1, ma_res=zero, **sizes),
+        domain_k={},
+        events=(),
+        polling_counts=(),
+        models=("flatbed",),
+    )
+
+
+def join(node: int, domain: str, links: list) -> dict:
+    return {"add_node": {"node": node, "domain": domain, "links": links}}
+
+
+# One fault each, as a JSON edit of CHAIN and as fields of chain_in_code(),
+# with the exact (path, message) both must raise.
+PARITY = [
+    (dict(flatbed_itinerary=[1, 2]), dict(flatbed_itinerary=(1, 2)),
+     "flatbed_itinerary", "node 3 is never visited"),
+    (dict(flatbed_itinerary=[3, 1]), dict(flatbed_itinerary=(3, 1)),
+     "flatbed_itinerary[0]", "itinerary must start at the central node 1"),
+    (dict(flatbed_itinerary=[1, 2, 1, 2]), dict(flatbed_itinerary=(1, 2, 1, 2)),
+     "flatbed_itinerary[2]", "node 1 repeated"),
+    (dict(central=9), dict(central=9), "central", "central node 9 is not in nodes"),
+    (dict(events=[{"snapshot": "a"}, {"snapshot": "a"}]),
+     dict(events=(Snapshot("a"), Snapshot("a"))),
+     "events[1].snapshot", "duplicate label 'a'"),
+    (dict(events=[join(6, "1.7", [])]),
+     dict(events=(AddNode(6, DomainId.parse("1.7")),)),
+     "events[0].add_node.domain", "no such domain: 1.7"),
+    (dict(domain_k={"1.9": 2}), dict(domain_k={"1.9": Fraction(2)}),
+     "domain_k.1.9", "no such domain: 1.9"),
+    (dict(domain_k={"x": 1}), dict(domain_k={"x": Fraction(1)}),
+     "domain_k.x", "malformed domain id 'x'"),
+    (dict(events=[join(3, "1", [])]),
+     dict(events=(AddNode(3, DomainId.parse("1")),)),
+     "events[0].add_node.node", "duplicate node 3"),
+    (dict(events=[join(6, "1", [[9, 1]])]),
+     dict(events=(AddNode(6, DomainId.parse("1"), ((9, Fraction(1)),)),)),
+     "events[0].add_node.links[0][0]", "unknown node 9"),
+    (dict(events=[join(6, "1", [[6, 1]])]),
+     dict(events=(AddNode(6, DomainId.parse("1"), ((6, Fraction(1)),)),)),
+     "events[0].add_node.links[0][0]", "link joins node 6 to itself"),
+    (dict(k_override=[[1, 9, 1]]), dict(k_override=((1, 9, Fraction(1)),)),
+     "k_override[0][1]", "unknown node 9"),
+    (dict(nodes=[], links=[]), dict(nodes=(), links=()), "nodes", "must not be empty"),
+]
+
+
+@pytest.mark.parametrize(
+    "in_json, in_code, path, message", PARITY, ids=[row[2] for row in PARITY]
+)
+def test_a_fault_reads_the_same_loaded_or_made_in_code(in_json, in_code, path, message):
+    assert chain_in_code() == load_scenario(scenario_text(**CHAIN))
+    with pytest.raises(ValidationError) as loaded:
+        load_scenario(scenario_text(**{**CHAIN, **in_json}))
+    with pytest.raises(ValidationError) as made:
+        replace(chain_in_code(), **in_code)
+    assert (loaded.value.path, loaded.value.message) == (path, message)
+    assert (made.value.path, made.value.message) == (path, message)
+
+
+def test_a_pin_in_a_mapping_is_named_by_its_pair():
+    with pytest.raises(ValidationError) as info:
+        replace(chain_in_code(), k_override={(1, 2): Fraction(1), (9, 1): Fraction(1)})
+    assert (info.value.path, info.value.message) == (
+        "k_override[(9, 1)]",
+        "unknown node 9",
+    )
+
+
 def test_a_long_itinerary_loads_in_linear_time():
     # A repeat check that scans a list takes seconds on 3·10⁴ stops.
     nodes = list(range(1, 30_001))
@@ -572,13 +663,17 @@ class TestBundledScenarios:
 
 
 class TestRunErrorsOfMeaning:
-    """What only a replay or a pricing finds is bad input with a JSON path."""
+    """Faults found by replaying the joins or by pricing, each with a JSON path.
+
+    Making the scenario replays the joins on domain counts; only a
+    pricing finds a pair that cannot be reached.
+    """
 
     def test_join_into_a_missing_domain(self, reference18_scenario):
         join = AddNode(99, DomainId.parse("1.7"))
         events = (*reference18_scenario.events, join)
         with pytest.raises(ValidationError) as caught:
-            run(replace(reference18_scenario, events=events), models=())
+            replace(reference18_scenario, events=events)
         assert (caught.value.path, caught.value.message) == (
             f"events[{len(events) - 1}].add_node.domain",
             "no such domain: 1.7",
@@ -587,7 +682,7 @@ class TestRunErrorsOfMeaning:
     def test_domain_k_key_that_names_no_domain(self, reference18_scenario):
         domain_k = {**reference18_scenario.domain_k, "1.9.9": Fraction(2)}
         with pytest.raises(ValidationError) as caught:
-            run(replace(reference18_scenario, domain_k=domain_k), models=())
+            replace(reference18_scenario, domain_k=domain_k)
         assert (caught.value.path, caught.value.message) == (
             "domain_k.1.9.9",
             "no such domain: 1.9.9",
