@@ -1,8 +1,20 @@
-"""Command-line front end: simulate, validate, and explain scenarios."""
+"""Command-line front end: simulate, validate, and explain scenarios.
+
+A command runs with the cyclic garbage collector paused, and ``main``
+turns it back on afterwards only if it was on before. A call builds
+tens of thousands of containers, such as the parsed JSON, link and pin
+triples, network tables and domain states, that mostly stay alive until
+the command ends. So a collection during the call walks live data and
+frees next to nothing: on a 10^4-node scenario such collections took
+about a sixth of the call. What the command drops is still freed by
+reference counting, and what only the collector frees waits for its
+first pass after the command. Library calls leave the collector alone.
+"""
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import Sequence
@@ -185,6 +197,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point. Returns 0 on success, 1 on bad input, 2 on runtime error."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         return args.handler(args)
     except (ParseError, ValidationError) as exc:
@@ -193,6 +207,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NetmanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

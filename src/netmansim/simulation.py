@@ -25,9 +25,15 @@ from .costs import (
     cost_imasnm_deploy,
     cost_imasnm_poll,
 )
-from .errors import ParseError, TopologyError, Unreachable, ValidationError
+from .errors import (
+    NegativeCoeff,
+    ParseError,
+    TopologyError,
+    Unreachable,
+    ValidationError,
+)
 from .hierarchy import DomainId, DomainState, ManagerTree
-from .topology import Network, NodeId, _check_node_id, _link_key
+from .topology import Network, NodeId, _check_node_id, _coeff, _link_key
 
 __all__ = [
     "MODEL_NAMES",
@@ -82,8 +88,10 @@ class Scenario:
     JSON path of the fault, is raised unless:
 
     - ``nodes`` is not empty and holds ``central``;
+    - each event is an ``AddNode`` or a ``Snapshot``;
     - each join adds a new node, links it to nodes known by then, each
-      peer once and never itself, and joins a domain that exists then;
+      peer once and never itself, at a non-negative coefficient, and
+      joins a domain that exists then;
     - snapshot labels are unique;
     - every ``k_override`` id is a node that is initial or joins later;
     - every ``domain_k`` key is a domain id that exists by the end;
@@ -125,7 +133,7 @@ class Scenario:
         self._check_domains(joins)
 
     def _check_events(self, known: dict[NodeId, None]) -> dict[int, DomainId]:
-        """Check each join's node and links and each label; add joins to ``known``.
+        """Check each event's type, join and label; add joins to ``known``.
 
         Returns the domain of each join, keyed by its event index.
         """
@@ -139,18 +147,29 @@ class Scenario:
                     raise ValidationError(path, f"duplicate node {node}")
                 known[node] = None
                 taken: set[tuple[NodeId, NodeId]] = set()  # this join's links
-                for peer_index, (peer, _) in enumerate(event.links):
+                for peer_index, (peer, coeff) in enumerate(event.links):
                     try:
                         taken.add(_link_key(node, peer, known, taken))
                     except TopologyError as exc:
                         path = f"events[{index}].add_node.links[{peer_index}][0]"
                         raise ValidationError(path, str(exc)) from None
+                    # add_link's own check; a loaded join passes inline.
+                    if not (type(coeff) is Fraction and coeff.numerator >= 0):
+                        try:
+                            _coeff(coeff, "link", node, peer)
+                        except NegativeCoeff:
+                            path = f"events[{index}].add_node.links[{peer_index}][1]"
+                            message = f"must be non-negative, got {coeff}"
+                            raise ValidationError(path, message) from None
                 joins[index] = event.domain
             elif isinstance(event, Snapshot):
                 if event.label in labels:
                     path = f"events[{index}].snapshot"
                     raise ValidationError(path, f"duplicate label {event.label!r}")
                 labels.add(event.label)
+            else:
+                message = f"expected an AddNode or a Snapshot, got {event!r}"
+                raise ValidationError(f"events[{index}]", message)
         return joins
 
     def _check_pins(self, known: dict[NodeId, None]) -> None:

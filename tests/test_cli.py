@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
 import random
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import netmansim
+from netmansim import cli
 from netmansim.cli import main
 
 
@@ -382,6 +387,80 @@ class TestExplain:
         assert lines[0] == "scenario: local"
         assert len(lines) == 1 + 1499
         assert lines[-1].startswith("  " * 1498 + "1" + ".1" * 1498 + "  ")
+
+
+class TestCollector:
+    """A command runs with the cyclic collector paused and restores it after."""
+
+    @pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    def test_restored_after_success(self, collecting, monkeypatch, capsys):
+        seen, real_run = [], cli.run
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", spy)
+        assert main(["simulate", "--scenario", "reference18"]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+
+    def test_restored_after_bad_input(self, collecting, capsys, tmp_path):
+        bad = tmp_path / "bad.scenario.json"
+        bad.write_text("{broken")
+        assert main(["simulate", "--scenario", str(bad)]) == 1
+        assert gc.isenabled() is collecting
+
+    def test_restored_after_an_io_failure(self, collecting, capsys):
+        missing = os.path.join("no", "such", "file.scenario.json")
+        assert main(["simulate", "--scenario", missing]) == 2
+        assert gc.isenabled() is collecting
+
+    def test_restored_after_an_unexpected_exception(
+        self, collecting, monkeypatch, capsys
+    ):
+        def crash(*args, **kwargs):
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run", crash)
+        with pytest.raises(RuntimeError, match="^boom$"):
+            main(["simulate", "--scenario", "reference18"])
+        assert gc.isenabled() is collecting
+
+
+class TestModuleEntryPoint:
+    """``python -m netmansim`` runs the same command line from the sources."""
+
+    def run_module(self, *argv):
+        source = str(Path(netmansim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": source}
+        return subprocess.run(
+            [sys.executable, "-m", "netmansim", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    def test_validate_a_bundled_scenario(self):
+        done = self.run_module("validate", "--scenario", "reference18")
+        assert done.returncode == 0
+        assert done.stdout.startswith("ok: reference18 (")
+        assert done.stderr == ""
+
+    def test_a_malformed_file_is_bad_input(self, tmp_path):
+        bad = tmp_path / "bad.scenario.json"
+        bad.write_text("{broken")
+        done = self.run_module("validate", "--scenario", str(bad))
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
 
 
 REFERENCE18_SNAPSHOT = """\

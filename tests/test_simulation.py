@@ -523,6 +523,9 @@ PARITY = [
     (dict(events=[join(6, "1", [[6, 1]])]),
      dict(events=(AddNode(6, DomainId.parse("1"), ((6, Fraction(1)),)),)),
      "events[0].add_node.links[0][0]", "link joins node 6 to itself"),
+    (dict(events=[join(6, "1", [[1, -1]])]),
+     dict(events=(AddNode(6, DomainId.parse("1"), ((1, Fraction(-1)),)),)),
+     "events[0].add_node.links[0][1]", "must be non-negative, got -1"),
     (dict(k_override=[[1, 9, 1]]), dict(k_override=((1, 9, Fraction(1)),)),
      "k_override[0][1]", "unknown node 9"),
     (dict(nodes=[], links=[]), dict(nodes=(), links=()), "nodes", "must not be empty"),
@@ -549,6 +552,21 @@ def test_a_pin_in_a_mapping_is_named_by_its_pair():
         "k_override[(9, 1)]",
         "unknown node 9",
     )
+
+
+def test_an_event_of_another_type_is_named_by_its_index():
+    with pytest.raises(ValidationError) as info:
+        replace(chain_in_code(), events=(Snapshot("a"), "x"))
+    assert (info.value.path, info.value.message) == (
+        "events[1]",
+        "expected an AddNode or a Snapshot, got 'x'",
+    )
+
+
+def test_a_join_link_made_in_code_takes_any_number_add_link_takes():
+    join = AddNode(6, DomainId.parse("1"), ((5, 2), (4, "1/2")))
+    scenario = replace(chain_in_code(), events=(join,))
+    assert build_state(scenario).network.path_cost(6, 3) == Fraction(3, 2)
 
 
 def test_a_long_itinerary_loads_in_linear_time():
