@@ -6,9 +6,11 @@ tens of thousands of containers, such as the parsed JSON, link and pin
 triples, network tables and domain states, that mostly stay alive until
 the command ends. So a collection during the call walks live data and
 frees next to nothing: on a 10^4-node scenario such collections took
-about a sixth of the call. What the command drops is still freed by
-reference counting, and what only the collector frees waits for its
-first pass after the command. Library calls leave the collector alone.
+about a sixth of the call. What the command drops, the manager tree
+included, is freed by reference counting. Only the argument parser's
+cycles, about 140 objects whatever the scenario, wait for the
+collector's first pass after the command. Library calls leave the
+collector alone.
 """
 
 from __future__ import annotations

@@ -110,19 +110,23 @@ class DomainState:
 
 @dataclass(eq=False, slots=True)
 class _ManagerRecord:
-    """One domain, linked directly to its parent's and children's records.
+    """One domain, linked directly to its children's records.
 
     ``members`` is the tree's own list. ``name`` is the dotted id,
-    rendered once. ``state`` is the frozen view last handed out, built on
-    read; a join into the domain or a new child drops it. ``view()``
-    builds a ``Domain`` from it on each read, sharing its members tuple.
+    rendered once. ``parent`` and ``parent_name`` are the parent's id and
+    name, not its record, so records link one way and a finished tree
+    holds no reference cycle: reference counting frees it. ``state`` is
+    the frozen view last handed out, built on read; a join into the
+    domain or a new child drops it. ``view()`` builds a ``Domain`` from
+    it on each read, sharing its members tuple.
     """
 
     id: DomainId
     name: str
     host: NodeId
     members: list[NodeId]
-    parent: _ManagerRecord | None
+    parent: DomainId | None
+    parent_name: str | None
     children: list[_ManagerRecord] = field(default_factory=list)
     state: DomainState | None = None
 
@@ -131,10 +135,11 @@ class _ManagerRecord:
 
     def snapshot(self) -> DomainState:
         if self.state is None:
-            parent = None if self.parent is None else self.parent.name
             children = tuple([child.name for child in self.children])
             members = tuple(self.members)
-            self.state = DomainState(self.name, self.host, members, parent, children)
+            self.state = DomainState(
+                self.name, self.host, members, self.parent_name, children
+            )
         return self.state
 
 
@@ -199,19 +204,20 @@ class ManagerTree:
     ) -> _ManagerRecord:
         """Add the root, or ``parent``'s next child, and register its members."""
         if parent is None:
-            domain_id, name = ROOT_DOMAIN, str(ROOT_DOMAIN)
+            name = str(ROOT_DOMAIN)
+            record = _ManagerRecord(ROOT_DOMAIN, name, host, members, None, None)
+            self._root = record
         else:
             index = len(parent.children) + 1
             domain_id = parent.id.child(index)
             name = f"{parent.name}.{index}"
-        record = _ManagerRecord(domain_id, name, host, members, parent)
-        self._managers[domain_id] = record
-        self._node_domain.update(dict.fromkeys(members, record))
-        if parent is None:
-            self._root = record
-        else:
+            record = _ManagerRecord(
+                domain_id, name, host, members, parent.id, parent.name
+            )
             parent.children.append(record)
             parent.state = None  # its children changed
+        self._managers[record.id] = record
+        self._node_domain.update(dict.fromkeys(members, record))
         return record
 
     def _record(self, domain: DomainId) -> _ManagerRecord:
@@ -285,8 +291,7 @@ class ManagerTree:
         return self._record(domain).view()
 
     def parent_of(self, domain: DomainId) -> DomainId | None:
-        parent = self._record(domain).parent
-        return None if parent is None else parent.id
+        return self._record(domain).parent
 
     def children_of(self, domain: DomainId) -> tuple[DomainId, ...]:
         return tuple(child.id for child in self._record(domain).children)
@@ -313,7 +318,7 @@ class ManagerTree:
     def parent_child_edges(self) -> list[tuple[Domain, Domain]]:
         """Every (mother, child) domain pair, in child id order, from one walk."""
         return [
-            (record.parent.view(), record.view())
+            (self._managers[record.parent].view(), record.view())
             for record in self._preorder()
             if record.parent is not None
         ]

@@ -412,12 +412,37 @@ def _expect_keys(
         raise ValidationError(f"{path}.{key}" if path else key, "missing required key")
 
 
-def _parse_domain_id(value: object, path: str) -> DomainId:
+def _parse_domain_id(
+    value: object, path: str, memo: dict[str, DomainId]
+) -> DomainId:
+    """``value`` as a ``DomainId``, one per distinct text.
+
+    ``memo`` maps each text parsed so far to its id. A text whose parent
+    text, all before its last dot, is in ``memo`` is built from the
+    parent's id, so a join domain named after its parent costs one part
+    to parse, not one per level. ``DomainId.parse`` checks that part.
+    Any other text, or one whose last part fails, goes to the full
+    ``DomainId.parse``, which raises for every malformed id, so an id
+    fails the same way on either path.
+    """
     text = _expect_str(value, path)
-    try:
-        return DomainId.parse(text)
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+    domain = memo.get(text)
+    if domain is not None:
+        return domain
+    head, _, last = text.rpartition(".")
+    parent = memo.get(head)
+    if parent is not None:
+        try:
+            domain = parent.child(DomainId.parse(last).path[0])
+        except ValueError:
+            pass  # the full parse below raises the error
+    if domain is None:
+        try:
+            domain = DomainId.parse(text)
+        except ValueError as exc:
+            raise ValidationError(path, str(exc)) from None
+    memo[text] = domain
+    return domain
 
 
 def load_scenario(source: Union[BinaryIO, TextIO, bytes, str]) -> Scenario:
@@ -426,7 +451,9 @@ def load_scenario(source: Union[BinaryIO, TextIO, bytes, str]) -> Scenario:
     Raises ParseError for malformed JSON and ValidationError (carrying the
     offending field path) for a fault. The loader checks the JSON's shape:
     types, keys, int minimums, number signs and sizes, event kinds, the
-    syntax of each join's domain, and the models. The format is strict:
+    syntax of each join's domain, and the models. A join domain whose
+    parent an earlier join named, such as ``"1.3.2"`` after ``"1.3"``,
+    costs one part to parse, not one per level. The format is strict:
     unknown keys are rejected. Making the ``Scenario`` checks the rest,
     and a ``TopologyError`` from its ``Network`` becomes a ValidationError
     at the path of the rejected entry.
@@ -517,6 +544,8 @@ def _scenario_from_raw(raw: object) -> Scenario:
 
     # one Fraction per distinct number literal (see _expect_number)
     memo: dict[object, Fraction] = {}
+    # one DomainId per distinct join domain text (see _parse_domain_id)
+    domain_memo: dict[str, DomainId] = {}
     # Each checked array is dropped from ``top``, so its entries' lists
     # are freed now rather than left for the garbage collector to walk.
     links = _expect_triples(
@@ -559,7 +588,9 @@ def _scenario_from_raw(raw: object) -> Scenario:
                 body, body_path, required=("node", "domain"), optional=("links",)
             )
             node = _expect_int(body["node"], f"{body_path}.node", minimum=1)
-            domain = _parse_domain_id(body["domain"], f"{body_path}.domain")
+            domain = _parse_domain_id(
+                body["domain"], f"{body_path}.domain", domain_memo
+            )
             event_links: list[tuple[NodeId, Fraction]] = []
             if "links" in body:
                 links_path = f"{body_path}.links"

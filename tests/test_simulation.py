@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import time
@@ -9,6 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from netmansim import (
     AddNode,
@@ -33,6 +35,7 @@ from netmansim import (
 )
 import netmansim.simulation as simulation
 from conftest import build_state
+from netmansim.hierarchy import _ManagerRecord
 
 MINIMAL = {
     "name": "tiny",
@@ -583,6 +586,94 @@ def test_a_long_itinerary_loads_in_linear_time():
     assert elapsed < max(1.0, 20 * fixed)
 
 
+# Join domains a loader that parsed only the last part with int() would
+# take: "+2", " 2", "2_0" and "٢" all read as 2.
+BAD_CHILD_DOMAINS = [
+    "1.0",
+    "1.01",
+    "1.",
+    "1..2",
+    "1.+2",
+    "1. 2",
+    "1.2_0",
+    "1.٢",
+    "1.x",
+    "1." + "1" * 5000,  # past the int digit limit
+]
+
+
+@pytest.mark.parametrize(
+    "domain", BAD_CHILD_DOMAINS, ids=[text[:8] for text in BAD_CHILD_DOMAINS]
+)
+def test_a_bad_join_domain_fails_alike_after_a_join_into_its_parent(domain):
+    # The same join, at the same index, as the file's first join and after
+    # a good join into "1".
+    errors = []
+    for first in ({"snapshot": "a"}, join(2, "1", [])):
+        with pytest.raises(ValidationError) as info:
+            load_scenario(scenario_text(events=[first, join(3, domain, [])]))
+        errors.append((info.value.path, info.value.message))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == "events[1].add_node.domain"
+    with pytest.raises(ValueError) as parsed:
+        DomainId.parse(domain)
+    assert errors[0][1] == str(parsed.value)
+
+
+@st.composite
+def grown_join_domains(draw):
+    """Initial size, m_max and the domain texts of joins into existing domains.
+
+    Each join picks any domain of the tree grown so far, so texts are first
+    seen in any order the growth allows: a chunk domain of the initial
+    partition before its parent, a cloned child after it.
+    """
+    size = draw(st.integers(min_value=1, max_value=13))
+    m_max = draw(st.integers(min_value=1, max_value=2))
+    tree = ManagerTree.initial_partition(range(1, size + 1), m_max, 1)
+    texts = []
+    for node, pick in enumerate(draw(st.lists(st.integers(0), max_size=40))):
+        ids = tree.domain_ids()
+        domain = ids[pick % len(ids)]
+        texts.append(str(domain))
+        tree.add_node_to_domain(size + 1 + node, domain)
+    return size, m_max, texts
+
+
+@given(grown_join_domains())
+def test_loaded_join_domains_equal_their_full_parse(case):
+    size, m_max, texts = case
+    events = [join(size + 1 + n, text, []) for n, text in enumerate(texts)]
+    scenario = load_scenario(
+        scenario_text(nodes=list(range(1, size + 1)), m_max=m_max, events=events)
+    )
+    assert [event.domain for event in scenario.events] == [
+        DomainId.parse(text) for text in texts
+    ]
+
+
+def test_deep_join_domains_load_in_parts_linear_in_the_joins(monkeypatch):
+    # With m_max=1 each join into the newest domain clones a child one
+    # level deeper, so the n-th join's domain has n + 1 parts.
+    joins = 400
+    domain, events = "1.1", []
+    for node in range(3, 3 + joins):
+        events.append(join(node, domain, []))
+        domain += ".1"
+    text = scenario_text(nodes=[1, 2], m_max=1, events=events)
+    parts = []
+    parse = DomainId.parse
+
+    def counting_parse(cls, text):
+        parts.append(text.count(".") + 1)
+        return parse(text)
+
+    monkeypatch.setattr(DomainId, "parse", classmethod(counting_parse))
+    scenario = load_scenario(text)
+    assert scenario.events[-1].domain.path == (1,) * (joins + 1)
+    assert sum(parts) <= 3 * joins
+
+
 class TestCoefficientObjects:
     """Each distinct coefficient literal becomes one Fraction, kept as is."""
 
@@ -1001,6 +1092,23 @@ class TestRun:
         assert result.snapshots[1].per_poll == expected.per_poll
         assert result.deploy["imasnm"] > 0
         assert result.per_poll["imasnm"] != result.snapshots[0].per_poll["imasnm"]
+
+    def test_a_finished_tree_is_freed_without_the_collector(self):
+        scenario = load_bundled_scenario("growth19")
+        was_enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            run(scenario, costs_at_snapshots=True)
+            gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the pass finds unreachable
+            gc.collect()
+            left = [item for item in gc.garbage if type(item) is _ManagerRecord]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert left == []
 
     def test_a_scenario_built_in_code_is_checked_when_built(self):
         scenario = load_scenario(scenario_text(nodes=[1, 2], links=[[1, 2, 1]]))
