@@ -16,10 +16,10 @@ one per term, and the value is the same exact ``Fraction``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record
 from .errors import ItineraryTooShort
 from .hierarchy import DomainState, ManagerTree
 from .topology import Network, NodeId, NumberLike
@@ -77,8 +77,7 @@ def _count(value: object, name: str, minimum: int = 0) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class CostParams:
+class CostParams(Record):
     """Message and agent sizes shared by the cost formulas.
 
     All sizes are bytes. Values are normalized to ``Fraction``; pass
@@ -90,32 +89,37 @@ class CostParams:
     d: flat-bed agent code size and per-node data it accretes. ma_size:
     a manager agent being deployed. mda_size: the data agent a manager
     circulates inside its own domain. ma_res: one child-to-mother health
-    report.
+    report. The sizes are checked in field order and ``num_vars`` last,
+    so the first bad size is the one reported.
     """
 
-    s_req: Fraction
-    s_res: Fraction
-    num_vars: int
-    s_ma: Fraction
-    d: Fraction
-    ma_size: Fraction
-    mda_size: Fraction
-    ma_res: Fraction
+    __slots__ = (
+        "s_req", "s_res", "num_vars", "s_ma", "d", "ma_size", "mda_size", "ma_res"
+    )
 
-    def __post_init__(self) -> None:
-        for name in ("s_req", "s_res", "s_ma", "d", "ma_size", "mda_size", "ma_res"):
-            object.__setattr__(self, name, _size(getattr(self, name), name))
-        object.__setattr__(self, "num_vars", _count(self.num_vars, "num_vars", 1))
+    def __init__(
+        self, s_req: NumberLike, s_res: NumberLike, num_vars: int, s_ma: NumberLike,
+        d: NumberLike, ma_size: NumberLike, mda_size: NumberLike, ma_res: NumberLike,
+    ) -> None:
+        sizes = (s_req, s_res, s_ma, d, ma_size, mda_size, ma_res)
+        names = ("s_req", "s_res", "s_ma", "d", "ma_size", "mda_size", "ma_res")
+        for name, value in zip(names, sizes):
+            object.__setattr__(self, name, _size(value, name))
+        object.__setattr__(self, "num_vars", _count(num_vars, "num_vars", 1))
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(Record):
     """Deploy/poll decomposition of a hierarchical-model cost."""
 
-    deploy: Fraction
-    per_poll: Fraction
-    polls: int
-    include_deploy: bool
+    __slots__ = ("deploy", "per_poll", "polls", "include_deploy")
+
+    def __init__(
+        self, deploy: Fraction, per_poll: Fraction, polls: int, include_deploy: bool
+    ) -> None:
+        object.__setattr__(self, "deploy", deploy)
+        object.__setattr__(self, "per_poll", per_poll)
+        object.__setattr__(self, "polls", polls)
+        object.__setattr__(self, "include_deploy", include_deploy)
 
     @property
     def total(self) -> Fraction:

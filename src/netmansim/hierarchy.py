@@ -11,9 +11,10 @@ frozen ``DomainState`` per domain and builds each ``Domain`` from it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import (
     DuplicateNode,
     EmptyNetwork,
@@ -35,20 +36,40 @@ __all__ = [
 _CANONICAL_ID = re.compile(r"[1-9][0-9]*(?:\.[1-9][0-9]*)*")
 
 
-@dataclass(frozen=True, order=True)
-class DomainId:
-    """Hierarchical domain name, rendered dotted ("1.3.1")."""
+@total_ordering
+class DomainId(Record):
+    """Hierarchical domain name, rendered dotted ("1.3.1").
 
-    path: tuple[int, ...]
+    An id equals and orders only ids of its own class, by ``path``, so
+    sorting is depth-first. ``__eq__`` and ``__hash__`` read ``path``
+    directly, not ``Record``'s field tuple, because the tree looks up a
+    record by id on every join.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.path:
+    __slots__ = ("path",)
+
+    def __init__(self, path: tuple[int, ...]) -> None:
+        if not path:
             raise ValueError("domain id path must be non-empty")
-        for part in self.path:
+        for part in path:
             if isinstance(part, bool) or not isinstance(part, int):
-                raise ValueError(f"domain id parts must be ints: {self.path!r}")
+                raise ValueError(f"domain id parts must be ints: {path!r}")
             if part < 1:
-                raise ValueError(f"domain id parts must be positive: {self.path!r}")
+                raise ValueError(f"domain id parts must be positive: {path!r}")
+        object.__setattr__(self, "path", path)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.path == other.path
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.path,))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.path < other.path
+        return NotImplemented
 
     @classmethod
     def _unchecked(cls, path: tuple[int, ...]) -> "DomainId":
@@ -84,31 +105,39 @@ class DomainId:
 ROOT_DOMAIN = DomainId((1,))
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """One managed domain as it stood when read: members and manager host.
 
     Only the ``ManagerTree`` changes membership. A ``Domain`` read before
     a join keeps its old members; a fresh read shows the new one.
     """
 
-    id: DomainId
-    members: tuple[NodeId, ...]
-    manager_host: NodeId
+    __slots__ = ("id", "members", "manager_host")
+
+    def __init__(
+        self, id: DomainId, members: tuple[NodeId, ...], manager_host: NodeId
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "manager_host", manager_host)
 
 
-@dataclass(frozen=True)
-class DomainState:
+class DomainState(Record):
     """Immutable view of one domain at some instant."""
 
-    id: str
-    manager_host: NodeId
-    members: tuple[NodeId, ...]
-    parent: str | None
-    children: tuple[str, ...]
+    __slots__ = ("id", "manager_host", "members", "parent", "children")
+
+    def __init__(
+        self, id: str, manager_host: NodeId, members: tuple[NodeId, ...],
+        parent: str | None, children: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "manager_host", manager_host)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(eq=False, slots=True)
 class _ManagerRecord:
     """One domain, linked directly to its children's records.
 
@@ -121,14 +150,22 @@ class _ManagerRecord:
     it on each read, sharing its members tuple.
     """
 
-    id: DomainId
-    name: str
-    host: NodeId
-    members: list[NodeId]
-    parent: DomainId | None
-    parent_name: str | None
-    children: list[_ManagerRecord] = field(default_factory=list)
-    state: DomainState | None = None
+    __slots__ = (
+        "id", "name", "host", "members", "parent", "parent_name", "children", "state"
+    )
+
+    def __init__(
+        self, id: DomainId, name: str, host: NodeId, members: list[NodeId],
+        parent: DomainId | None, parent_name: str | None,
+    ) -> None:
+        self.id = id
+        self.name = name
+        self.host = host
+        self.members = members
+        self.parent = parent
+        self.parent_name = parent_name
+        self.children: list[_ManagerRecord] = []
+        self.state: DomainState | None = None
 
     def view(self) -> Domain:
         return Domain(self.id, self.snapshot().members, self.host)

@@ -9,11 +9,11 @@ explicitly included.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from typing import BinaryIO, TextIO, Union
 
+from ._record import Record
 from .errors import EmptyResult, NetmanError
 from .simulation import SimulationResult
 
@@ -66,27 +66,36 @@ def float_text(value: Fraction, spec: str = "") -> str:
     return format(context.plus(exact).normalize(context), "g")
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
     """One polling count with its per-model cost, in bytes and kilobytes."""
 
-    polls: int
-    bytes: dict[str, Fraction]
-    kb: dict[str, Decimal]
+    __slots__ = ("polls", "bytes", "kb")
+
+    def __init__(
+        self, polls: int, bytes: dict[str, Fraction], kb: dict[str, Decimal]
+    ) -> None:
+        object.__setattr__(self, "polls", polls)
+        object.__setattr__(self, "bytes", bytes)
+        object.__setattr__(self, "kb", kb)
 
     def kb_of(self, model: str) -> Decimal:
         return self.kb[model]
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Comparison table over polling counts, plus deployment metadata."""
 
-    scenario: str
-    models: tuple[str, ...]
-    include_deploy: bool
-    deploy: dict[str, Fraction]
-    rows: tuple[ReportRow, ...]
+    __slots__ = ("scenario", "models", "include_deploy", "deploy", "rows")
+
+    def __init__(
+        self, scenario: str, models: tuple[str, ...], include_deploy: bool,
+        deploy: dict[str, Fraction], rows: tuple[ReportRow, ...],
+    ) -> None:
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "models", models)
+        object.__setattr__(self, "include_deploy", include_deploy)
+        object.__setattr__(self, "deploy", deploy)
+        object.__setattr__(self, "rows", rows)
 
     def deploy_of(self, model: str) -> Fraction:
         return self.deploy[model]

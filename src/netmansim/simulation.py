@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from typing import BinaryIO, Iterable, Mapping, TextIO, Union
 
+from ._record import Record
 from .costs import (
     CostParams,
     cost_centralized,
@@ -58,27 +57,33 @@ MODEL_NAMES = ("cs", "flatbed", "imasnm")
 _SCENARIO_SUFFIX = ".scenario.json"
 
 
-@dataclass(frozen=True)
-class AddNode:
+class AddNode(Record):
     """A discovered node joins a domain, optionally with new links."""
 
-    node: NodeId
-    domain: DomainId
-    links: tuple[tuple[NodeId, Fraction], ...] = ()
+    __slots__ = ("node", "domain", "links")
+
+    def __init__(
+        self, node: NodeId, domain: DomainId,
+        links: tuple[tuple[NodeId, Fraction], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "links", links)
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(Record):
     """Record the hierarchy as it stands, under a label."""
 
-    label: str
+    __slots__ = ("label",)
+
+    def __init__(self, label: str) -> None:
+        object.__setattr__(self, "label", label)
 
 
 Event = Union[AddNode, Snapshot]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A fully validated scenario, ready to run.
 
     Making one checks every rule of its meaning, whether the loader or
@@ -101,25 +106,39 @@ class Scenario:
     The domain rules replay the joins on member and child counts alone
     (``ManagerTree._replay_shape``), not on a tree. A pair that a model
     needs but cannot reach is found only when ``run`` prices it.
+    ``network`` is left out of equality, hashing and ``repr``.
     """
 
-    name: str
-    nodes: tuple[NodeId, ...]
-    links: tuple[tuple[NodeId, NodeId, Fraction], ...]
-    k_override: tuple[tuple[NodeId, NodeId, Fraction], ...]
-    central: NodeId
-    m_max: int
-    params: CostParams
-    domain_k: dict[str, Fraction]
-    events: tuple[Event, ...]
-    polling_counts: tuple[int, ...]
-    models: tuple[str, ...]
-    flatbed_itinerary: tuple[NodeId, ...] | None = None
-    notes: str | None = None
-    network: Network = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "name", "nodes", "links", "k_override", "central", "m_max", "params",
+        "domain_k", "events", "polling_counts", "models", "flatbed_itinerary",
+        "notes", "network",
+    )
+    _fields = __slots__[:-1]
 
-    def __post_init__(self) -> None:
-        network = Network(self.nodes, self.links, self.k_override)
+    def __init__(
+        self, name: str, nodes: tuple[NodeId, ...],
+        links: tuple[tuple[NodeId, NodeId, Fraction], ...],
+        k_override: tuple[tuple[NodeId, NodeId, Fraction], ...],
+        central: NodeId, m_max: int, params: CostParams, domain_k: dict[str, Fraction],
+        events: tuple[Event, ...], polling_counts: tuple[int, ...],
+        models: tuple[str, ...], flatbed_itinerary: tuple[NodeId, ...] | None = None,
+        notes: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "k_override", k_override)
+        object.__setattr__(self, "central", central)
+        object.__setattr__(self, "m_max", m_max)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "domain_k", domain_k)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "polling_counts", polling_counts)
+        object.__setattr__(self, "models", models)
+        object.__setattr__(self, "flatbed_itinerary", flatbed_itinerary)
+        object.__setattr__(self, "notes", notes)
+        network = Network(nodes, links, k_override)
         object.__setattr__(self, "network", network)
         if not self.nodes:
             raise ValidationError("nodes", "must not be empty")
@@ -227,48 +246,75 @@ class Scenario:
                 raise ValidationError(f"domain_k.{key}", f"no such domain: {key}")
 
 
-@dataclass(frozen=True)
-class SnapshotRecord:
+class SnapshotRecord(Record):
     """The hierarchy captured by one Snapshot event.
 
     ``per_poll`` and ``deploy`` are the model-keyed cost tables of that
     instant, filled in only by ``run(..., costs_at_snapshots=True)``.
     """
 
-    label: str
-    domains: tuple[DomainState, ...]
-    per_poll: dict[str, Fraction] | None = None
-    deploy: dict[str, Fraction] | None = None
+    __slots__ = ("label", "domains", "per_poll", "deploy")
+
+    def __init__(
+        self, label: str, domains: tuple[DomainState, ...],
+        per_poll: dict[str, Fraction] | None = None,
+        deploy: dict[str, Fraction] | None = None,
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "per_poll", per_poll)
+        object.__setattr__(self, "deploy", deploy)
 
     @property
     def managers(self) -> tuple[str, ...]:
         return tuple(state.id for state in self.domains)
 
 
-@dataclass
-class SimulationState:
-    """Mutable state threaded through apply_event."""
+class SimulationState(Record):
+    """Mutable state threaded through apply_event.
 
-    network: Network
-    tree: ManagerTree
-    snapshots: list[SnapshotRecord] = field(default_factory=list)
+    It compares and prints by its fields, as a record does, but its
+    fields can be set, so it has no hash.
+    """
+
+    __slots__ = ("network", "tree", "snapshots")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, network: Network, tree: ManagerTree,
+        snapshots: list[SnapshotRecord] | None = None,
+    ) -> None:
+        self.network = network
+        self.tree = tree
+        self.snapshots = [] if snapshots is None else snapshots
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Record):
     """Final state and cost tables produced by ``run``.
 
     ``per_poll`` and ``deploy`` map each model, in ``models`` order, to
     its bytes for one poll and its one-time deployment bytes.
     """
 
-    scenario: str
-    models: tuple[str, ...]
-    polling_counts: tuple[int, ...]
-    per_poll: dict[str, Fraction]
-    deploy: dict[str, Fraction]
-    snapshots: tuple[SnapshotRecord, ...]
-    final_domains: tuple[DomainState, ...]
+    __slots__ = (
+        "scenario", "models", "polling_counts", "per_poll", "deploy", "snapshots",
+        "final_domains",
+    )
+
+    def __init__(
+        self, scenario: str, models: tuple[str, ...], polling_counts: tuple[int, ...],
+        per_poll: dict[str, Fraction], deploy: dict[str, Fraction],
+        snapshots: tuple[SnapshotRecord, ...], final_domains: tuple[DomainState, ...],
+    ) -> None:
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "models", models)
+        object.__setattr__(self, "polling_counts", polling_counts)
+        object.__setattr__(self, "per_poll", per_poll)
+        object.__setattr__(self, "deploy", deploy)
+        object.__setattr__(self, "snapshots", snapshots)
+        object.__setattr__(self, "final_domains", final_domains)
 
     def per_poll_of(self, model: str) -> Fraction:
         return self.per_poll[model]
@@ -412,20 +458,17 @@ def _expect_keys(
         raise ValidationError(f"{path}.{key}" if path else key, "missing required key")
 
 
-def _parse_domain_id(
-    value: object, path: str, memo: dict[str, DomainId]
-) -> DomainId:
-    """``value`` as a ``DomainId``, one per distinct text.
+def _parse_domain_id(text: str, memo: dict[str, DomainId]) -> DomainId:
+    """``text`` as a ``DomainId``, one per distinct text.
 
     ``memo`` maps each text parsed so far to its id. A text whose parent
     text, all before its last dot, is in ``memo`` is built from the
     parent's id, so a join domain named after its parent costs one part
     to parse, not one per level. ``DomainId.parse`` checks that part.
     Any other text, or one whose last part fails, goes to the full
-    ``DomainId.parse``, which raises for every malformed id, so an id
-    fails the same way on either path.
+    ``DomainId.parse``, which raises ValueError for every malformed id,
+    so an id fails the same way on either path.
     """
-    text = _expect_str(value, path)
     domain = memo.get(text)
     if domain is not None:
         return domain
@@ -437,12 +480,84 @@ def _parse_domain_id(
         except ValueError:
             pass  # the full parse below raises the error
     if domain is None:
-        try:
-            domain = DomainId.parse(text)
-        except ValueError as exc:
-            raise ValidationError(path, str(exc)) from None
+        domain = DomainId.parse(text)
     memo[text] = domain
     return domain
+
+
+def _join(entry: object, memo: dict, domain_memo: dict) -> AddNode | None:
+    """``entry`` as an ``AddNode`` if it is a well-formed join, else None.
+
+    The inline test of a join: one ``add_node`` object holding a plain
+    positive ``int`` node, a domain text that parses, and, if present, a
+    list of ``[peer, coeff]`` pairs whose peers are plain positive
+    ``int``s and whose numbers are already in ``memo``. No JSON path is
+    formatted. Any other entry gets None, for ``_expect_event`` to check
+    in order and raise at its JSON path, so an entry fails the same way
+    on either path.
+    """
+    if type(entry) is not dict or len(entry) != 1:
+        return None
+    body = entry.get("add_node")
+    if type(body) is not dict or len(body) != 2 + ("links" in body):
+        return None
+    node, text, pairs = body.get("node"), body.get("domain"), body.get("links", [])
+    if type(node) is not int or node < 1 or type(text) is not str:
+        return None
+    if type(pairs) is not list:
+        return None
+    links = []
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2:
+            return None
+        peer, value = pair
+        coeff = memo.get(value) if type(value) in _NUMBER_TYPES else None
+        if type(peer) is not int or peer < 1 or coeff is None:
+            return None
+        links.append((peer, coeff))
+    try:
+        domain = _parse_domain_id(text, domain_memo)
+    except ValueError:
+        return None
+    return AddNode(node, domain, tuple(links))
+
+
+def _expect_event(entry: object, path: str, memo: dict, domain_memo: dict) -> Event:
+    """Check the event at ``path``, a join or a snapshot, in order."""
+    obj = _expect_object(entry, path)
+    if len(obj) != 1:
+        raise ValidationError(path, "event must have exactly one key")
+    (kind,) = obj
+    if kind == "snapshot":
+        return Snapshot(_expect_str(obj[kind], f"{path}.snapshot"))
+    if kind != "add_node":
+        raise ValidationError(f"{path}.{kind}", "unknown event kind")
+    body_path = f"{path}.add_node"
+    body = _expect_object(obj[kind], body_path)
+    _expect_keys(body, body_path, required=("node", "domain"), optional=("links",))
+    node = _expect_int(body["node"], f"{body_path}.node", minimum=1)
+    domain_path = f"{body_path}.domain"
+    try:
+        domain = _parse_domain_id(
+            _expect_str(body["domain"], domain_path), domain_memo
+        )
+    except ValueError as exc:
+        raise ValidationError(domain_path, str(exc)) from None
+    links: list[tuple[NodeId, Fraction]] = []
+    if "links" in body:
+        links_path = f"{body_path}.links"
+        for li, link_entry in enumerate(_expect_array(body["links"], links_path)):
+            if not isinstance(link_entry, list) or len(link_entry) != 2:
+                lpath = f"{links_path}[{li}]"
+                items = _expect_array(link_entry, lpath)
+                raise ValidationError(
+                    lpath, f"expected [peer, coeff], got {len(items)} items"
+                )
+            peer, value = link_entry
+            peer = _expect_int(peer, f"{links_path}[{li}][0]", minimum=1)
+            coeff = _expect_number(value, f"{links_path}[{li}][1]", memo)
+            links.append((peer, coeff))
+    return AddNode(node, domain, tuple(links))
 
 
 def load_scenario(source: Union[BinaryIO, TextIO, bytes, str]) -> Scenario:
@@ -489,6 +604,8 @@ def load_scenario_file(path) -> Scenario:
 
 def bundled_scenario_names() -> tuple[str, ...]:
     """Names of the scenario files shipped inside the package."""
+    from importlib import resources
+
     directory = resources.files(__package__).joinpath("scenarios")
     names = []
     for entry in directory.iterdir():
@@ -499,6 +616,8 @@ def bundled_scenario_names() -> tuple[str, ...]:
 
 def load_bundled_scenario(name: str) -> Scenario:
     """Load a scenario shipped with the package, by name or file name."""
+    from importlib import resources
+
     if name.endswith(_SCENARIO_SUFFIX):
         name = name[: -len(_SCENARIO_SUFFIX)]
     entry = resources.files(__package__).joinpath(
@@ -574,47 +693,14 @@ def _scenario_from_raw(raw: object) -> Scenario:
     }
     params = CostParams(num_vars=num_vars, **sizes)
 
+    # A well-formed join passes _join's inline test; only other entries
+    # have their JSON path formatted.
     events: list[Event] = []
     for index, entry in enumerate(_expect_array(top["events"], "events")):
-        path = f"events[{index}]"
-        obj = _expect_object(entry, path)
-        if len(obj) != 1:
-            raise ValidationError(path, "event must have exactly one key")
-        (kind,) = obj
-        if kind == "add_node":
-            body_path = f"{path}.add_node"
-            body = _expect_object(obj[kind], body_path)
-            _expect_keys(
-                body, body_path, required=("node", "domain"), optional=("links",)
-            )
-            node = _expect_int(body["node"], f"{body_path}.node", minimum=1)
-            domain = _parse_domain_id(
-                body["domain"], f"{body_path}.domain", domain_memo
-            )
-            event_links: list[tuple[NodeId, Fraction]] = []
-            if "links" in body:
-                links_path = f"{body_path}.links"
-                for li, link_entry in enumerate(
-                    _expect_array(body["links"], links_path)
-                ):
-                    if not isinstance(link_entry, list) or len(link_entry) != 2:
-                        lpath = f"{links_path}[{li}]"
-                        items = _expect_array(link_entry, lpath)
-                        raise ValidationError(
-                            lpath, f"expected [peer, coeff], got {len(items)} items"
-                        )
-                    peer, value = link_entry
-                    if type(peer) is not int or peer < 1:
-                        peer = _expect_int(peer, f"{links_path}[{li}][0]", minimum=1)
-                    coeff = memo.get(value) if type(value) in _NUMBER_TYPES else None
-                    if coeff is None:
-                        coeff = _expect_number(value, f"{links_path}[{li}][1]", memo)
-                    event_links.append((peer, coeff))
-            events.append(AddNode(node, domain, tuple(event_links)))
-        elif kind == "snapshot":
-            events.append(Snapshot(_expect_str(obj[kind], f"{path}.snapshot")))
-        else:
-            raise ValidationError(f"{path}.{kind}", "unknown event kind")
+        event = _join(entry, memo, domain_memo)
+        if event is None:
+            event = _expect_event(entry, f"events[{index}]", memo, domain_memo)
+        events.append(event)
 
     k_override = _expect_triples(
         _expect_array(top.pop("k_override", []), "k_override"),
@@ -809,9 +895,8 @@ def run(
             priced = None
         elif costs_at_snapshots:
             priced = _model_costs(scenario, state, ordered_models)
-            state.snapshots[-1] = replace(
-                state.snapshots[-1], per_poll=priced[0], deploy=priced[1]
-            )
+            taken = state.snapshots[-1]
+            state.snapshots[-1] = SnapshotRecord(taken.label, taken.domains, *priced)
 
     per_poll, deploy = priced or _model_costs(scenario, state, ordered_models)
     return SimulationResult(

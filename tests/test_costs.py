@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from netmansim import (
+    CostBreakdown,
     CostParams,
     ItineraryTooShort,
     ManagerTree,
@@ -24,6 +24,7 @@ from netmansim import (
     cost_imasnm_poll,
     cost_imasnm_total,
 )
+from conftest import assert_frozen_record, replace
 from netmansim.hierarchy import DomainId
 
 
@@ -54,6 +55,44 @@ class TestCostParams:
     def test_non_numeric_rejected(self):
         with pytest.raises(ValueError):
             params(d=object())
+
+    def test_is_a_frozen_record(self):
+        sizes = [Fraction(n) for n in (1, 2, 4, 5, 6, 7, 8)]
+        values = (*sizes[:2], 3, *sizes[2:])
+        text = (
+            "CostParams(s_req=Fraction(1, 1), s_res=Fraction(2, 1), num_vars=3, "
+            "s_ma=Fraction(4, 1), d=Fraction(5, 1), ma_size=Fraction(6, 1), "
+            "mda_size=Fraction(7, 1), ma_res=Fraction(8, 1))"
+        )
+        assert_frozen_record(CostParams(1, 2, 3, 4, 5, 6, 7, 8), text, values)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                dict(s_res=-1, ma_res="x", num_vars=0),
+                "s_res must be non-negative, got -1",
+            ),
+            (dict(d=-2, s_ma="?"), "s_ma must be a number, got '?'"),
+            (dict(ma_res="x", num_vars=0), "ma_res must be a number, got 'x'"),
+            (dict(num_vars=0), "num_vars must be at least 1, got 0"),
+        ],
+    )
+    def test_the_first_bad_field_is_reported(self, overrides, message):
+        # Sizes in field order, skipping num_vars, which is checked last.
+        with pytest.raises(ValueError) as info:
+            params(**overrides)
+        assert str(info.value) == message
+
+
+def test_cost_breakdown_is_a_frozen_record():
+    breakdown = CostBreakdown(Fraction(5), Fraction(2), 3, True)
+    text = (
+        "CostBreakdown(deploy=Fraction(5, 1), per_poll=Fraction(2, 1), polls=3, "
+        "include_deploy=True)"
+    )
+    assert_frozen_record(breakdown, text, (Fraction(5), Fraction(2), 3, True))
+    assert breakdown.total == 11
 
 
 class TestCentralized:

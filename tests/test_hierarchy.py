@@ -12,7 +12,9 @@ from hypothesis import given, strategies as st
 from netmansim import (
     AddNode,
     CostParams,
+    Domain,
     DomainId,
+    DomainState,
     DuplicateNode,
     EmptyNetwork,
     ManagerTree,
@@ -25,6 +27,7 @@ from netmansim import (
     UnknownNode,
     run,
 )
+from conftest import assert_frozen_record
 
 
 def did(text: str) -> DomainId:
@@ -87,6 +90,47 @@ class TestDomainId:
             "1.2.1",
             "1.10",
         ]
+
+    def test_order_methods_compare_paths(self):
+        low, high = did("1.2"), did("1.10")
+        assert low < high and low <= high and high > low and high >= low
+        assert low <= did("1.2") and low >= did("1.2")
+        assert not (low < did("1.2") or low > did("1.2"))
+
+    def test_only_ids_of_one_class_compare(self):
+        class Named(DomainId):
+            pass
+
+        assert Named((1, 3)) != did("1.3") and did("1.3") != Named((1, 3))
+        for compare in (
+            lambda: did("1") < Named((2,)),
+            lambda: did("1") <= Named((2,)),
+            lambda: did("1") > (0,),
+            lambda: did("1") >= (0,),
+        ):
+            with pytest.raises(TypeError):
+                compare()
+
+
+@pytest.mark.parametrize(
+    "record, text, values",
+    [
+        (DomainId((1, 3)), "DomainId(path=(1, 3))", ((1, 3),)),
+        (
+            Domain(ROOT_DOMAIN, (1, 2), 1),
+            "Domain(id=DomainId(path=(1,)), members=(1, 2), manager_host=1)",
+            (ROOT_DOMAIN, (1, 2), 1),
+        ),
+        (
+            DomainState("1", 1, (1, 2), None, ("1.1",)),
+            "DomainState(id='1', manager_host=1, members=(1, 2), parent=None, "
+            "children=('1.1',))",
+            ("1", 1, (1, 2), None, ("1.1",)),
+        ),
+    ],
+)
+def test_domain_records_are_frozen(record, text, values):
+    assert_frozen_record(record, text, values)
 
 
 class TestInitialPartition:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,6 +12,7 @@ from netmansim import (
     CostReport,
     EmptyResult,
     NetmanError,
+    ReportRow,
     compare,
     emit_csv,
     format_table,
@@ -20,6 +20,7 @@ from netmansim import (
     load_bundled_scenario,
     run,
 )
+from conftest import assert_frozen_record, replace
 from netmansim.report import float_text
 
 
@@ -145,6 +146,24 @@ class TestCompare:
         scenario = load_bundled_scenario("growth19")
         with pytest.raises(EmptyResult):
             compare(run(scenario))
+
+
+def test_report_records_are_frozen():
+    row_values = (2, {"cs": Fraction(1500)}, {"cs": Decimal("1.50")})
+    row = ReportRow(*row_values)
+    assert_frozen_record(
+        row,
+        "ReportRow(polls=2, bytes={'cs': Fraction(1500, 1)}, "
+        "kb={'cs': Decimal('1.50')})",
+        row_values,
+    )
+    report_values = ("s", ("cs",), False, {"cs": Fraction(0)}, (row,))
+    assert_frozen_record(
+        CostReport(*report_values),
+        "CostReport(scenario='s', models=('cs',), include_deploy=False, "
+        f"deploy={{'cs': Fraction(0, 1)}}, rows=({row!r},))",
+        report_values,
+    )
 
 
 class TestEmitCsv:

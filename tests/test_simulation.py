@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import io
 import json
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,13 +16,17 @@ from netmansim import (
     AddNode,
     CostParams,
     DomainId,
+    DomainState,
     ManagerTree,
     Network,
     ParseError,
+    ROOT_DOMAIN,
     Scenario,
     SelfLink,
+    SimulationResult,
     SimulationState,
     Snapshot,
+    SnapshotRecord,
     UnknownDomain,
     UnknownNode,
     ValidationError,
@@ -34,7 +38,7 @@ from netmansim import (
     run,
 )
 import netmansim.simulation as simulation
-from conftest import build_state
+from conftest import assert_frozen_record, build_state, replace
 from netmansim.hierarchy import _ManagerRecord
 
 MINIMAL = {
@@ -349,6 +353,54 @@ def test_entry_errors_are_exact(array, entries, path, message):
     assert (info.value.path, info.value.message) == (path, message)
 
 
+JOIN = "events[0].add_node"
+
+# Each join follows a link whose number 1 is then known, so it meets the
+# loader's inline join test before the checks that raise.
+JOIN_ERRORS = [
+    ({"add_node": {"node": 3, "domain": "1"}, "snapshot": "a"}, "events[0]",
+     "event must have exactly one key"),
+    ({"add_node": 5}, JOIN, "expected an object, got int"),
+    ({"add_node": {"node": 3, "domain": "1", "x": 1}}, f"{JOIN}.x", "unknown key"),
+    ({"add_node": {"node": 3, "links": [[1, 1]]}}, f"{JOIN}.domain",
+     "missing required key"),
+    ({"add_node": {"node": 0, "domain": "1"}}, f"{JOIN}.node",
+     "must be at least 1, got 0"),
+    ({"add_node": {"node": True, "domain": "1"}}, f"{JOIN}.node",
+     "expected an integer, got True"),
+    ({"add_node": {"node": 3, "domain": 1}}, f"{JOIN}.domain",
+     "expected a string, got int"),
+    ({"add_node": {"node": 3, "domain": "1.0"}}, f"{JOIN}.domain",
+     "malformed domain id '1.0'"),
+    ({"add_node": {"node": 3, "domain": "1", "links": {"1": 1}}}, f"{JOIN}.links",
+     "expected an array, got dict"),
+    ({"add_node": {"node": 3, "domain": "1", "links": [5]}}, f"{JOIN}.links[0]",
+     "expected an array, got int"),
+    ({"add_node": {"node": 3, "domain": "1", "links": [[1, 1, 1]]}},
+     f"{JOIN}.links[0]", "expected [peer, coeff], got 3 items"),
+    ({"add_node": {"node": 3, "domain": "1", "links": [[1, 1], [0, 1]]}},
+     f"{JOIN}.links[1][0]", "must be at least 1, got 0"),
+    ({"add_node": {"node": 3, "domain": "1", "links": [[True, 1]]}},
+     f"{JOIN}.links[0][0]", "expected an integer, got True"),
+    ({"add_node": {"node": 3, "domain": "1", "links": [[1, True]]}},
+     f"{JOIN}.links[0][1]", "expected a number, got True"),
+    ({"add_node": {"node": 3, "domain": "1", "links": [[1, 1], [2, -1]]}},
+     f"{JOIN}.links[1][1]", "must be non-negative, got -1"),
+    ({"add_node": {"node": 2, "domain": "1", "links": [[1, 1]]}}, f"{JOIN}.node",
+     "duplicate node 2"),
+    ({"add_node": {"node": 3, "domain": "1.1", "links": [[1, 1]]}},
+     f"{JOIN}.domain", "no such domain: 1.1"),
+]
+
+
+@pytest.mark.parametrize("event, path, message", JOIN_ERRORS)
+def test_join_errors_are_exact_after_a_known_number(event, path, message):
+    text = scenario_text(nodes=[1, 2], links=[[1, 2, 1]], events=[event])
+    with pytest.raises(ValidationError) as info:
+        load_scenario(text)
+    assert (info.value.path, info.value.message) == (path, message)
+
+
 def params(**changes) -> dict:
     """MINIMAL's params with ``changes`` applied; a None value deletes the key."""
     merged = dict(MINIMAL["params"], **changes)
@@ -572,6 +624,83 @@ def test_a_join_link_made_in_code_takes_any_number_add_link_takes():
     assert build_state(scenario).network.path_cost(6, 3) == Fraction(3, 2)
 
 
+STATE = DomainState("1", 1, (1,), None, ())
+TABLE = {"cs": Fraction(1, 2)}
+
+
+@pytest.mark.parametrize(
+    "record, text, values",
+    [
+        (
+            AddNode(6, ROOT_DOMAIN, ((1, Fraction(2)),)),
+            "AddNode(node=6, domain=DomainId(path=(1,)), links=((1, Fraction(2, 1)),))",
+            (6, ROOT_DOMAIN, ((1, Fraction(2)),)),
+        ),
+        (Snapshot("a"), "Snapshot(label='a')", ("a",)),
+        (
+            SnapshotRecord("a", (STATE,), TABLE, TABLE),
+            f"SnapshotRecord(label='a', domains=({STATE!r},), "
+            "per_poll={'cs': Fraction(1, 2)}, deploy={'cs': Fraction(1, 2)})",
+            ("a", (STATE,), TABLE, TABLE),
+        ),
+        (
+            SimulationResult("s", ("cs",), (0, 2), TABLE, TABLE, (), (STATE,)),
+            "SimulationResult(scenario='s', models=('cs',), polling_counts=(0, 2), "
+            "per_poll={'cs': Fraction(1, 2)}, deploy={'cs': Fraction(1, 2)}, "
+            f"snapshots=(), final_domains=({STATE!r},))",
+            ("s", ("cs",), (0, 2), TABLE, TABLE, (), (STATE,)),
+        ),
+    ],
+)
+def test_event_and_result_records_are_frozen(record, text, values):
+    assert_frozen_record(record, text, values)
+
+
+def test_records_fill_their_defaults():
+    assert AddNode(node=6, domain=ROOT_DOMAIN) == AddNode(6, ROOT_DOMAIN, ())
+    record = SnapshotRecord(label="a", domains=(STATE,))
+    assert (record.per_poll, record.deploy) == (None, None)
+    assert hash(record) == hash(("a", (STATE,), None, None))
+    scenario = chain_in_code()
+    assert (scenario.flatbed_itinerary, scenario.notes) == (None, None)
+
+
+def test_a_scenario_is_a_frozen_record_without_its_network():
+    scenario = chain_in_code()
+    names = list(inspect.signature(Scenario).parameters)
+    values = tuple(getattr(scenario, name) for name in names)
+    text = (
+        f"Scenario(name='tiny', nodes=(1, 2, 3, 4, 5), links={scenario.links!r}, "
+        f"k_override=(), central=1, m_max=2, params={scenario.params!r}, "
+        "domain_k={}, events=(), polling_counts=(), models=('flatbed',), "
+        "flatbed_itinerary=None, notes=None)"
+    )
+    assert_frozen_record(scenario, text, values)
+    other = chain_in_code()
+    assert other.network is not scenario.network and other == scenario
+    with pytest.raises(AttributeError, match="cannot assign to field 'network'"):
+        scenario.network = other.network
+    with pytest.raises(AttributeError, match="cannot delete field 'network'"):
+        del scenario.network
+
+
+def test_a_simulation_state_is_a_mutable_record():
+    network, tree = Network([1]), ManagerTree.initial_partition([1], 2, 1)
+    state = SimulationState(network, tree)
+    assert state == SimulationState(network=network, tree=tree, snapshots=[])
+    assert state.snapshots is not SimulationState(network, tree).snapshots
+    assert state != (network, tree, [])
+    assert repr(state) == (
+        f"SimulationState(network={network!r}, tree={tree!r}, snapshots=[])"
+    )
+    with pytest.raises(TypeError):
+        hash(state)
+    state.snapshots = [SnapshotRecord("a", ())]
+    assert state != SimulationState(network, tree)
+    del state.snapshots
+    assert not hasattr(state, "snapshots")
+
+
 def test_a_long_itinerary_loads_in_linear_time():
     # A repeat check that scans a list takes seconds on 3·10⁴ stops.
     nodes = list(range(1, 30_001))
@@ -650,6 +779,31 @@ def test_loaded_join_domains_equal_their_full_parse(case):
     assert [event.domain for event in scenario.events] == [
         DomainId.parse(text) for text in texts
     ]
+
+
+def test_only_joins_failing_the_inline_test_format_json_paths(monkeypatch):
+    # The snapshot, and the join whose coefficient 2.5 is new, take the
+    # checked path; the other joins pass inline.
+    paths = []
+    checked = simulation._expect_event
+
+    def counting(entry, path, *memos):
+        paths.append(path)
+        return checked(entry, path, *memos)
+
+    monkeypatch.setattr(simulation, "_expect_event", counting)
+    events = [
+        join(6, "1", [[1, 1]]),
+        {"snapshot": "a"},
+        join(7, "1.1", [[6, 2.5]]),
+        join(8, "1.1.1", [[7, 2.5], [1, 1]]),
+        {"add_node": {"node": 9, "domain": "1.2"}},
+    ]
+    scenario = load_scenario(scenario_text(**{**CHAIN, "events": events}))
+    assert paths == ["events[1]", "events[2]"]
+    assert scenario.events[3] == AddNode(
+        8, DomainId((1, 1, 1)), ((7, Fraction(5, 2)), (1, Fraction(1)))
+    )
 
 
 def test_deep_join_domains_load_in_parts_linear_in_the_joins(monkeypatch):

@@ -1,8 +1,13 @@
-"""The package imports only the standard library and itself, and parses as 3.10."""
+"""The package imports only the standard library and itself, and parses as 3.10.
+
+Importing it also stays cheap: it loads none of the modules that
+dominated its start-up time.
+"""
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,3 +66,31 @@ def test_the_parse_catches_newer_syntax():
     source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
     with pytest.raises(SyntaxError):
         ast.parse(source, feature_version=(3, 10))
+
+
+# Run in a fresh interpreter: which modules `import netmansim` adds, by name.
+IMPORT_CODE = """\
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import netmansim
+print(netmansim.__file__)
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_the_import_loads_neither_dataclasses_nor_inspect(flags):
+    # Under -S, site loads nothing first, so a lazy import shows too.
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", IMPORT_CODE, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    source, added = done.stdout.splitlines()
+    assert Path(source).parent == PACKAGE
+    assert "netmansim.simulation" in added.split()
+    for heavy in ("dataclasses", "inspect", "importlib.resources"):
+        assert heavy not in added.split(), heavy
