@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import total_ordering
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ._record import Record
 from .errors import (
@@ -333,16 +333,19 @@ class ManagerTree:
     def children_of(self, domain: DomainId) -> tuple[DomainId, ...]:
         return tuple(child.id for child in self._record(domain).children)
 
-    def _preorder(self) -> Iterator[_ManagerRecord]:
+    def _preorder(self) -> list[_ManagerRecord]:
         """Every record, parents first and children in join order.
 
         Child indices count up in join order, so this is id order.
         """
+        records: list[_ManagerRecord] = []
         stack = [] if self._root is None else [self._root]
         while stack:
             record = stack.pop()
-            yield record
-            stack.extend(reversed(record.children))
+            records.append(record)
+            if record.children:  # most records are leaves
+                stack += record.children[::-1]
+        return records
 
     def domain_ids(self) -> list[DomainId]:
         """All domain ids, in id order (depth-first)."""

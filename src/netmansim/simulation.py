@@ -715,13 +715,11 @@ def _scenario_from_raw(raw: object) -> Scenario:
         for key in dk_obj:
             domain_k[key] = _expect_number(dk_obj[key], f"domain_k.{key}", memo)
 
-    polling_counts: list[int] = []
-    for index, entry in enumerate(
-        _expect_array(top["polling_counts"], "polling_counts")
-    ):
-        polling_counts.append(
+    # An entry that fails the inline test has its JSON path formatted.
+    polling_counts = _expect_array(top["polling_counts"], "polling_counts")
+    for index, entry in enumerate(polling_counts):
+        if not (type(entry) is int and entry >= 0):
             _expect_int(entry, f"polling_counts[{index}]", minimum=0)
-        )
 
     models: list[str] = []
     for index, entry in enumerate(_expect_array(top["models"], "models")):
@@ -738,12 +736,11 @@ def _scenario_from_raw(raw: object) -> Scenario:
 
     flatbed_itinerary: tuple[NodeId, ...] | None = None
     if "flatbed_itinerary" in top:
-        flatbed_itinerary = tuple(
-            _expect_int(entry, f"flatbed_itinerary[{index}]", minimum=1)
-            for index, entry in enumerate(
-                _expect_array(top["flatbed_itinerary"], "flatbed_itinerary")
-            )
-        )
+        stops = _expect_array(top["flatbed_itinerary"], "flatbed_itinerary")
+        for index, stop in enumerate(stops):
+            if not (type(stop) is int and stop >= 1):
+                _expect_int(stop, f"flatbed_itinerary[{index}]", minimum=1)
+        flatbed_itinerary = tuple(stops)
 
     notes: str | None = None
     if "notes" in top:
@@ -857,10 +854,16 @@ def run(
     ``models`` and ``polling_counts`` default to the scenario's own; pass
     them to override from a CLI or a sweep. Costs are evaluated on the
     final post-event state; with ``costs_at_snapshots`` every snapshot
-    additionally carries the per-model costs at that instant. The events
-    were checked when the scenario was made, so each of them applies. A
-    pair a model needs but cannot reach raises ``ValidationError`` at
-    ``models``.
+    additionally carries the per-model costs at that instant. A pair a
+    model needs but cannot reach raises ``ValidationError`` at ``models``.
+
+    ``run`` replays the joins checked when the scenario was made, not
+    through ``apply_event``: each joins the tree through
+    ``ManagerTree.add_node_to_domain`` at once, and the network takes the
+    joins made since its last version in one batch, only where a version
+    is priced, at a snapshot under ``costs_at_snapshots`` and at the end.
+    So a run makes one ``Network`` version per pricing point, not one per
+    node and link. Snapshots still go through ``apply_event``.
     """
     chosen = tuple(scenario.models if models is None else models)
     for model in chosen:
@@ -880,24 +883,32 @@ def run(
         counts.append(count)
     ordered_counts = tuple(sorted(set(counts)))
 
-    state = SimulationState(
-        network=scenario.network._detached(),
-        tree=ManagerTree.initial_partition(
-            scenario.nodes, scenario.m_max, scenario.central
-        ),
+    tree = ManagerTree.initial_partition(
+        scenario.nodes, scenario.m_max, scenario.central
     )
+    state = SimulationState(network=scenario.network._detached(), tree=tree)
+    # Joins not yet in state.network: only a priced version reads them.
+    pending: list[tuple[NodeId, tuple[tuple[NodeId, Fraction], ...]]] = []
     # The tables of the latest snapshot, while no AddNode has changed
     # the state since: the final state is then priced already.
     priced = None
     for event in scenario.events:
-        apply_event(state, event)
         if isinstance(event, AddNode):
+            tree.add_node_to_domain(event.node, event.domain)
+            pending.append((event.node, event.links))
             priced = None
-        elif costs_at_snapshots:
+            continue
+        apply_event(state, event)
+        if costs_at_snapshots:
+            if pending:
+                state.network = state.network._joined(pending)
+                pending.clear()
             priced = _model_costs(scenario, state, ordered_models)
             taken = state.snapshots[-1]
             state.snapshots[-1] = SnapshotRecord(taken.label, taken.domains, *priced)
 
+    if pending:
+        state.network = state.network._joined(pending)
     per_poll, deploy = priced or _model_costs(scenario, state, ordered_models)
     return SimulationResult(
         scenario=scenario.name,

@@ -33,7 +33,11 @@ and each keeps only its own node and link counts: a version holds exactly
 the first entries of each table, as many as its counts say. One rule
 grows them: a version that holds every entry of its tables appends to
 them, so a join costs O(1) however large the network, and any other
-version grows a copy of its own prefix.
+version grows a copy of its own prefix. ``add_node`` and ``add_link``
+make one version per write. A simulation run, whose joins its
+``Scenario`` has checked already, appends every join made since its last
+priced version in one batch (``Network._joined``) and makes one version
+per pricing point.
 
 A network of 10^4 nodes is built from tens of thousands of links and
 pins, so the constructor tests each entry inline: a link between two
@@ -431,15 +435,34 @@ class Network:
             )
         )
 
+    def _joined(
+        self, joins: Iterable[tuple[NodeId, Iterable[tuple[NodeId, NumberLike]]]]
+    ) -> "Network":
+        """One new version with each ``(node, links)`` join added, in order.
+
+        The joins must be checked already, as ``Scenario`` checks them:
+        each node new, each ``(peer, coeff)`` link to a node known by then,
+        each peer once and never the node itself, at a non-negative
+        coefficient. Only a coefficient that is not already a non-negative
+        ``Fraction`` goes through ``_coeff``, so it is stored exactly as
+        ``add_link`` stores it.
+        """
+        base = self._growable()
+        order, links = base._order, base._links
+        for node, pairs in joins:
+            order[node] = len(order)
+            for peer, coeff in pairs:
+                if not (type(coeff) is Fraction and coeff.numerator >= 0):
+                    coeff = _coeff(coeff, "link", node, peer)
+                links[(node, peer) if node < peer else (peer, node)] = coeff
+        return self._version(order, len(order), links, len(links))
+
     def add_node(self, node: NodeId) -> "Network":
         """Return a copy of this network with ``node`` added."""
         _check_node_id(node)
         if self._order.get(node, self._node_count) < self._node_count:
             raise DuplicateNode(f"duplicate node {node}")
-        base = self._growable()
-        count = base._node_count
-        base._order[node] = count
-        return self._version(base._order, count + 1, base._links, base._link_count)
+        return self._joined(((node, ()),))
 
     def add_link(self, a: NodeId, b: NodeId, coeff: NumberLike) -> "Network":
         """Return a copy of this network with an ``a``-``b`` link added."""

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,10 @@ from netmansim import (
     ValidationError,
     apply_event,
     bundled_scenario_names,
+    cost_centralized,
+    cost_flatbed,
+    cost_imasnm_deploy,
+    cost_imasnm_poll,
     load_bundled_scenario,
     load_scenario,
     load_scenario_file,
@@ -506,6 +511,23 @@ FIELD_ERRORS = [
      "expected an integer, got True"),
     (dict(ITINERARY, flatbed_itinerary=[2, 0]), "flatbed_itinerary[1]",
      "must be at least 1, got 0"),
+    # The fault after good entries, which pass the loader's inline test.
+    (dict(polling_counts=[1, 2, True]), "polling_counts[2]",
+     "expected an integer, got True"),
+    (dict(polling_counts=[0, 3, -1]), "polling_counts[2]",
+     "must be at least 0, got -1"),
+    (dict(polling_counts=[0, 2.0]), "polling_counts[1]",
+     "expected an integer, got Decimal('2.0')"),
+    (dict(polling_counts=[4, "5"]), "polling_counts[1]",
+     "expected an integer, got '5'"),
+    (dict(ITINERARY, flatbed_itinerary=[2, 1, True]), "flatbed_itinerary[2]",
+     "expected an integer, got True"),
+    (dict(ITINERARY, flatbed_itinerary=[2, 1, 0]), "flatbed_itinerary[2]",
+     "must be at least 1, got 0"),
+    (dict(ITINERARY, flatbed_itinerary=[2, 3, -1]), "flatbed_itinerary[2]",
+     "must be at least 1, got -1"),
+    (dict(ITINERARY, flatbed_itinerary=[2, 3, 1.0]), "flatbed_itinerary[2]",
+     "expected an integer, got Decimal('1.0')"),
 ]
 
 
@@ -622,6 +644,20 @@ def test_a_join_link_made_in_code_takes_any_number_add_link_takes():
     join = AddNode(6, DomainId.parse("1"), ((5, 2), (4, "1/2")))
     scenario = replace(chain_in_code(), events=(join,))
     assert build_state(scenario).network.path_cost(6, 3) == Fraction(3, 2)
+
+
+def test_a_run_stores_a_join_link_made_in_code_as_add_link_does():
+    # The round trip 1-2-3-4-5-6 returns from 6 over 6-4-3: hops 1, 1, 1,
+    # 1, then 3/2 and 7/2, so s_ma * 9 + d * (1 + 2 + 3 + 4*3/2 + 5*7/2).
+    join = AddNode(6, DomainId.parse("1"), ((5, 2), (4, "1/2")))
+    params = CostParams(1, 1, 1, s_ma=10, d=1, ma_size=1, mda_size=1, ma_res=1)
+    scenario = replace(chain_in_code(), events=(join, Snapshot("end")), params=params)
+    expected = 10 * 9 + Fraction(59, 2)
+    stepped = build_state(scenario).network
+    assert cost_flatbed(stepped, (1, 2, 3, 4, 5, 6), params) == expected
+    assert run(scenario).per_poll == {"flatbed": expected}
+    priced = run(scenario, costs_at_snapshots=True)
+    assert priced.per_poll == priced.snapshots[0].per_poll == {"flatbed": expected}
 
 
 STATE = DomainState("1", 1, (1,), None, ())
@@ -826,6 +862,161 @@ def test_deep_join_domains_load_in_parts_linear_in_the_joins(monkeypatch):
     scenario = load_scenario(text)
     assert scenario.events[-1].domain.path == (1,) * (joins + 1)
     assert sum(parts) <= 3 * joins
+
+
+def test_a_run_makes_one_network_version_per_pricing_point(monkeypatch):
+    # A 400-join chain, each join linked to the node before it, with a
+    # snapshot after every 100th join but the last: stepped one write at
+    # a time, it would make a version per node and per link.
+    joins, snapshots = 400, 3
+    events = []
+    for node in range(3, 3 + joins):
+        events.append(join(node, "1", [[node - 1, 1]]))
+        if node - 2 in (100, 200, 300):
+            events.append({"snapshot": f"after {node - 2}"})
+    text = scenario_text(
+        nodes=[1, 2], links=[[1, 2, 1]], m_max=1, events=events, models=["cs"]
+    )
+    scenario = load_scenario(text)
+    versions = []
+    version = Network._version
+
+    def counting(self, *tables):
+        versions.append(tables)
+        return version(self, *tables)
+
+    monkeypatch.setattr(Network, "_version", counting)
+    plain = run(scenario)
+    assert len(versions) <= 2
+    versions.clear()
+    priced = run(scenario, costs_at_snapshots=True)
+    assert len(priced.snapshots) == snapshots
+    assert len(versions) <= snapshots + 2
+    assert priced.per_poll == plain.per_poll
+
+
+NUMBERS = st.sampled_from(
+    [0, 1, 3, Fraction(1, 3), Fraction(5, 2), "1/2", "2.5", Decimal("0.75")]
+)
+
+
+@st.composite
+def growing_scenarios(draw) -> Scenario:
+    """A scenario made in code: a connected network grown by joins with links.
+
+    Each join links to one or two nodes known by then, at coefficients
+    of any type ``add_link`` takes, and joins any domain of the tree grown
+    so far. Snapshots fall between the joins. Pins, a ``domain_k`` entry
+    and an explicit itinerary are drawn too.
+    """
+    size = draw(st.integers(min_value=1, max_value=6))
+    m_max = draw(st.integers(min_value=1, max_value=3))
+    nodes = tuple(range(1, size + 1))
+    central = draw(st.sampled_from(nodes))
+    links = tuple((a, a + 1, draw(NUMBERS)) for a in range(1, size))
+    tree = ManagerTree.initial_partition(nodes, m_max, central)
+    events: list = []
+    known = list(nodes)
+    for step in range(draw(st.integers(min_value=0, max_value=12))):
+        if draw(st.booleans()):
+            events.append(Snapshot(f"s{step}"))
+            continue
+        node = len(known) + 1
+        ids = tree.domain_ids()
+        domain = ids[draw(st.integers(min_value=0)) % len(ids)]
+        peers = st.lists(st.sampled_from(known), min_size=1, max_size=2, unique=True)
+        join_links = tuple((peer, draw(NUMBERS)) for peer in draw(peers))
+        events.append(AddNode(node, domain, join_links))
+        tree.add_node_to_domain(node, domain)
+        known.append(node)
+    pairs = st.tuples(st.sampled_from(known), st.sampled_from(known)).filter(
+        lambda pair: pair[0] < pair[1]
+    )
+    pinned = draw(st.lists(pairs, max_size=2, unique=True)) if len(known) > 1 else []
+    domain_k = {}
+    if draw(st.booleans()):
+        domain_k[str(draw(st.sampled_from(tree.domain_ids())))] = draw(NUMBERS)
+    itinerary = None
+    if draw(st.booleans()):
+        others = [node for node in known if node != central]
+        itinerary = (central, *draw(st.permutations(others)))
+    sizes = st.integers(min_value=1, max_value=9)
+    names = ("s_req", "s_res", "s_ma", "d", "ma_size", "mda_size", "ma_res")
+    params = CostParams(num_vars=draw(sizes), **{n: draw(sizes) for n in names})
+    return Scenario(
+        name="grown",
+        nodes=nodes,
+        links=links,
+        k_override=tuple((a, b, draw(NUMBERS)) for a, b in pinned),
+        central=central,
+        m_max=m_max,
+        params=params,
+        domain_k=domain_k,
+        events=tuple(events),
+        polling_counts=(1,),
+        models=("cs", "flatbed", "imasnm"),
+        flatbed_itinerary=itinerary,
+    )
+
+
+def stepwise_prices(scenario: Scenario, state: SimulationState) -> tuple[dict, dict]:
+    """The three models' (per-poll, deploy) bytes, from the public cost functions."""
+    network, tree, params = state.network, state.tree, scenario.params
+    present = network.nodes
+    if scenario.flatbed_itinerary is None:
+        others = sorted(present - {scenario.central})
+        itinerary = (scenario.central, *others)
+    else:
+        itinerary = tuple(n for n in scenario.flatbed_itinerary if n in present)
+    flatbed = Fraction(0)
+    if len(itinerary) >= 2:
+        flatbed = cost_flatbed(network, itinerary, params)
+    per_poll = {
+        "cs": cost_centralized(network, scenario.central, sorted(present), params),
+        "flatbed": flatbed,
+        "imasnm": cost_imasnm_poll(network, tree, params, scenario.domain_k),
+    }
+    deploy = {
+        "cs": Fraction(0),
+        "flatbed": Fraction(0),
+        "imasnm": cost_imasnm_deploy(network, tree, params),
+    }
+    return per_poll, deploy
+
+
+@given(growing_scenarios())
+def test_a_run_prices_as_a_stepwise_replay(scenario):
+    # The replay of build_state, one apply_event at a time, priced at each
+    # snapshot and at the end.
+    state = SimulationState(
+        network=Network(scenario.nodes, scenario.links, scenario.k_override),
+        tree=ManagerTree.initial_partition(
+            scenario.nodes, scenario.m_max, scenario.central
+        ),
+    )
+    at_snapshots = []
+    for event in scenario.events:
+        apply_event(state, event)
+        if isinstance(event, Snapshot):
+            at_snapshots.append(stepwise_prices(scenario, state))
+    per_poll, deploy = stepwise_prices(scenario, state)
+    final_domains = state.tree.states()
+
+    priced = run(scenario, costs_at_snapshots=True)
+    plain = run(scenario)
+    for result in (priced, plain):
+        assert (result.per_poll, result.deploy) == (per_poll, deploy)
+        assert result.final_domains == final_domains
+        assert [s.label for s in result.snapshots] == [s.label for s in state.snapshots]
+        assert [s.domains for s in result.snapshots] == [
+            s.domains for s in state.snapshots
+        ]
+    assert [(s.per_poll, s.deploy) for s in priced.snapshots] == at_snapshots
+    assert all(s.per_poll is s.deploy is None for s in plain.snapshots)
+    tables = [priced.per_poll, priced.deploy]
+    for taken in priced.snapshots:
+        tables += [taken.per_poll, taken.deploy]
+    assert all(type(value) is Fraction for table in tables for value in table.values())
 
 
 class TestCoefficientObjects:
