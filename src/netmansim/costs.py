@@ -11,6 +11,14 @@ sum is added up in plain ``int``s: numerators are collected per
 denominator and brought over the least common multiple of the
 denominators at the end, so one ``Fraction`` is built per sum instead of
 one per term, and the value is the same exact ``Fraction``.
+
+One private step, ``_prices``, prices any of the three models at one
+pricing point, and builds each family of terms once: the poll pairs of
+``cs``, the hops of the flat-bed round trip (both of its sums added up
+in one pass), the parent links of ``imasnm`` (one walk for its reports
+and its deployment) and its domain sweeps. It asks ``Network.path_cost``
+once per term. A simulation run prices every model through it, and each
+public ``cost_*`` function is a thin wrapper over it.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from ._record import Record
-from .errors import ItineraryTooShort
+from .errors import ItineraryTooShort, Unreachable
 from .hierarchy import DomainState, ManagerTree
 from .topology import Network, NodeId, NumberLike
 
@@ -48,12 +56,20 @@ def _size(value: NumberLike, name: str) -> Fraction:
     return size
 
 
+def _total(numerators: dict[int, int]) -> Fraction:
+    """Exact sum of ``{denominator: numerator}`` totals, over their common multiple."""
+    if not numerators:
+        return Fraction(0)
+    common = math.lcm(*numerators)
+    return Fraction(
+        sum(total * (common // den) for den, total in numerators.items()), common
+    )
+
+
 def _weighted_sum(terms: Iterable[tuple[int, Fraction]]) -> Fraction:
     """Exact sum of ``weight * value`` over ``(int, Fraction)`` terms.
 
-    Numerators are added up as ints, one running total per denominator,
-    and the totals are brought over the least common multiple of the
-    denominators once, at the end.
+    Numerators are added up as ints, one running total per denominator.
     """
     numerators: dict[int, int] = {}
     for weight, value in terms:
@@ -61,12 +77,7 @@ def _weighted_sum(terms: Iterable[tuple[int, Fraction]]) -> Fraction:
         numerators[denominator] = (
             numerators.get(denominator, 0) + weight * numerator
         )
-    if not numerators:
-        return Fraction(0)
-    common = math.lcm(*numerators)
-    return Fraction(
-        sum(total * (common // den) for den, total in numerators.items()), common
-    )
+    return _total(numerators)
 
 
 def _count(value: object, name: str, minimum: int = 0) -> int:
@@ -142,8 +153,7 @@ def cost_centralized(
     num_vars. The manager may appear among the targets; it contributes
     zero because its path cost to itself is zero.
     """
-    pair = (params.s_req + params.s_res) * params.num_vars
-    return pair * _weighted_sum((1, net.path_cost(mgr, target)) for target in targets)
+    return _prices(net, params, ("cs",), mgr, targets)[0]["cs"]
 
 
 def cost_centralized_polled(
@@ -170,8 +180,8 @@ def cost_flatbed(
     node back to the first. Hop costs are minimum path costs, so an
     itinerary may skip over intermediate nodes.
 
-    With k_h the cost of hop h and the return hop numbered V, the number
-    of stops visited, the round trip costs s_ma * sum(k_h) +
+    With k_h the cost of hop h, numbered from 0 so that the return hop
+    is V - 1 for V stops, the round trip costs s_ma * sum(k_h) +
     d * sum(h * k_h).
     """
     stops = list(itinerary)
@@ -179,11 +189,7 @@ def cost_flatbed(
         raise ItineraryTooShort(
             f"flat-bed itinerary needs at least 2 nodes, got {len(stops)}"
         )
-    hops = [net.path_cost(here, there) for here, there in zip(stops, stops[1:])]
-    hops.append(net.path_cost(stops[-1], stops[0]))
-    code = _weighted_sum((1, k) for k in hops)
-    payload = _weighted_sum(enumerate(hops))
-    return params.s_ma * code + params.d * payload
+    return _prices(net, params, ("flatbed",), itinerary=stops)[0]["flatbed"]
 
 
 def cost_flatbed_polled(
@@ -213,7 +219,8 @@ def cost_domain_flatbed(
     return params.mda_size * (managed + 1) * coeff
 
 
-# The default domain coefficient, shared: a Fraction is immutable.
+# Shared defaults: a Fraction is immutable.
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -228,23 +235,13 @@ def _domain_coefficient(
     return _size(value, f"domain_k[{name!r}]")
 
 
-def _parent_links(net: Network, states: Sequence[DomainState]) -> Fraction:
-    """Sum of the path costs from each state's parent's manager host to its own."""
-    hosts = {state.id: state.manager_host for state in states}
-    return _weighted_sum(
-        (1, net.path_cost(hosts[state.parent], state.manager_host))
-        for state in states
-        if state.parent is not None
-    )
-
-
 def cost_imasnm_deploy(
     net: Network,
     tree: ManagerTree,
     params: CostParams,
 ) -> Fraction:
     """One-time bytes to ship a manager agent down every parent link."""
-    return params.ma_size * _parent_links(net, tree.states())
+    return _prices(net, params, ("imasnm",), states=tree.states())[1]["imasnm"]
 
 
 def cost_imasnm_poll(
@@ -262,13 +259,10 @@ def cost_imasnm_poll(
     the sum of ``cost_domain_flatbed`` over the domains. Both parts read
     one ``tree.states()`` call, the tree's cached ``DomainState``s.
     """
-    states = tree.states()
-    reports = params.ma_res * _parent_links(net, states)
-    sweeps = params.mda_size * _weighted_sum(
-        (len(state.members), _domain_coefficient(domain_k, state.id))
-        for state in states
+    per_poll, _ = _prices(
+        net, params, ("imasnm",), states=tree.states(), domain_k=domain_k
     )
-    return reports + sweeps
+    return per_poll["imasnm"]
 
 
 def cost_imasnm_total(
@@ -285,9 +279,72 @@ def cost_imasnm_total(
     enters the total only when ``include_deploy`` is set.
     """
     polls = _count(p, "p")
+    per_poll, deploy = _prices(
+        net, params, ("imasnm",), states=tree.states(), domain_k=domain_k
+    )
     return CostBreakdown(
-        deploy=cost_imasnm_deploy(net, tree, params),
-        per_poll=cost_imasnm_poll(net, tree, params, domain_k),
+        deploy=deploy["imasnm"],
+        per_poll=per_poll["imasnm"],
         polls=polls,
         include_deploy=bool(include_deploy),
     )
+
+
+def _prices(
+    net: Network,
+    params: CostParams,
+    models: Iterable[str],
+    manager: NodeId | None = None,
+    targets: Iterable[NodeId] = (),
+    itinerary: Sequence[NodeId] = (),
+    states: Sequence[DomainState] = (),
+    domain_k: Mapping[str, NumberLike] | None = None,
+) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
+    """Per-poll and deploy bytes of each of ``models``, keyed by model.
+
+    The models are priced in the order given, and each one's terms are
+    built once: ``cs`` polls ``targets`` from ``manager``; ``flatbed``
+    makes a round trip over ``itinerary``, if it has two stops or more,
+    adding up both of its sums in one pass; ``imasnm`` walks the parent
+    links of ``states`` once, for both its reports and its deployment,
+    and sweeps each domain at its ``domain_k`` coefficient.
+    ``Network.path_cost`` is asked once per term. An ``Unreachable``
+    error names the model being priced in its ``model``.
+    """
+    path_cost = net.path_cost
+    per_poll: dict[str, Fraction] = {}
+    deploy = dict.fromkeys(models, _ZERO)
+    for model in deploy:
+        try:
+            if model == "cs":
+                pair = (params.s_req + params.s_res) * params.num_vars
+                polls = _weighted_sum((1, path_cost(manager, t)) for t in targets)
+                per_poll[model] = pair * polls
+            elif model == "flatbed":
+                # Hop h, from 0, leaves stop h; the last one returns to the first.
+                stops = itinerary if len(itinerary) > 1 else ()
+                hops = zip(stops, [*stops[1:], *stops[:1]])
+                codes: dict[int, int] = {}
+                loads: dict[int, int] = {}
+                for hop, (here, there) in enumerate(hops):
+                    numerator, denominator = path_cost(here, there).as_integer_ratio()
+                    codes[denominator] = codes.get(denominator, 0) + numerator
+                    loads[denominator] = loads.get(denominator, 0) + hop * numerator
+                per_poll[model] = params.s_ma * _total(codes) + params.d * _total(loads)
+            else:
+                hosts = {state.id: state.manager_host for state in states}
+                links = _weighted_sum(
+                    (1, path_cost(hosts[state.parent], state.manager_host))
+                    for state in states
+                    if state.parent is not None
+                )
+                sweeps = _weighted_sum(
+                    (len(state.members), _domain_coefficient(domain_k, state.id))
+                    for state in states
+                )
+                per_poll[model] = params.ma_res * links + params.mda_size * sweeps
+                deploy[model] = params.ma_size * links
+        except Unreachable as exc:
+            exc.model = model
+            raise
+    return per_poll, deploy

@@ -61,7 +61,13 @@ class NegativeCoeff(TopologyError):
 
 
 class Unreachable(TopologyError):
-    """No path exists between the queried nodes."""
+    """No path exists between the queried nodes.
+
+    ``model`` names the cost model whose pricing asked for the pair, or
+    is None.
+    """
+
+    model: str | None = None
 
 
 class HierarchyError(NetmanError):

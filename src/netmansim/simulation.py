@@ -14,16 +14,10 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import BinaryIO, Iterable, Mapping, TextIO, Union
+from typing import BinaryIO, Container, Iterable, Mapping, TextIO, Union
 
 from ._record import Record
-from .costs import (
-    CostParams,
-    cost_centralized,
-    cost_flatbed,
-    cost_imasnm_deploy,
-    cost_imasnm_poll,
-)
+from .costs import CostParams, _prices
 from .errors import (
     NegativeCoeff,
     ParseError,
@@ -87,10 +81,11 @@ class Scenario(Record):
     """A fully validated scenario, ready to run.
 
     Making one checks every rule of its meaning, whether the loader or
-    other code makes it. Its ``network`` is built from ``nodes``,
-    ``links`` and ``k_override``, and raises the ``TopologyError`` the
-    ``Network`` constructor raises. Then ``ValidationError``, with the
-    JSON path of the fault, is raised unless:
+    other code makes it. Made in code, its ``network`` is built from
+    ``nodes``, ``links`` and ``k_override``, and raises the
+    ``TopologyError`` the ``Network`` constructor raises. Then
+    ``ValidationError``, with the JSON path of the fault, is raised
+    unless:
 
     - ``nodes`` is not empty and holds ``central``;
     - each event is an ``AddNode`` or a ``Snapshot``;
@@ -107,6 +102,11 @@ class Scenario(Record):
     (``ManagerTree._replay_shape``), not on a tree. A pair that a model
     needs but cannot reach is found only when ``run`` prices it.
     ``network`` is left out of equality, hashing and ``repr``.
+
+    The loader builds the network itself, as it reads each link and pin
+    (see ``load_scenario``), and hands it to ``_loaded``, which checks
+    every other rule. A file with a fault in its nodes, links or pins is
+    made through this constructor, so the fault reads as it does here.
     """
 
     __slots__ = (
@@ -125,20 +125,30 @@ class Scenario(Record):
         models: tuple[str, ...], flatbed_itinerary: tuple[NodeId, ...] | None = None,
         notes: str | None = None,
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "k_override", k_override)
-        object.__setattr__(self, "central", central)
-        object.__setattr__(self, "m_max", m_max)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "domain_k", domain_k)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "polling_counts", polling_counts)
-        object.__setattr__(self, "models", models)
-        object.__setattr__(self, "flatbed_itinerary", flatbed_itinerary)
-        object.__setattr__(self, "notes", notes)
-        network = Network(nodes, links, k_override)
+        fields = (
+            name, nodes, links, k_override, central, m_max, params, domain_k,
+            events, polling_counts, models, flatbed_itinerary, notes,
+        )
+        self._fill(Network(nodes, links, k_override), fields, pins=True)
+
+    @classmethod
+    def _loaded(cls, network: Network, *fields: object) -> "Scenario":
+        """The scenario of ``fields``, in ``_fields`` order, over ``network``.
+
+        The loader has built ``network`` from the ``links`` and
+        ``k_override`` among the fields, and found every link and pin
+        sound and every pinned id initial or joining. So neither the
+        network nor the pins are checked again; every other rule is, in
+        the order ``__init__`` checks it.
+        """
+        scenario = cls.__new__(cls)
+        scenario._fill(network, fields, pins=False)
+        return scenario
+
+    def _fill(self, network: Network, fields: tuple, pins: bool) -> None:
+        """Set the fields and ``network``; check every other rule, pins if ``pins``."""
+        for field, value in zip(self._fields, fields):
+            object.__setattr__(self, field, value)
         object.__setattr__(self, "network", network)
         if not self.nodes:
             raise ValidationError("nodes", "must not be empty")
@@ -147,7 +157,8 @@ class Scenario(Record):
             message = f"central node {self.central} is not in nodes"
             raise ValidationError("central", message)
         joins = self._check_events(known)
-        self._check_pins(known)
+        if pins:
+            self._check_pins(known)
         self._check_itinerary(known)
         self._check_domains(joins)
 
@@ -414,21 +425,30 @@ def _expect_triple(
     return a, b, number
 
 
-def _expect_triples(
-    array: list, where: str, shape: str, memo: dict
-) -> tuple[tuple[NodeId, NodeId, Fraction], ...]:
-    """Check every entry of the ``where`` array with ``_expect_triple``'s rules.
+def _entries(
+    array: list, where: str, shape: str, memo: dict, known: Container, table: dict
+) -> tuple[tuple[tuple[NodeId, NodeId, Fraction], ...], bool]:
+    """The ``where`` array as triples, and whether every entry is sound.
 
-    An entry passes an inline test when it is a list of three whose ids
-    are plain positive ``int``s and whose number is already in ``memo``,
-    which holds only numbers already checked.
-    Any other entry goes to ``_expect_triple``, which checks it in order
-    and raises at its JSON path, so an entry fails the same way on
-    either path.
+    One pass checks each entry's shape and meaning. Shape: an entry
+    passes an inline test when it is a list of three whose ids are plain
+    positive ``int``s and whose number is already in ``memo``, which
+    holds only numbers already checked. Any other entry goes to
+    ``_expect_triple``, which checks it in order and raises at its JSON
+    path, so an entry fails the same way on either path. Meaning: an
+    entry is sound when both ids are in ``known``, its ids differ (a pin,
+    in ``k_override``, may also set a node's cost to itself at 0), and
+    its ``(low, high)`` key is not in ``table``. A sound entry is added
+    to ``table``, the ``Network`` table of its kind. An unsound one only
+    makes the result False: ``Scenario`` reports it, after every fault of
+    shape in the file.
     """
+    pins = where == "k_override"
     triples = []
     append = triples.append
+    sound = True
     for index, entry in enumerate(array):
+        number = None
         if type(entry) is list and len(entry) == 3:
             a, b, value = entry
             if (
@@ -439,11 +459,21 @@ def _expect_triples(
                 and (type(value) is int or type(value) is Decimal)
             ):
                 number = memo.get(value)
-                if number is not None:
-                    append((a, b, number))
-                    continue
-        append(_expect_triple(entry, where, index, shape, memo))
-    return tuple(triples)
+        if number is None:
+            a, b, number = _expect_triple(entry, where, index, shape, memo)
+        array[index] = None  # frees the entry's list now
+        append((a, b, number))
+        key = (a, b) if a <= b else (b, a)
+        if (
+            a in known
+            and b in known
+            and (a != b or (pins and not number))
+            and key not in table
+        ):
+            table[key] = number
+        else:
+            sound = False
+    return tuple(triples), sound
 
 
 def _expect_keys(
@@ -572,6 +602,12 @@ def load_scenario(source: Union[BinaryIO, TextIO, bytes, str]) -> Scenario:
     unknown keys are rejected. Making the ``Scenario`` checks the rest,
     and a ``TopologyError`` from its ``Network`` becomes a ValidationError
     at the path of the rejected entry.
+
+    Each link and pin is read once, by one pass that checks its shape,
+    tests its meaning and fills the network's tables. If a node repeats
+    or a link or pin fails that test, the loader checks the rest of the
+    file's shape and then makes the ``Scenario`` through its
+    constructor, which reports the fault as it does for one made in code.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -660,6 +696,9 @@ def _scenario_from_raw(raw: object) -> Scenario:
     for index, node in enumerate(nodes):
         if type(node) is not int or node < 1:
             _expect_int(node, f"nodes[{index}]", minimum=1)
+    # The network's node table; a repeated node leaves it short.
+    order = dict(zip(nodes, range(len(nodes))))
+    sound = len(order) == len(nodes)
 
     # one Fraction per distinct number literal (see _expect_number)
     memo: dict[object, Fraction] = {}
@@ -667,8 +706,10 @@ def _scenario_from_raw(raw: object) -> Scenario:
     domain_memo: dict[str, DomainId] = {}
     # Each checked array is dropped from ``top``, so its entries' lists
     # are freed now rather than left for the garbage collector to walk.
-    links = _expect_triples(
-        _expect_array(top.pop("links"), "links"), "links", "[a, b, coeff]", memo
+    link_table: dict[tuple[NodeId, NodeId], Fraction] = {}
+    links, links_sound = _entries(
+        _expect_array(top.pop("links"), "links"), "links", "[a, b, coeff]", memo,
+        order, link_table,
     )
     central = _expect_int(top["central"], "central", minimum=1)
     m_max = _expect_int(top["m_max"], "m_max", minimum=1)
@@ -702,12 +743,17 @@ def _scenario_from_raw(raw: object) -> Scenario:
             event = _expect_event(entry, f"events[{index}]", memo, domain_memo)
         events.append(event)
 
-    k_override = _expect_triples(
-        _expect_array(top.pop("k_override", []), "k_override"),
-        "k_override",
-        "[i, j, cost]",
-        memo,
+    # A pin may name a node that joins later.
+    ends = order.copy()
+    for event in events:
+        if type(event) is AddNode:
+            ends[event.node] = None
+    pin_table: dict[tuple[NodeId, NodeId], Fraction] = {}
+    k_override, pins_sound = _entries(
+        _expect_array(top.pop("k_override", []), "k_override"), "k_override",
+        "[i, j, cost]", memo, ends, pin_table,
     )
+    del ends
 
     domain_k: dict[str, Fraction] = {}
     if "domain_k" in top:
@@ -755,22 +801,18 @@ def _scenario_from_raw(raw: object) -> Scenario:
         else:
             raise ValidationError("notes", "expected a string or array of strings")
 
-    try:
-        return Scenario(
-            name=name,
-            nodes=nodes,
-            links=links,
-            k_override=k_override,
-            central=central,
-            m_max=m_max,
-            params=params,
-            domain_k=domain_k,
-            events=tuple(events),
-            polling_counts=tuple(polling_counts),
-            models=tuple(models),
-            flatbed_itinerary=flatbed_itinerary,
-            notes=notes,
+    fields = (
+        name, nodes, links, k_override, central, m_max, params, domain_k,
+        tuple(events), tuple(polling_counts), tuple(models), flatbed_itinerary, notes,
+    )
+    if sound and links_sound and pins_sound:
+        network = Network._of(
+            order, len(order), link_table, len(link_table), pin_table
         )
+        return Scenario._loaded(network, *fields)
+    # Scenario builds the network again and reports the first fault.
+    try:
+        return Scenario(*fields)
     except TopologyError as exc:
         raise ValidationError(exc.entry, str(exc)) from None
 
@@ -805,40 +847,37 @@ def _model_costs(
     scenario: Scenario,
     state: SimulationState,
     models: tuple[str, ...],
+    pending: list,
 ) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
-    """Price the current state: (per-poll, deploy) bytes keyed by model."""
-    network = state.network
-    per_poll: dict[str, Fraction] = {}
-    deploy: dict[str, Fraction] = {}
+    """Price the current state: (per-poll, deploy) bytes keyed by model.
+
+    The network first takes the ``pending`` joins and the list is
+    emptied. With no model asked, neither happens and both tables are
+    empty.
+    """
+    if not models:
+        return {}, {}
+    if pending:
+        state.network = state.network._joined(pending)
+        pending.clear()
+    network, central = state.network, scenario.central
+    present = network.nodes if "cs" in models or "flatbed" in models else ()
+    targets = sorted(present)
+    itinerary: tuple[NodeId, ...] = ()
+    if "flatbed" in models:
+        if scenario.flatbed_itinerary is None:
+            itinerary = (central, *(n for n in targets if n != central))
+        else:
+            # at a snapshot, the listed stops that have joined
+            itinerary = tuple(n for n in scenario.flatbed_itinerary if n in present)
     try:
-        for model in models:
-            deploy[model] = Fraction(0)
-            if model == "cs":
-                per_poll[model] = cost_centralized(
-                    network, scenario.central, sorted(network.nodes), scenario.params
-                )
-            elif model == "flatbed":
-                present = network.nodes
-                if scenario.flatbed_itinerary is None:
-                    others = sorted(present - {scenario.central})
-                    itinerary = (scenario.central, *others)
-                else:
-                    # at a snapshot, the listed stops that have joined
-                    itinerary = tuple(
-                        n for n in scenario.flatbed_itinerary if n in present
-                    )
-                per_poll[model] = (
-                    cost_flatbed(network, itinerary, scenario.params)
-                    if len(itinerary) >= 2
-                    else Fraction(0)
-                )
-            else:
-                per_poll[model] = cost_imasnm_poll(
-                    network, state.tree, scenario.params, scenario.domain_k
-                )
-                deploy[model] = cost_imasnm_deploy(network, state.tree, scenario.params)
+        per_poll, deploy = _prices(
+            network, scenario.params, models, central, targets, itinerary,
+            state.tree.states(), scenario.domain_k,
+        )
     except Unreachable as exc:
-        raise ValidationError("models", f"{model} cannot be priced: {exc}") from None
+        message = f"{exc.model} cannot be priced: {exc}"
+        raise ValidationError("models", message) from None
     return per_poll, deploy
 
 
@@ -863,7 +902,10 @@ def run(
     joins made since its last version in one batch, only where a version
     is priced, at a snapshot under ``costs_at_snapshots`` and at the end.
     So a run makes one ``Network`` version per pricing point, not one per
-    node and link. Snapshots still go through ``apply_event``.
+    node and link, and none when no model is asked: it then copies no
+    network and prices nothing, and a snapshot under
+    ``costs_at_snapshots`` carries empty tables. Snapshots still go
+    through ``apply_event``.
     """
     chosen = tuple(scenario.models if models is None else models)
     for model in chosen:
@@ -886,8 +928,10 @@ def run(
     tree = ManagerTree.initial_partition(
         scenario.nodes, scenario.m_max, scenario.central
     )
-    state = SimulationState(network=scenario.network._detached(), tree=tree)
-    # Joins not yet in state.network: only a priced version reads them.
+    # Only a priced version is read, and only a copy is grown.
+    network = scenario.network._detached() if ordered_models else scenario.network
+    state = SimulationState(network=network, tree=tree)
+    # Joins not yet in state.network; _model_costs hands them over.
     pending: list[tuple[NodeId, tuple[tuple[NodeId, Fraction], ...]]] = []
     # The tables of the latest snapshot, while no AddNode has changed
     # the state since: the final state is then priced already.
@@ -900,16 +944,13 @@ def run(
             continue
         apply_event(state, event)
         if costs_at_snapshots:
-            if pending:
-                state.network = state.network._joined(pending)
-                pending.clear()
-            priced = _model_costs(scenario, state, ordered_models)
+            priced = _model_costs(scenario, state, ordered_models, pending)
             taken = state.snapshots[-1]
             state.snapshots[-1] = SnapshotRecord(taken.label, taken.domains, *priced)
 
-    if pending:
-        state.network = state.network._joined(pending)
-    per_poll, deploy = priced or _model_costs(scenario, state, ordered_models)
+    per_poll, deploy = priced or _model_costs(
+        scenario, state, ordered_models, pending
+    )
     return SimulationResult(
         scenario=scenario.name,
         models=ordered_models,

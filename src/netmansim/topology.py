@@ -39,12 +39,11 @@ make one version per write. A simulation run, whose joins its
 priced version in one batch (``Network._joined``) and makes one version
 per pricing point.
 
-A network of 10^4 nodes is built from tens of thousands of links and
-pins, so the constructor tests each entry inline: a link between two
-known plain ``int`` ids that is neither a self-link nor taken, and a
-coefficient that is already a non-negative ``Fraction``, need no call.
-Any other entry goes to the shared checks, ``_link_key`` and ``_coeff``,
-which decide every error, so an entry fails the same way on either path.
+The constructor checks each link with ``_link_key`` and ``_coeff``, as
+``add_link`` does, and each pin with ``_check_node_id`` and ``_coeff``.
+A loaded scenario does not call it: the loader checks each link and pin
+of the file as it reads it, and hands the tables it filled to
+``Network._of``.
 """
 
 from __future__ import annotations
@@ -289,9 +288,9 @@ class Network:
 
     The constructor, ``add_node``, ``add_link`` and ``path_cost`` word
     each node or link fault alike, as ``unknown node N`` for one. The
-    constructor passes a well-formed link or pin on an inline test and
-    hands any other to the checks ``add_link`` uses (see the module
-    docstring), so both raise the same error for the same entry.
+    constructor checks each link with the checks ``add_link`` uses (see
+    the module docstring), so both raise the same error for the same
+    entry.
 
     Each version also owns a path engine, built on its first path search
     and never shared with the versions derived from it. It is a cache:
@@ -321,18 +320,8 @@ class Network:
         order = _node_order(nodes)
         link_map: dict[Pair, Fraction] = {}
         for index, (a, b, value) in enumerate(links):
-            # Known plain ints have passed every id check (see _link_key).
-            if not (
-                type(a) is type(b) is int
-                and a != b
-                and a in order
-                and b in order
-                and (key := (a, b) if a < b else (b, a)) not in link_map
-            ):
-                key = _link_key(a, b, order, link_map, index)
-            if not (type(value) is Fraction and value.numerator >= 0):
-                value = _coeff(value, "link", a, b)
-            link_map[key] = value
+            key = _link_key(a, b, order, link_map, index)
+            link_map[key] = _coeff(value, "link", a, b)
 
         override_map: dict[Pair, Fraction] = {}
         if k_override is not None:
@@ -344,14 +333,10 @@ class Network:
                 items = k_override
             for index, (a, b, value) in enumerate(items):
                 # Ids of nodes still to join pass here too.
-                if not (type(a) is type(b) is int and a > 0 and b > 0):
-                    _check_node_id(a)
-                    _check_node_id(b)
+                _check_node_id(a)
+                _check_node_id(b)
                 key = (a, b) if a <= b else (b, a)
-                if type(value) is Fraction and value.numerator >= 0:
-                    cost = value
-                else:
-                    cost = _coeff(value, "k_override", a, b)
+                cost = _coeff(value, "k_override", a, b)
                 if a == b and cost != 0:
                     entry = f"k_override[{(a, b) if keyed else index}]"
                     raise SelfLink("a node's cost to itself must be 0", entry)
@@ -367,6 +352,29 @@ class Network:
         self._override = override_map
         self._engine: _PathEngine | None = None
 
+    @classmethod
+    def _of(
+        cls,
+        order: dict[NodeId, int],
+        node_count: int,
+        links: dict[Pair, Fraction],
+        link_count: int,
+        override: dict[Pair, Fraction],
+    ) -> "Network":
+        """A version over checked tables, kept as given.
+
+        It holds the first ``node_count`` and ``link_count`` entries of
+        ``order`` and ``links``, keyed as ``__init__`` keys them.
+        """
+        network = cls.__new__(cls)
+        network._order = order
+        network._node_count = node_count
+        network._links = links
+        network._link_count = link_count
+        network._override = override
+        network._engine = None
+        return network
+
     def _link_items(self) -> list[tuple[Pair, Fraction]]:
         """This version's links, in the order they were added."""
         return list(islice(self._links.items(), self._link_count))
@@ -378,14 +386,7 @@ class Network:
         links: dict[Pair, Fraction],
         link_count: int,
     ) -> "Network":
-        clone = Network.__new__(Network)
-        clone._order = order
-        clone._node_count = node_count
-        clone._links = links
-        clone._link_count = link_count
-        clone._override = self._override
-        clone._engine = None
-        return clone
+        return Network._of(order, node_count, links, link_count, self._override)
 
     def _detached(self) -> "Network":
         """An equal version over a copy of this version's own entries."""

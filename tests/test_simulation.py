@@ -538,6 +538,67 @@ def test_field_errors_are_exact(overrides, path, message):
     assert (info.value.path, info.value.message) == (path, message)
 
 
+PAIR = dict(nodes=[1, 2])
+JOIN_2 = {"add_node": {"node": 2, "domain": "1"}}  # 2 is initial already
+JOIN_3 = {"add_node": {"node": 3, "domain": "1.9"}}  # no such domain
+
+# Two faults each: a fault of meaning in the nodes, links or pins, then a
+# fault of shape, or of meaning elsewhere, in a later field. Every fault
+# of shape is reported before any fault of meaning, and the network's
+# faults (repeated nodes, links, self-pins, repeated pins) before every
+# other fault of meaning.
+TWO_FAULT_ERRORS = [
+    (dict(PAIR, links=[[1, 9, 1]], params=params(s_req=-1)), "params.s_req",
+     "must be non-negative, got -1"),
+    (dict(PAIR, links=[[1, 1, 1]], events=[{"add_node": 5}]), "events[0].add_node",
+     "expected an object, got int"),
+    (dict(PAIR, links=[[1, 2, 1], [2, 1, 1]], polling_counts=[1, -1]),
+     "polling_counts[1]", "must be at least 0, got -1"),
+    (dict(PAIR, links=[[9, 1, 1]], k_override=[[1, 2]]), "k_override[0]",
+     "expected [i, j, cost], got 2 items"),
+    (dict(PAIR, k_override=[[1, 1, 1]], models=["snmp"]), "models[0]",
+     "unknown model 'snmp' (choose from ('cs', 'flatbed', 'imasnm'))"),
+    (dict(PAIR, k_override=[[1, 2, 1], [2, 1, 1]], flatbed_itinerary=[1, True]),
+     "flatbed_itinerary[1]", "expected an integer, got True"),
+    (dict(PAIR, k_override=[[1, 9, 1]], notes=5), "notes",
+     "expected a string or array of strings"),
+    (dict(PAIR, k_override=[[2, 9, 0.5]], domain_k={"1": "2"}), "domain_k.1",
+     "expected a number, got '2'"),
+    (dict(nodes=[1, 2, 2], links=[[1, 9, 1]], m_max=0), "m_max",
+     "must be at least 1, got 0"),
+    # The later fault is one of meaning: the network's comes first.
+    (dict(PAIR, links=[[1, 9, 1]], events=[JOIN_2]), "links[0][1]", "unknown node 9"),
+    (dict(PAIR, links=[[2, 2, 1]], events=[JOIN_3]), "links[0]",
+     "link joins node 2 to itself"),
+    (dict(PAIR, links=[[1, 2, 1], [1, 2, 1]], central=9), "links[1]",
+     "duplicate link 1-2"),
+    (dict(PAIR, links=[[1, 1, 0]], central=9), "links[0]",
+     "link joins node 1 to itself"),
+    (dict(PAIR, k_override=[[2, 2, 1]], events=[JOIN_2]), "k_override[0]",
+     "a node's cost to itself must be 0"),
+    (dict(nodes=[1, 2, 1], links=[[1, 9, 1]]), "nodes[2]", "duplicate node 1"),
+    (dict(PAIR, links=[[1, 2, 1]], k_override=[[1, 2, 1], [1, 2, 2]],
+          events=[JOIN_3]), "k_override[1]", "duplicate pair 1-2"),
+    # A pin of a node that never joins is checked after the joins' nodes
+    # and links, and before their domains.
+    (dict(PAIR, k_override=[[1, 9, 1]], events=[JOIN_2]), "events[0].add_node.node",
+     "duplicate node 2"),
+    (dict(PAIR, k_override=[[1, 9, 1]], events=[JOIN_3]), "k_override[0][1]",
+     "unknown node 9"),
+    (dict(PAIR, k_override=[[1, 9, 1]], central=9), "central",
+     "central node 9 is not in nodes"),
+    (dict(PAIR, k_override=[[1, 9, 1], [3, 3, 1]], events=[JOIN_3]),
+     "k_override[1]", "a node's cost to itself must be 0"),
+]
+
+
+@pytest.mark.parametrize("overrides, path, message", TWO_FAULT_ERRORS)
+def test_two_faults_report_the_first_in_check_order(overrides, path, message):
+    with pytest.raises(ValidationError) as info:
+        load_scenario(scenario_text(**overrides))
+    assert (info.value.path, info.value.message) == (path, message)
+
+
 # A 5-node chain 1-2-3-4-5 priced by the flat-bed model; with m_max 2
 # its domains are 1, 1.1 and 1.2.
 CHAIN = dict(
@@ -1019,6 +1080,104 @@ def test_a_run_prices_as_a_stepwise_replay(scenario):
     assert all(type(value) is Fraction for table in tables for value in table.values())
 
 
+def test_a_sound_file_is_loaded_without_walking_its_entries_again(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the loader walked the links or pins again")
+
+    monkeypatch.setattr(Network, "__init__", refuse)
+    monkeypatch.setattr(Scenario, "_check_pins", refuse)
+    text = scenario_text(
+        nodes=[3, 1, 2],
+        links=[[2, 1, 1], [2, 3, 2.5]],
+        k_override=[[4, 1, 3], [2, 2, 0], [1, 3, 2.5]],
+        events=[join(4, "1", [[3, 1]]), {"snapshot": "end"}],
+        models=["cs", "flatbed", "imasnm"],
+    )
+    scenarios = [load_scenario(text)]
+    scenarios += [load_bundled_scenario(name) for name in bundled_scenario_names()]
+    monkeypatch.undo()
+    assert len(scenarios[0].links) == 2 and len(scenarios[0].k_override) == 3
+    for scenario in scenarios:
+        built = Network(scenario.nodes, scenario.links, scenario.k_override)
+        assert scenario.network == built
+
+
+# Number literals as a file spells them; 1 and 1.0 are one number.
+LITERALS = st.sampled_from([0, 1, 3, 0.5, 1.0, 2.5, 0.75])
+
+
+@st.composite
+def sound_scenario_docs(draw) -> dict:
+    """A scenario file whose nodes, links and pins are all sound.
+
+    Node ids come in any order. The links, a random spanning tree and
+    some more, come in any order, each end first. Joins link to nodes
+    known by then and join any domain of the tree grown so far, between
+    snapshots. Pins name initial or joining nodes in either order, and
+    may set a node's own cost, at 0.
+    """
+    nodes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True))
+    m_max = draw(st.integers(min_value=1, max_value=3))
+    central = draw(st.sampled_from(nodes))
+    keys: set[frozenset] = set()
+    links = []
+
+    def link(a: int, b: int) -> None:
+        if a != b and frozenset((a, b)) not in keys:
+            keys.add(frozenset((a, b)))
+            links.append([*((a, b) if draw(st.booleans()) else (b, a)), draw(LITERALS)])
+
+    for index in range(1, len(nodes)):
+        link(nodes[index], nodes[draw(st.integers(0, index - 1))])
+    for a, b in draw(st.lists(st.tuples(*[st.sampled_from(nodes)] * 2), max_size=4)):
+        link(a, b)
+    tree = ManagerTree.initial_partition(nodes, m_max, central)
+    known, events = list(nodes), []
+    for step in range(draw(st.integers(min_value=0, max_value=6))):
+        if draw(st.booleans()):
+            events.append({"snapshot": f"s{step}"})
+            continue
+        node = 41 + step
+        ids = tree.domain_ids()
+        domain = ids[draw(st.integers(min_value=0)) % len(ids)]
+        peers = st.lists(st.sampled_from(known), min_size=1, max_size=2, unique=True)
+        pairs = [[peer, draw(LITERALS)] for peer in draw(peers)]
+        events.append(join(node, str(domain), pairs))
+        tree.add_node_to_domain(node, domain)
+        known.append(node)
+    pins, pinned = [], set()
+    for a, b in draw(st.lists(st.tuples(*[st.sampled_from(known)] * 2), max_size=4)):
+        if frozenset((a, b)) not in pinned:
+            pinned.add(frozenset((a, b)))
+            pins.append([a, b, 0 if a == b else draw(LITERALS)])
+    sizes = {name: draw(st.integers(1, 9)) for name in MINIMAL["params"]}
+    return dict(
+        MINIMAL, nodes=nodes, links=links, k_override=pins, central=central,
+        m_max=m_max, params=sizes, events=events, polling_counts=[1],
+        models=["cs", "flatbed", "imasnm"],
+    )
+
+
+@given(sound_scenario_docs())
+def test_a_loaded_network_is_the_one_its_fields_build(doc):
+    scenario = load_scenario(json.dumps(doc))
+    loaded = scenario.network
+    built = Network(scenario.nodes, scenario.links, scenario.k_override)
+    # node order, link insertion order and pins, entry for entry
+    assert list(loaded._order.items()) == list(built._order.items())
+    assert loaded._link_items() == built._link_items()
+    assert list(loaded._override.items()) == list(built._override.items())
+    assert (loaded._node_count, loaded._link_count) == (
+        built._node_count,
+        built._link_count,
+    )
+    made = replace(scenario)
+    for at_snapshots in (False, True):
+        assert run(scenario, costs_at_snapshots=at_snapshots) == run(
+            made, costs_at_snapshots=at_snapshots
+        )
+
+
 class TestCoefficientObjects:
     """Each distinct coefficient literal becomes one Fraction, kept as is."""
 
@@ -1340,13 +1499,13 @@ class TestRun:
 
     def test_final_state_after_a_snapshot_is_priced_once(self, monkeypatch):
         calls = []
-        original = simulation.cost_centralized
+        original = simulation._prices
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(simulation, "cost_centralized", counting)
+        monkeypatch.setattr(simulation, "_prices", counting)
         run(load_bundled_scenario("reference18"), costs_at_snapshots=True)
         assert len(calls) == 1
 
@@ -1420,6 +1579,25 @@ class TestRun:
         # The joins grew copies: the loaded tables keep their size.
         assert len(scenario.network._order) == len(scenario.nodes)
         assert len(scenario.network._links) == len(scenario.links)
+
+    def test_a_run_with_no_model_makes_no_network_version(self, monkeypatch):
+        scenario = load_scenario(self.growing_scenario_text(models=[]))
+
+        def refuse(self, *args):
+            raise AssertionError("a run with no model made a Network version")
+
+        for name in ("_detached", "_joined", "_version"):
+            monkeypatch.setattr(Network, name, refuse)
+        plain = run(scenario)
+        priced = run(scenario, costs_at_snapshots=True)
+        assert (plain.per_poll, plain.deploy) == ({}, {})
+        assert (priced.per_poll, priced.deploy) == ({}, {})
+        assert all(s.per_poll is s.deploy is None for s in plain.snapshots)
+        tables = [(s.per_poll, s.deploy) for s in priced.snapshots]
+        assert tables == [({}, {}), ({}, {})]
+        assert len({id(table) for pair in tables for table in pair}) == 4
+        monkeypatch.undo()
+        assert plain.final_domains == run(scenario, models=["imasnm"]).final_domains
 
     def test_imasnm_is_priced_from_the_domain_states_alone(self, monkeypatch):
         params = {**MINIMAL["params"], "ma_size": 7, "mda_size": 3, "ma_res": 2}
