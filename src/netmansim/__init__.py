@@ -14,7 +14,6 @@ from .costs import (
     CostParams,
     cost_centralized,
     cost_centralized_polled,
-    cost_domain_flatbed,
     cost_flatbed,
     cost_flatbed_polled,
     cost_imasnm_deploy,
@@ -82,7 +81,6 @@ __all__ = [
     "cost_centralized_polled",
     "cost_flatbed",
     "cost_flatbed_polled",
-    "cost_domain_flatbed",
     "cost_imasnm_deploy",
     "cost_imasnm_poll",
     "cost_imasnm_total",

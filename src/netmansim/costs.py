@@ -39,7 +39,6 @@ __all__ = [
     "cost_centralized_polled",
     "cost_flatbed",
     "cost_flatbed_polled",
-    "cost_domain_flatbed",
     "cost_imasnm_deploy",
     "cost_imasnm_poll",
     "cost_imasnm_total",
@@ -203,22 +202,6 @@ def cost_flatbed_polled(
     return cost_flatbed(net, itinerary, params) * polls
 
 
-def cost_domain_flatbed(
-    r_q: int,
-    k_q: NumberLike,
-    params: CostParams,
-) -> Fraction:
-    """Bytes for a manager's data agent to sweep its own domain.
-
-    ``r_q`` is the number of managed nodes beside the manager's host;
-    ``k_q`` the domain's intra-domain link coefficient. The sweep costs
-    mda_size * (r_q + 1) * k_q.
-    """
-    managed = _count(r_q, "r_q")
-    coeff = _size(k_q, "k_q")
-    return params.mda_size * (managed + 1) * coeff
-
-
 # Shared defaults: a Fraction is immutable.
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -255,9 +238,9 @@ def cost_imasnm_poll(
     Every child manager sends one ``ma_res`` report up its parent link,
     and every manager sweeps its own domain with a data agent. Per-domain
     coefficients come from ``domain_k`` (keyed by dotted domain id) and
-    default to 1. The sweeps add up to mda_size * sum((r_q + 1) * k_q),
-    the sum of ``cost_domain_flatbed`` over the domains. Both parts read
-    one ``tree.states()`` call, the tree's cached ``DomainState``s.
+    default to 1. A domain of n members, its manager's host included,
+    costs mda_size * n * k_q to sweep. Both parts read one
+    ``tree.states()`` call, the tree's cached ``DomainState``s.
     """
     per_poll, _ = _prices(
         net, params, ("imasnm",), states=tree.states(), domain_k=domain_k

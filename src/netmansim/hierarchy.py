@@ -146,8 +146,8 @@ class _ManagerRecord:
     name, not its record, so records link one way and a finished tree
     holds no reference cycle: reference counting frees it. ``state`` is
     the frozen view last handed out, built on read; a join into the
-    domain or a new child drops it. ``view()`` builds a ``Domain`` from
-    it on each read, sharing its members tuple.
+    domain or a new child drops it. ``ManagerTree.domains()`` builds each
+    ``Domain`` from it, sharing its members tuple.
     """
 
     __slots__ = (
@@ -166,9 +166,6 @@ class _ManagerRecord:
         self.parent_name = parent_name
         self.children: list[_ManagerRecord] = []
         self.state: DomainState | None = None
-
-    def view(self) -> Domain:
-        return Domain(self.id, self.snapshot().members, self.host)
 
     def snapshot(self) -> DomainState:
         if self.state is None:
@@ -321,12 +318,6 @@ class ManagerTree:
 
     # -- read-only views ------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._managers)
-
-    def domain(self, domain: DomainId) -> Domain:
-        return self._record(domain).view()
-
     def parent_of(self, domain: DomainId) -> DomainId | None:
         return self._record(domain).parent
 
@@ -353,14 +344,9 @@ class ManagerTree:
 
     def domains(self) -> list[Domain]:
         """All domains, in id order (depth-first), from one walk of the tree."""
-        return [record.view() for record in self._preorder()]
-
-    def parent_child_edges(self) -> list[tuple[Domain, Domain]]:
-        """Every (mother, child) domain pair, in child id order, from one walk."""
         return [
-            (self._managers[record.parent].view(), record.view())
+            Domain(record.id, record.snapshot().members, record.host)
             for record in self._preorder()
-            if record.parent is not None
         ]
 
     def states(self) -> tuple[DomainState, ...]:

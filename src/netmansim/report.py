@@ -97,9 +97,6 @@ class CostReport(Record):
         object.__setattr__(self, "deploy", deploy)
         object.__setattr__(self, "rows", rows)
 
-    def deploy_of(self, model: str) -> Fraction:
-        return self.deploy[model]
-
 
 def compare(result: SimulationResult, include_deploy: bool = False) -> CostReport:
     """Build the per-polling-count comparison table from a run result.

@@ -101,7 +101,8 @@ class Scenario(Record):
     The domain rules replay the joins on member and child counts alone
     (``ManagerTree._replay_shape``), not on a tree. A pair that a model
     needs but cannot reach is found only when ``run`` prices it.
-    ``network`` is left out of equality, hashing and ``repr``.
+    ``network`` is left out of equality and ``repr``. A scenario has no
+    hash: its ``domain_k`` is a dict.
 
     The loader builds the network itself, as it reads each link and pin
     (see ``load_scenario``), and hands it to ``_loaded``, which checks
@@ -904,8 +905,8 @@ def run(
     So a run makes one ``Network`` version per pricing point, not one per
     node and link, and none when no model is asked: it then copies no
     network and prices nothing, and a snapshot under
-    ``costs_at_snapshots`` carries empty tables. Snapshots still go
-    through ``apply_event``.
+    ``costs_at_snapshots`` carries empty tables. Snapshots go through
+    ``apply_event``.
     """
     chosen = tuple(scenario.models if models is None else models)
     for model in chosen:

@@ -292,9 +292,10 @@ class Network:
     the module docstring), so both raise the same error for the same
     entry.
 
-    Each version also owns a path engine, built on its first path search
-    and never shared with the versions derived from it. It is a cache:
-    it takes no part in equality or hashing.
+    Networks compare by nodes, links and pins, and have no hash. Each
+    version also owns a path engine, built on its first path search and
+    never shared with the versions derived from it. It is a cache: it
+    takes no part in equality.
 
     Versions derived from one another share their node and link tables
     (see the module docstring): the newest grows them in place and an
@@ -425,15 +426,6 @@ class Network:
             self.nodes == other.nodes
             and dict(self._link_items()) == dict(other._link_items())
             and self._override == other._override
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.nodes,
-                tuple(sorted(self._link_items())),
-                tuple(sorted(self._override.items())),
-            )
         )
 
     def _joined(

@@ -5,8 +5,8 @@ each run draws the same examples and gives the same verdict, and without
 a per-example deadline, so a slow machine cannot fail a correct example.
 
 The test files also import helpers from here: ``build_state``,
-``replace`` (a record rebuilt with some fields changed) and
-``assert_frozen_record``.
+``parent_links``, ``replace`` (a record rebuilt with some fields changed)
+and ``assert_frozen_record``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import settings
 
 from netmansim import (
+    Domain,
     ManagerTree,
     Network,
     Scenario,
@@ -42,6 +43,20 @@ def build_state(scenario: Scenario) -> SimulationState:
     for event in scenario.events:
         apply_event(state, event)
     return state
+
+
+def parent_links(tree: ManagerTree) -> list[tuple[Domain, Domain]]:
+    """Every (mother, child) ``Domain`` pair, in child id order.
+
+    Read through ``domains()`` and ``parent_of`` alone, so references
+    built on it stay independent of ``states()`` and of cost pricing.
+    """
+    domains = {domain.id: domain for domain in tree.domains()}
+    return [
+        (domains[mother], domain)
+        for domain in domains.values()
+        if (mother := tree.parent_of(domain.id)) is not None
+    ]
 
 
 def replace(obj, **changes):

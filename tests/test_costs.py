@@ -17,14 +17,13 @@ from netmansim import (
     ROOT_DOMAIN,
     cost_centralized,
     cost_centralized_polled,
-    cost_domain_flatbed,
     cost_flatbed,
     cost_flatbed_polled,
     cost_imasnm_deploy,
     cost_imasnm_poll,
     cost_imasnm_total,
 )
-from conftest import assert_frozen_record, replace
+from conftest import assert_frozen_record, parent_links, replace
 from netmansim.hierarchy import DomainId
 
 
@@ -152,24 +151,6 @@ class TestFlatbed:
         assert cost_flatbed_polled(net, [1, 2], p, 3) == 630
         assert cost_flatbed_polled(net, [1, 2], p, 1) == cost_flatbed(net, [1, 2], p)
         assert cost_flatbed_polled(net, [1, 2], p, 0) == 0
-
-
-class TestDomainFlatbed:
-    def test_reference_domain_term(self):
-        value = cost_domain_flatbed(2, 1, params(mda_size="3276.8"))
-        assert value == Fraction("9830.4")
-
-    def test_manager_only_domain_still_pays_one_sweep(self):
-        assert cost_domain_flatbed(0, 1, params(mda_size=100)) == 100
-
-    def test_direct_formula(self):
-        assert cost_domain_flatbed(4, 2, params(mda_size=10)) == 100
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cost_domain_flatbed(-1, 1, params())
-        with pytest.raises(ValueError):
-            cost_domain_flatbed(1, -1, params())
 
 
 def small_hierarchy() -> tuple[Network, ManagerTree]:
@@ -405,7 +386,7 @@ def _reference_imasnm_deploy(net, tree, p: CostParams) -> Fraction:
     return sum(
         (
             net.path_cost(mother.manager_host, child.manager_host) * p.ma_size
-            for mother, child in tree.parent_child_edges()
+            for mother, child in parent_links(tree)
         ),
         Fraction(0),
     )
@@ -416,7 +397,7 @@ def _reference_imasnm_poll(net, tree, p: CostParams, domain_k=None) -> Fraction:
     reports = sum(
         (
             net.path_cost(mother.manager_host, child.manager_host) * p.ma_res
-            for mother, child in tree.parent_child_edges()
+            for mother, child in parent_links(tree)
         ),
         Fraction(0),
     )
@@ -517,21 +498,3 @@ def test_cost_kernel_equals_the_per_term_reference(case):
     ]
     for kernel, reference in pairs:
         assert _outcome(kernel) == _outcome(reference)
-
-    # With ma_res = 0 a poll is its sweeps alone: the per-domain formula,
-    # summed over the domains.
-    sweeps_only = replace(p, ma_res=0)
-    expected = sum(
-        (
-            cost_domain_flatbed(
-                len(domain.members) - 1,
-                (domain_k or {}).get(str(domain.id), 1),
-                sweeps_only,
-            )
-            for domain in tree.domains()
-        ),
-        Fraction(0),
-    )
-    poll = _outcome(lambda: cost_imasnm_poll(net, tree, sweeps_only, domain_k))
-    if type(poll) is Fraction:  # else some parent link has no path
-        assert poll == expected

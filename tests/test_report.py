@@ -127,8 +127,8 @@ class TestCompare:
         result = run(load_bundled_scenario("reference18"))
         report = compare(result, include_deploy=True)
         assert report.include_deploy is True
-        assert report.deploy_of("imasnm") == 100352
-        assert report.deploy_of("cs") == 0
+        assert report.deploy["imasnm"] == 100352
+        assert report.deploy["cs"] == 0
         for row in report.rows:
             assert row.bytes["imasnm"] == (
                 row.polls * Fraction("73557.4") + 100352

@@ -43,7 +43,7 @@ from netmansim import (
     run,
 )
 import netmansim.simulation as simulation
-from conftest import assert_frozen_record, build_state, replace
+from conftest import assert_frozen_record, build_state, parent_links, replace
 from netmansim.hierarchy import _ManagerRecord
 
 MINIMAL = {
@@ -781,6 +781,20 @@ def test_a_scenario_is_a_frozen_record_without_its_network():
         del scenario.network
 
 
+def test_scenarios_over_networks_built_in_another_order_are_equal():
+    scenario = chain_in_code()
+    fields = [getattr(scenario, name) for name in Scenario._fields]
+    network = Network(scenario.nodes[::-1], scenario.links[::-1])
+    other = Scenario._loaded(network, *fields)
+    assert list(other.network.links) == list(scenario.network.links)
+    assert list(other.network._order) != list(scenario.network._order)
+    assert other == scenario
+    # A scenario has no hash: its domain_k is a dict.
+    for each in (scenario, other):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(each)
+
+
 def test_a_simulation_state_is_a_mutable_record():
     network, tree = Network([1]), ManagerTree.initial_partition([1], 2, 1)
     state = SimulationState(network, tree)
@@ -954,6 +968,23 @@ def test_a_run_makes_one_network_version_per_pricing_point(monkeypatch):
     assert len(priced.snapshots) == snapshots
     assert len(versions) <= snapshots + 2
     assert priced.per_poll == plain.per_poll
+
+
+def test_stepwise_joins_grow_the_newest_version_without_copying(monkeypatch):
+    # Versions share their tables so that apply_event steps a join in O(1):
+    # the newest version appends to them, so this 2,000-join chain, each
+    # join linked to the node before it, copies nothing.
+    def refuse(self):
+        raise AssertionError("a stepwise join copied the network's tables")
+
+    state = SimulationState(Network([1]), ManagerTree.initial_partition([1], 1, 1))
+    monkeypatch.setattr(Network, "_detached", refuse)
+    for node in range(2, 2002):
+        apply_event(state, AddNode(node, ROOT_DOMAIN, ((node - 1, Fraction(1)),)))
+    monkeypatch.undo()
+    chain = [(node - 1, node, 1) for node in range(2, 2002)]
+    assert state.network == Network(range(1, 2002), chain)
+    assert state.network.path_cost(1, 2001) == 2000
 
 
 NUMBERS = st.sampled_from(
@@ -1364,7 +1395,7 @@ class TestApplyEvent:
         state = self.fresh_state()
         with pytest.raises(TypeError, match="unknown event type"):
             apply_event(state, object())
-        assert state.snapshots == [] and len(state.tree) == 2
+        assert state.snapshots == [] and len(state.tree.domain_ids()) == 2
 
     def test_snapshot_records_without_mutating(self):
         state = self.fresh_state()
@@ -1405,8 +1436,9 @@ class TestApplyEvent:
         assert old["1.3"].members == new["1.3"].members == (7, 8, 9)
 
         # A Domain's members cannot be edited, so snapshot c shares 1.2 with b.
+        domains = {str(d.id): d for d in state.tree.domains()}
         with pytest.raises(AttributeError):
-            state.tree.domain(DomainId.parse("1.2")).members.append(13)
+            domains["1.2"].members.append(13)
         apply_event(state, Snapshot("c"))
         c = {d.id: d for d in state.snapshots[2].domains}
         assert c["1.2"] is new["1.2"] and new["1.2"].members == (4, 5, 6)
@@ -1609,7 +1641,6 @@ class TestRun:
             raise AssertionError("pricing read a Domain view")
 
         monkeypatch.setattr(ManagerTree, "domains", refuse)
-        monkeypatch.setattr(ManagerTree, "parent_child_edges", refuse)
         result = run(scenario, costs_at_snapshots=True)
         assert result == expected
         assert result.snapshots[1].per_poll == expected.per_poll
@@ -1809,7 +1840,7 @@ class TestReference18State:
         }
 
     def test_every_parent_edge_costs_five(self, reference18_state):
-        edges = reference18_state.tree.parent_child_edges()
+        edges = parent_links(reference18_state.tree)
         assert len(edges) == 5
         for mother, child in edges:
             cost = reference18_state.network.path_cost(

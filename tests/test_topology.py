@@ -21,6 +21,7 @@ from netmansim import (
     UnknownNode,
     Unreachable,
 )
+from conftest import parent_links
 
 
 def test_empty_network():
@@ -356,8 +357,9 @@ def test_networks_compare_by_value():
     a = Network(nodes=[1, 2], links=[(1, 2, 1)])
     b = Network(nodes=[2, 1], links=[(2, 1, 1)])
     assert a == b
-    assert hash(a) == hash(b)
     assert a != Network(nodes=[1, 2], links=[(1, 2, 2)])
+    with pytest.raises(TypeError):
+        hash(a)
     assert repr(a) == "Network(nodes=2, links=1, overrides=0)"
     assert (Network([1]) == 5) is False
 
@@ -615,7 +617,7 @@ def test_model_query_patterns_on_a_seeded_mesh_match_fraction_reference():
         tree.add_node_to_domain(node, rng.choice(tree.domain_ids()))
     manager_links = [
         (mother.manager_host, child.manager_host)
-        for mother, child in tree.parent_child_edges()
+        for mother, child in parent_links(tree)
     ]
     queries = (
         [(central, node) for node in stops]
@@ -788,7 +790,6 @@ def test_versions_branched_off_an_older_one_match_fresh_builds(net, data):
         assert version.links == built.links
         assert version.k_override == built.k_override
         assert version == built
-        assert hash(version) == hash(built)
         for i in ids:
             for j in ids:
                 assert _answer(version, i, j) == _answer(built, i, j)
