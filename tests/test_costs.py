@@ -206,6 +206,19 @@ class TestImasnmPoll:
         unknown = cost_imasnm_poll(net, tree, p, domain_k={"1.9": 3})
         assert unknown == cost_imasnm_poll(net, tree, p)
 
+    def test_decimal_sweep_stays_exact(self):
+        # one domain of 3 members at mda_size 3.2 KiB: 3 * 3276.8 bytes
+        net = Network(nodes=[1, 2, 3])
+        tree = ManagerTree.initial_partition([1, 2, 3], 3, 1)
+        value = cost_imasnm_poll(net, tree, params(mda_size="3276.8"))
+        assert value == Fraction("9830.4")
+
+    @pytest.mark.parametrize("bad", [-1, "x"])
+    def test_bad_domain_k_is_rejected_by_name(self, bad):
+        net, tree = small_hierarchy()
+        with pytest.raises(ValueError, match=r"domain_k\['1\.1'\]"):
+            cost_imasnm_poll(net, tree, params(), domain_k={"1.1": bad})
+
     def test_reference_scenario_poll(self, reference18_state, reference18_scenario):
         value = cost_imasnm_poll(
             reference18_state.network,
