@@ -89,12 +89,14 @@ class Scenario(Record):
 
     - ``nodes`` is not empty and holds ``central``;
     - each event is an ``AddNode`` or a ``Snapshot``;
-    - each join adds a new node, links it to nodes known by then, each
-      peer once and never itself, at a non-negative coefficient, and
-      joins a domain that exists then;
+    - each join adds a new node, links it, by ``(peer, coeff)`` pairs,
+      to nodes known by then, each peer once and never itself, at a
+      non-negative coefficient, and joins a ``DomainId`` that exists
+      then;
     - snapshot labels are unique;
     - every ``k_override`` id is a node that is initial or joins later;
-    - every ``domain_k`` key is a domain id that exists by the end;
+    - every ``domain_k`` value is a non-negative number, and its key a
+      domain id that exists by the end;
     - a ``flatbed_itinerary`` is not empty, names known nodes once each,
       starts at ``central`` and visits every node that ever joins.
 
@@ -177,8 +179,18 @@ class Scenario(Record):
                     path = f"events[{index}].add_node.node"
                     raise ValidationError(path, f"duplicate node {node}")
                 known[node] = None
+                if not isinstance(event.domain, DomainId):
+                    path = f"events[{index}].add_node.domain"
+                    message = f"expected a DomainId, got {event.domain!r}"
+                    raise ValidationError(path, message)
                 taken: set[tuple[NodeId, NodeId]] = set()  # this join's links
-                for peer_index, (peer, coeff) in enumerate(event.links):
+                for peer_index, link in enumerate(event.links):
+                    try:
+                        peer, coeff = link
+                    except (TypeError, ValueError):
+                        path = f"events[{index}].add_node.links[{peer_index}]"
+                        message = f"expected a (peer, coeff) pair, got {link!r}"
+                        raise ValidationError(path, message) from None
                     try:
                         taken.add(_link_key(node, peer, known, taken))
                     except TopologyError as exc:
@@ -241,7 +253,7 @@ class Scenario(Record):
             raise ValidationError("flatbed_itinerary", message)
 
     def _check_domains(self, joins: dict[int, DomainId]) -> None:
-        """Each join's domain exists then, and each ``domain_k`` key by the end."""
+        """Each join's domain exists then; each ``domain_k`` value, then key."""
         domains = list(joins.values())
         shape, replayed = ManagerTree._replay_shape(
             len(self.nodes), self.m_max, domains
@@ -249,13 +261,21 @@ class Scenario(Record):
         if replayed < len(domains):
             path = f"events[{list(joins)[replayed]}].add_node.domain"
             raise ValidationError(path, f"no such domain: {domains[replayed]}")
-        for key in self.domain_k:
+        for key, value in self.domain_k.items():
+            path = f"domain_k.{key}"
+            try:
+                number = Fraction(value)
+            except (TypeError, ValueError, ZeroDivisionError):
+                message = f"expected a number, got {value!r}"
+                raise ValidationError(path, message) from None
+            if number < 0:
+                raise ValidationError(path, f"must be non-negative, got {value}")
             try:
                 domain = DomainId.parse(key)
             except ValueError as exc:
-                raise ValidationError(f"domain_k.{key}", str(exc)) from None
+                raise ValidationError(path, str(exc)) from None
             if domain.path not in shape:
-                raise ValidationError(f"domain_k.{key}", f"no such domain: {key}")
+                raise ValidationError(path, f"no such domain: {key}")
 
 
 class SnapshotRecord(Record):
@@ -403,66 +423,44 @@ def _expect_number(
     return number
 
 
-def _expect_triple(
-    entry: object, where: str, index: int, shape: str, memo: dict
-) -> tuple[NodeId, NodeId, Fraction]:
-    """Check entry ``index`` of the ``where`` array, an ``[id, id, number]``.
-
-    Each item's type is checked in order. JSON paths are formatted only
-    for the error raised.
-    """
-    if not isinstance(entry, list) or len(entry) != 3:
-        path = f"{where}[{index}]"
-        items = _expect_array(entry, path)
-        raise ValidationError(path, f"expected {shape}, got {len(items)} items")
-    a, b, value = entry
-    if type(a) is not int or a < 1:
-        a = _expect_int(a, f"{where}[{index}][0]", minimum=1)
-    if type(b) is not int or b < 1:
-        b = _expect_int(b, f"{where}[{index}][1]", minimum=1)
-    number = memo.get(value) if type(value) in _NUMBER_TYPES else None
-    if number is None:
-        number = _expect_number(value, f"{where}[{index}][2]", memo)
-    return a, b, number
-
-
 def _entries(
-    array: list, where: str, shape: str, memo: dict, known: Container, table: dict
-) -> tuple[tuple[tuple[NodeId, NodeId, Fraction], ...], bool]:
-    """The ``where`` array as triples, and whether every entry is sound.
+    top: dict, where: str, memo: dict, known: Container
+) -> tuple[tuple[tuple[NodeId, NodeId, Fraction], ...], dict, bool]:
+    """The ``where`` array of ``top`` as triples, its table, and whether sound.
 
-    One pass checks each entry's shape and meaning. Shape: an entry
-    passes an inline test when it is a list of three whose ids are plain
-    positive ``int``s and whose number is already in ``memo``, which
-    holds only numbers already checked. Any other entry goes to
-    ``_expect_triple``, which checks it in order and raises at its JSON
-    path, so an entry fails the same way on either path. Meaning: an
-    entry is sound when both ids are in ``known``, its ids differ (a pin,
-    in ``k_override``, may also set a node's cost to itself at 0), and
-    its ``(low, high)`` key is not in ``table``. A sound entry is added
-    to ``table``, the ``Network`` table of its kind. An unsound one only
-    makes the result False: ``Scenario`` reports it, after every fault of
-    shape in the file.
+    One pass checks each entry's shape and meaning. Shape: each entry is
+    an ``[id, id, number]`` list, its items tested in order; a JSON path
+    is formatted only for the error raised, or for a number not yet in
+    ``memo``. Meaning: an entry is sound when both ids are in ``known``,
+    its ids differ (a pin, in ``k_override``, may also set a node's cost
+    to itself at 0), and its ``(low, high)`` key is not yet in the table.
+    A sound entry is added to the table, the ``Network`` table of its
+    kind. An unsound one only makes the result False: ``Scenario``
+    reports it, after every fault of shape in the file. The array is
+    popped from ``top`` and each entry cleared once read, so their lists
+    are freed at once, never walked by the collector.
     """
+    array = _expect_array(top.pop(where, []), where)
     pins = where == "k_override"
+    table: dict[tuple[NodeId, NodeId], Fraction] = {}
     triples = []
     append = triples.append
     sound = True
     for index, entry in enumerate(array):
-        number = None
-        if type(entry) is list and len(entry) == 3:
-            a, b, value = entry
-            if (
-                type(a) is int
-                and type(b) is int
-                and a > 0
-                and b > 0
-                and (type(value) is int or type(value) is Decimal)
-            ):
-                number = memo.get(value)
+        if type(entry) is not list or len(entry) != 3:
+            path = f"{where}[{index}]"
+            shape = "[i, j, cost]" if pins else "[a, b, coeff]"
+            got = len(_expect_array(entry, path))
+            raise ValidationError(path, f"expected {shape}, got {got} items")
+        a, b, value = entry
+        if type(a) is not int or a < 1:
+            _expect_int(a, f"{where}[{index}][0]", minimum=1)
+        if type(b) is not int or b < 1:
+            _expect_int(b, f"{where}[{index}][1]", minimum=1)
+        number = memo.get(value) if type(value) in _NUMBER_TYPES else None
         if number is None:
-            a, b, number = _expect_triple(entry, where, index, shape, memo)
-        array[index] = None  # frees the entry's list now
+            number = _expect_number(value, f"{where}[{index}][2]", memo)
+        array[index] = None
         append((a, b, number))
         key = (a, b) if a <= b else (b, a)
         if (
@@ -474,7 +472,7 @@ def _entries(
             table[key] = number
         else:
             sound = False
-    return tuple(triples), sound
+    return tuple(triples), table, sound
 
 
 def _expect_keys(
@@ -516,78 +514,54 @@ def _parse_domain_id(text: str, memo: dict[str, DomainId]) -> DomainId:
     return domain
 
 
-def _join(entry: object, memo: dict, domain_memo: dict) -> AddNode | None:
-    """``entry`` as an ``AddNode`` if it is a well-formed join, else None.
+def _event(entry: object, index: int, memo: dict, domain_memo: dict) -> Event:
+    """``events[index]``, a join or a snapshot, its items tested in order.
 
-    The inline test of a join: one ``add_node`` object holding a plain
-    positive ``int`` node, a domain text that parses, and, if present, a
-    list of ``[peer, coeff]`` pairs whose peers are plain positive
-    ``int``s and whose numbers are already in ``memo``. No JSON path is
-    formatted. Any other entry gets None, for ``_expect_event`` to check
-    in order and raise at its JSON path, so an entry fails the same way
-    on either path.
+    A JSON path is formatted only for the error raised, or for a number
+    not yet in ``memo``.
     """
     if type(entry) is not dict or len(entry) != 1:
-        return None
+        _expect_object(entry, f"events[{index}]")
+        raise ValidationError(f"events[{index}]", "event must have exactly one key")
     body = entry.get("add_node")
-    if type(body) is not dict or len(body) != 2 + ("links" in body):
-        return None
+    if type(body) is not dict:  # a snapshot, or a fault
+        ((kind, value),) = entry.items()
+        if kind == "snapshot":
+            if type(value) is not str:
+                _expect_str(value, f"events[{index}].snapshot")
+            return Snapshot(value)
+        if kind != "add_node":
+            raise ValidationError(f"events[{index}].{kind}", "unknown event kind")
+        _expect_object(body, f"events[{index}].add_node")
     node, text, pairs = body.get("node"), body.get("domain"), body.get("links", [])
-    if type(node) is not int or node < 1 or type(text) is not str:
-        return None
-    if type(pairs) is not list:
-        return None
-    links = []
-    for pair in pairs:
-        if type(pair) is not list or len(pair) != 2:
-            return None
-        peer, value = pair
-        coeff = memo.get(value) if type(value) in _NUMBER_TYPES else None
-        if type(peer) is not int or peer < 1 or coeff is None:
-            return None
-        links.append((peer, coeff))
+    # A key held at null passes here and fails its own test below.
+    if len(body) != 2 + ("links" in body) or node is None or text is None:
+        _expect_keys(body, f"events[{index}].add_node", ("node", "domain"), ("links",))
+    if type(node) is not int or node < 1:
+        _expect_int(node, f"events[{index}].add_node.node", minimum=1)
+    if type(text) is not str:
+        _expect_str(text, f"events[{index}].add_node.domain")
     try:
         domain = _parse_domain_id(text, domain_memo)
-    except ValueError:
-        return None
-    return AddNode(node, domain, tuple(links))
-
-
-def _expect_event(entry: object, path: str, memo: dict, domain_memo: dict) -> Event:
-    """Check the event at ``path``, a join or a snapshot, in order."""
-    obj = _expect_object(entry, path)
-    if len(obj) != 1:
-        raise ValidationError(path, "event must have exactly one key")
-    (kind,) = obj
-    if kind == "snapshot":
-        return Snapshot(_expect_str(obj[kind], f"{path}.snapshot"))
-    if kind != "add_node":
-        raise ValidationError(f"{path}.{kind}", "unknown event kind")
-    body_path = f"{path}.add_node"
-    body = _expect_object(obj[kind], body_path)
-    _expect_keys(body, body_path, required=("node", "domain"), optional=("links",))
-    node = _expect_int(body["node"], f"{body_path}.node", minimum=1)
-    domain_path = f"{body_path}.domain"
-    try:
-        domain = _parse_domain_id(
-            _expect_str(body["domain"], domain_path), domain_memo
-        )
     except ValueError as exc:
-        raise ValidationError(domain_path, str(exc)) from None
-    links: list[tuple[NodeId, Fraction]] = []
-    if "links" in body:
-        links_path = f"{body_path}.links"
-        for li, link_entry in enumerate(_expect_array(body["links"], links_path)):
-            if not isinstance(link_entry, list) or len(link_entry) != 2:
-                lpath = f"{links_path}[{li}]"
-                items = _expect_array(link_entry, lpath)
-                raise ValidationError(
-                    lpath, f"expected [peer, coeff], got {len(items)} items"
-                )
-            peer, value = link_entry
-            peer = _expect_int(peer, f"{links_path}[{li}][0]", minimum=1)
-            coeff = _expect_number(value, f"{links_path}[{li}][1]", memo)
-            links.append((peer, coeff))
+        raise ValidationError(f"events[{index}].add_node.domain", str(exc)) from None
+    if type(pairs) is not list:
+        _expect_array(pairs, f"events[{index}].add_node.links")
+    links = []
+    for pair in pairs:  # the pair's index is len(links)
+        if type(pair) is not list or len(pair) != 2:
+            path = f"events[{index}].add_node.links[{len(links)}]"
+            got = len(_expect_array(pair, path))
+            raise ValidationError(path, f"expected [peer, coeff], got {got} items")
+        peer, value = pair
+        if type(peer) is not int or peer < 1:
+            path = f"events[{index}].add_node.links[{len(links)}][0]"
+            _expect_int(peer, path, minimum=1)
+        coeff = memo.get(value) if type(value) in _NUMBER_TYPES else None
+        if coeff is None:
+            path = f"events[{index}].add_node.links[{len(links)}][1]"
+            coeff = _expect_number(value, path, memo)
+        links.append((peer, coeff))
     return AddNode(node, domain, tuple(links))
 
 
@@ -705,13 +679,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
     memo: dict[object, Fraction] = {}
     # one DomainId per distinct join domain text (see _parse_domain_id)
     domain_memo: dict[str, DomainId] = {}
-    # Each checked array is dropped from ``top``, so its entries' lists
-    # are freed now rather than left for the garbage collector to walk.
-    link_table: dict[tuple[NodeId, NodeId], Fraction] = {}
-    links, links_sound = _entries(
-        _expect_array(top.pop("links"), "links"), "links", "[a, b, coeff]", memo,
-        order, link_table,
-    )
+    links, link_table, links_sound = _entries(top, "links", memo, order)
     central = _expect_int(top["central"], "central", minimum=1)
     m_max = _expect_int(top["m_max"], "m_max", minimum=1)
 
@@ -735,25 +703,17 @@ def _scenario_from_raw(raw: object) -> Scenario:
     }
     params = CostParams(num_vars=num_vars, **sizes)
 
-    # A well-formed join passes _join's inline test; only other entries
-    # have their JSON path formatted.
-    events: list[Event] = []
-    for index, entry in enumerate(_expect_array(top["events"], "events")):
-        event = _join(entry, memo, domain_memo)
-        if event is None:
-            event = _expect_event(entry, f"events[{index}]", memo, domain_memo)
-        events.append(event)
+    events = [
+        _event(entry, index, memo, domain_memo)
+        for index, entry in enumerate(_expect_array(top["events"], "events"))
+    ]
 
     # A pin may name a node that joins later.
     ends = order.copy()
     for event in events:
         if type(event) is AddNode:
             ends[event.node] = None
-    pin_table: dict[tuple[NodeId, NodeId], Fraction] = {}
-    k_override, pins_sound = _entries(
-        _expect_array(top.pop("k_override", []), "k_override"), "k_override",
-        "[i, j, cost]", memo, ends, pin_table,
-    )
+    k_override, pin_table, pins_sound = _entries(top, "k_override", memo, ends)
     del ends
 
     domain_k: dict[str, Fraction] = {}

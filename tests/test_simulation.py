@@ -294,7 +294,7 @@ ENTRY_ERRORS = [
     ("links", [[9, 1, -1]], "links[0][2]", "must be non-negative, got -1"),
     ("links", [[1, "x", "y"]], "links[0][1]", "expected an integer, got 'x'"),
     # After a well-formed entry, whose number 1 is then known: each fault
-    # below passes the loader's inline test to ``_expect_triple``.
+    # below is met by an item test that an entry of known numbers skips.
     ("links", [[1, 2, 1], [1, True, 1]], "links[1][1]",
      "expected an integer, got True"),
     ("links", [[1, 2, 1], [1, 2, True]], "links[1][2]", "expected a number, got True"),
@@ -348,6 +348,8 @@ ENTRY_ERRORS = [
      "link joins node 3 to itself"),
     ("add_node.links", [[1, 1], [9, 1]], f"{EVENT}[1][0]", "unknown node 9"),
     ("add_node.links", [[9, -1]], f"{EVENT}[0][1]", "must be non-negative, got -1"),
+    ("add_node.links", [[1, 2.5], [1, "y"]], f"{EVENT}[1][1]",
+     "expected a number, got 'y'"),
 ]
 
 
@@ -360,25 +362,34 @@ def test_entry_errors_are_exact(array, entries, path, message):
 
 JOIN = "events[0].add_node"
 
-# Each join follows a link whose number 1 is then known, so it meets the
-# loader's inline join test before the checks that raise.
+# Each join follows a link whose number 1 is then known, so a fault in a
+# join's links is met by an item test, not by a number's first check.
 JOIN_ERRORS = [
     ({"add_node": {"node": 3, "domain": "1"}, "snapshot": "a"}, "events[0]",
      "event must have exactly one key"),
+    ({"snapshot": 5}, "events[0].snapshot", "expected a string, got int"),
     ({"add_node": 5}, JOIN, "expected an object, got int"),
+    ({"add_node": []}, JOIN, "expected an object, got list"),
     ({"add_node": {"node": 3, "domain": "1", "x": 1}}, f"{JOIN}.x", "unknown key"),
+    ({"add_node": {"node": 3, "x": 1}}, f"{JOIN}.x", "unknown key"),
     ({"add_node": {"node": 3, "links": [[1, 1]]}}, f"{JOIN}.domain",
      "missing required key"),
     ({"add_node": {"node": 0, "domain": "1"}}, f"{JOIN}.node",
      "must be at least 1, got 0"),
     ({"add_node": {"node": True, "domain": "1"}}, f"{JOIN}.node",
      "expected an integer, got True"),
+    ({"add_node": {"node": None, "domain": "1"}}, f"{JOIN}.node",
+     "expected an integer, got None"),
+    ({"add_node": {"node": 3, "domain": None}}, f"{JOIN}.domain",
+     "expected a string, got NoneType"),
     ({"add_node": {"node": 3, "domain": 1}}, f"{JOIN}.domain",
      "expected a string, got int"),
     ({"add_node": {"node": 3, "domain": "1.0"}}, f"{JOIN}.domain",
      "malformed domain id '1.0'"),
     ({"add_node": {"node": 3, "domain": "1", "links": {"1": 1}}}, f"{JOIN}.links",
      "expected an array, got dict"),
+    ({"add_node": {"node": 3, "domain": "1", "links": None}}, f"{JOIN}.links",
+     "expected an array, got NoneType"),
     ({"add_node": {"node": 3, "domain": "1", "links": [5]}}, f"{JOIN}.links[0]",
      "expected an array, got int"),
     ({"add_node": {"node": 3, "domain": "1", "links": [[1, 1, 1]]}},
@@ -652,6 +663,8 @@ PARITY = [
      "domain_k.1.9", "no such domain: 1.9"),
     (dict(domain_k={"x": 1}), dict(domain_k={"x": Fraction(1)}),
      "domain_k.x", "malformed domain id 'x'"),
+    (dict(domain_k={"1": -1}), dict(domain_k={"1": Fraction(-1)}),
+     "domain_k.1", "must be non-negative, got -1"),
     (dict(events=[join(3, "1", [])]),
      dict(events=(AddNode(3, DomainId.parse("1")),)),
      "events[0].add_node.node", "duplicate node 3"),
@@ -699,6 +712,27 @@ def test_an_event_of_another_type_is_named_by_its_index():
         "events[1]",
         "expected an AddNode or a Snapshot, got 'x'",
     )
+
+
+# Fields only code can get wrong, with the exact (path, message) raised.
+CODE_ERRORS = [
+    (dict(domain_k={"1": "x"}), "domain_k.1", "expected a number, got 'x'"),
+    (dict(events=(AddNode(6, "1"),)), "events[0].add_node.domain",
+     "expected a DomainId, got '1'"),
+    (dict(events=(AddNode(6, DomainId.parse("1"), ((1, 1), (2,))),)),
+     "events[0].add_node.links[1]", "expected a (peer, coeff) pair, got (2,)"),
+    (dict(events=(AddNode(6, DomainId.parse("1"), (5,)),)),
+     "events[0].add_node.links[0]", "expected a (peer, coeff) pair, got 5"),
+]
+
+
+@pytest.mark.parametrize("fields, path, message", CODE_ERRORS)
+def test_a_field_of_the_wrong_type_made_in_code_is_named_by_its_path(
+    fields, path, message
+):
+    with pytest.raises(ValidationError) as info:
+        replace(chain_in_code(), **fields)
+    assert (info.value.path, info.value.message) == (path, message)
 
 
 def test_a_join_link_made_in_code_takes_any_number_add_link_takes():
@@ -892,29 +926,43 @@ def test_loaded_join_domains_equal_their_full_parse(case):
     ]
 
 
-def test_only_joins_failing_the_inline_test_format_json_paths(monkeypatch):
-    # The snapshot, and the join whose coefficient 2.5 is new, take the
-    # checked path; the other joins pass inline.
-    paths = []
-    checked = simulation._expect_event
+def grown_doc(size: int) -> dict:
+    """A sound scenario of ``size`` nodes, links, pins, joins and snapshots.
 
-    def counting(entry, path, *memos):
-        paths.append(path)
-        return checked(entry, path, *memos)
+    Its numbers reuse three literals, so only a few are new to the loader.
+    """
+    literals = [1, 2.5, 0.5]
+    nodes = list(range(1, size + 1))
+    pairs = [[a, a + 1, literals[a % 3]] for a in range(1, size)]
+    events = []
+    for n in range(size):
+        node = size + 1 + n
+        events.append(join(node, "1", [[node - 1, literals[n % 3]]]))
+        events.append({"snapshot": f"s{n}"})
+    return dict(nodes=nodes, links=pairs, k_override=pairs, events=events)
 
-    monkeypatch.setattr(simulation, "_expect_event", counting)
-    events = [
-        join(6, "1", [[1, 1]]),
-        {"snapshot": "a"},
-        join(7, "1.1", [[6, 2.5]]),
-        join(8, "1.1.1", [[7, 2.5], [1, 1]]),
-        {"add_node": {"node": 9, "domain": "1.2"}},
-    ]
-    scenario = load_scenario(scenario_text(**{**CHAIN, "events": events}))
-    assert paths == ["events[1]", "events[2]"]
-    assert scenario.events[3] == AddNode(
-        8, DomainId((1, 1, 1)), ((7, Fraction(5, 2)), (1, Fraction(1)))
+
+def test_json_paths_are_formatted_per_fault_or_new_number_not_per_entry(monkeypatch):
+    calls = []
+    for name in dir(simulation):
+        if name.startswith("_expect_"):
+            def counting(*args, _checked=getattr(simulation, name), **kwargs):
+                calls.append(args[1])
+                return _checked(*args, **kwargs)
+
+            monkeypatch.setattr(simulation, name, counting)
+    counts = []
+    for size in (4, 400):
+        calls.clear()
+        scenario = load_scenario(scenario_text(**grown_doc(size)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    # each entry was still read in full
+    assert scenario.events[798:] == (
+        AddNode(800, DomainId.parse("1"), ((799, Fraction(1)),)),
+        Snapshot("s399"),
     )
+    assert scenario.k_override[-2:] == ((398, 399, Fraction(1, 2)), (399, 400, 1))
 
 
 def test_deep_join_domains_load_in_parts_linear_in_the_joins(monkeypatch):
