@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .hierarchy import DomainId, DomainState, ManagerTree
-from .topology import Network, NodeId, _check_node_id, _coeff, _link_key
+from .topology import Network, NodeId, _coeff, _link_key
 
 __all__ = [
     "MODEL_NAMES",
@@ -174,7 +174,9 @@ class Scenario(Record):
         labels: set[str] = set()
         for index, event in enumerate(self.events):
             if isinstance(event, AddNode):
-                node = _check_node_id(event.node)
+                node = event.node
+                if not (type(node) is int and node > 0):
+                    _expect_int(node, f"events[{index}].add_node.node", minimum=1)
                 if node in known:
                     path = f"events[{index}].add_node.node"
                     raise ValidationError(path, f"duplicate node {node}")
@@ -183,14 +185,23 @@ class Scenario(Record):
                     path = f"events[{index}].add_node.domain"
                     message = f"expected a DomainId, got {event.domain!r}"
                     raise ValidationError(path, message)
+                try:
+                    links = iter(event.links)
+                except TypeError:
+                    path = f"events[{index}].add_node.links"
+                    message = f"expected an array, got {type(event.links).__name__}"
+                    raise ValidationError(path, message) from None
                 taken: set[tuple[NodeId, NodeId]] = set()  # this join's links
-                for peer_index, link in enumerate(event.links):
+                for peer_index, link in enumerate(links):
                     try:
                         peer, coeff = link
                     except (TypeError, ValueError):
                         path = f"events[{index}].add_node.links[{peer_index}]"
                         message = f"expected a (peer, coeff) pair, got {link!r}"
                         raise ValidationError(path, message) from None
+                    if not (type(peer) is int and peer > 0):
+                        path = f"events[{index}].add_node.links[{peer_index}][0]"
+                        _expect_int(peer, path, minimum=1)
                     try:
                         taken.add(_link_key(node, peer, known, taken))
                     except TopologyError as exc:
@@ -203,6 +214,10 @@ class Scenario(Record):
                         except NegativeCoeff:
                             path = f"events[{index}].add_node.links[{peer_index}][1]"
                             message = f"must be non-negative, got {coeff}"
+                            raise ValidationError(path, message) from None
+                        except TypeError:
+                            path = f"events[{index}].add_node.links[{peer_index}][1]"
+                            message = f"expected a number, got {coeff!r}"
                             raise ValidationError(path, message) from None
                 joins[index] = event.domain
             elif isinstance(event, Snapshot):

@@ -11,13 +11,15 @@ network version multiplies every link coefficient by the least common
 multiple of their denominators, which makes every scaled coefficient, and
 so every sum of them, a whole number. Dijkstra then compares and adds plain
 ``int``s, and a result ``d`` is returned as ``Fraction(d, scale)``: the same
-exact value a search on the original coefficients would find. The scaled
-graph, and every answer and tree computed over it, belong to one network
-version. A query is answered by a bidirectional search between its two
-ends (Pohl, "Bi-directional search", Machine Intelligence 6, 1971) until
-the pair searches from its source have put as many labels as the version
-has nodes; the source's next new target then gets its whole tree computed
-and kept. That is the rent-or-buy break-even: a source asked for many
+exact value a search on the original coefficients would find. That
+``Fraction`` is made once per distinct ``d`` in a version, and every later
+answer of that cost returns the same object. The scaled graph, and every
+answer and tree computed over it, belong to one network version. A query
+is answered by a bidirectional search between its two ends (Pohl,
+"Bi-directional search", Machine Intelligence 6, 1971) until the pair
+searches from its source have put as many labels as the version has
+nodes; the source's next new target then gets its whole tree computed and
+kept. That is the rent-or-buy break-even: a source asked for many
 targets, as a polling manager is, pays for one tree, while the hops of a
 flat-bed round trip each label a small patch around their two ends.
 
@@ -26,6 +28,15 @@ cardinality rule, so a side that is about to run dry (a target in a small
 component) is expanded first. Once the two sides have met, a neighbour
 whose label plus the other side's nearest frontier reaches the best
 meeting sum is skipped: no path through it can be cheaper.
+
+The search numbers nodes by their join positions in the version's node
+table, which for a version are 0 to its node count - 1. Its adjacency is
+a list of ``(position, scaled weight)`` lists, and a tree is a list of
+costs by position. A pair search labels into two lists of one slot per
+position that the engine keeps for its version's life, and sets back to
+``None`` exactly the slots it set, whether it returns or raises. The
+memo of pair answers, the trees and the label counts stay keyed by node
+id.
 
 Versions made from one another by ``add_node`` and ``add_link`` share two
 insertion-ordered tables, node -> join position and link -> coefficient,
@@ -152,74 +163,105 @@ def _prefix(table: dict, count: int) -> dict:
 class _PathEngine:
     """Integer Dijkstra over one network version, with memoised answers.
 
-    A query that no kept tree answers runs a bidirectional search between
-    its two ends, growing the side with fewer heap entries and skipping
-    labels that cannot beat the best meeting, and the answer is kept for
-    that pair, in either order. Each source adds up the labels its pair
-    searches set. Once the total reaches the version's node count, what
-    one full search costs, the source's next new target builds its
-    single-source tree instead, kept for the rest of this version's life;
-    it answers every query that starts or ends at the source. Sources that
-    each ask for one target, as the hops of a flat-bed round trip do, so
-    never fill an all-pairs table, even when the same version is priced
-    twice.
+    Nodes are numbered by join position (see the module docstring), read
+    from the version's node table ``_order`` only when a search or a tree
+    needs one; a later version may append to that table, but never moves
+    an entry. ``_adjacency[p]`` lists the ``(position, scaled weight)``
+    neighbours of the node at position ``p``. A query that no kept tree
+    answers runs a bidirectional search between its two ends, growing the
+    side with fewer heap entries and skipping labels that cannot beat the
+    best meeting, and the answer is kept for that pair, in either order.
+    The search labels into ``_forward`` and ``_backward``, one slot per
+    position, which are all ``None`` between searches. Each source adds
+    up the labels its pair searches set. Once the total reaches the
+    version's node count, what one full search costs, the source's next
+    new target builds its single-source tree instead, a list of costs by
+    position kept for the rest of this version's life; it answers every
+    query that starts or ends at the source. Sources that each ask for
+    one target, as the hops of a flat-bed round trip do, so never fill an
+    all-pairs table, even when the same version is priced twice.
+
+    ``_trees``, ``_pairs`` and ``_labelled`` are keyed by node id.
+    ``_answers`` holds the one ``Fraction`` that ``Network.path_cost``
+    hands out for each scaled answer.
     """
 
-    __slots__ = ("scale", "_adjacency", "_trees", "_pairs", "_labelled")
+    __slots__ = (
+        "scale",
+        "_order",
+        "_adjacency",
+        "_forward",
+        "_backward",
+        "_trees",
+        "_pairs",
+        "_labelled",
+        "_answers",
+    )
 
     def __init__(
-        self, nodes: Iterable[NodeId], links: list[tuple[Pair, Fraction]]
+        self,
+        order: Mapping[NodeId, int],
+        count: int,
+        links: list[tuple[Pair, Fraction]],
     ) -> None:
         scale = math.lcm(*(cost.denominator for _, cost in links))
-        adjacency: dict[NodeId, list[tuple[NodeId, int]]] = {n: [] for n in nodes}
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(count)]
         for (a, b), cost in links:
             weight = cost.numerator * (scale // cost.denominator)
+            a, b = order[a], order[b]
             adjacency[a].append((b, weight))
             adjacency[b].append((a, weight))
         self.scale = scale
+        self._order = order
         self._adjacency = adjacency
-        self._trees: dict[NodeId, dict[NodeId, int]] = {}
+        self._forward: list[int | None] = [None] * count
+        self._backward: list[int | None] = [None] * count
+        self._trees: dict[NodeId, list[int | None]] = {}
         self._pairs: dict[Pair, int | None] = {}
         self._labelled: dict[NodeId, int] = {}
+        self._answers: dict[int, Fraction] = {}
 
     def distance(self, i: NodeId, j: NodeId) -> int | None:
         """Scaled cost of the cheapest ``i``-``j`` path, None if there is none."""
         trees = self._trees
         if i in trees:
-            return trees[i].get(j)
+            return trees[i][self._order[j]]
         if j in trees:
-            return trees[j].get(i)
+            return trees[j][self._order[i]]
         key = (i, j) if i <= j else (j, i)
         pairs = self._pairs
         if key in pairs:
             return pairs[key]
+        order = self._order
         labelled = self._labelled.get(i, 0)
         if labelled >= len(self._adjacency):
-            tree = trees[i] = self._search(i)
-            return tree.get(j)
-        scaled, labels = self._meet(i, j)
+            tree = trees[i] = self._search(order[i])
+            return tree[order[j]]
+        scaled, labels = self._meet(order[i], order[j])
         self._labelled[i] = labelled + labels
         pairs[key] = scaled
         return scaled
 
-    def _search(self, source: NodeId) -> dict[NodeId, int]:
-        """Dijkstra from ``source`` to every node it reaches."""
+    def _search(self, source: int) -> list[int | None]:
+        """Dijkstra from ``source``: each position's cost, None if out of reach."""
         adjacency = self._adjacency
-        best = {source: 0}
+        heappush, heappop = heapq.heappush, heapq.heappop
+        best: list[int | None] = [None] * len(adjacency)
+        best[source] = 0
         frontier = [(0, source)]
         while frontier:
-            dist, node = heapq.heappop(frontier)
+            dist, node = heappop(frontier)
             if dist > best[node]:
                 continue
             for neighbor, weight in adjacency[node]:
                 candidate = dist + weight
-                known = best.get(neighbor)
+                known = best[neighbor]
                 if known is None or candidate < known:
                     best[neighbor] = candidate
-                    heapq.heappush(frontier, (candidate, neighbor))
+                    heappush(frontier, (candidate, neighbor))
         return best
 
-    def _meet(self, source: NodeId, target: NodeId) -> tuple[int | None, int]:
+    def _meet(self, source: int, target: int) -> tuple[int | None, int]:
         """Bidirectional Dijkstra: (scaled cost or None, labels set).
 
         Each step expands the side whose heap holds fewer entries, ties
@@ -237,42 +279,62 @@ class _PathEngine:
         that cost cannot beat ``meeting``. While the sides have not met,
         ``bound`` is infinite and nothing is skipped, so a target out of
         reach still ends with an empty heap and ``None``.
+
+        Labels go into the engine's ``_forward`` and ``_backward`` lists.
+        Each side lists the positions it labels as it first labels them,
+        and the ``finally`` clause sets exactly those back to ``None``,
+        whether the search returns or raises; their count is the labels
+        set.
         """
         adjacency = self._adjacency
         heappush, heappop = heapq.heappush, heapq.heappop
-        forward = {source: 0}
-        backward = {target: 0}
+        forward, backward = self._forward, self._backward
+        forward_seen = [source]
+        backward_seen = [target]
+        forward[source] = 0
+        backward[target] = 0
         forward_heap = [(0, source)]
         backward_heap = [(0, target)]
         meeting = math.inf
-        while forward_heap and backward_heap:
-            forward_top = forward_heap[0][0]
-            backward_top = backward_heap[0][0]
-            if forward_top + backward_top >= meeting:
-                break
-            if len(forward_heap) <= len(backward_heap):
-                frontier, labels, other = forward_heap, forward, backward
-                other_top = backward_top
-            else:
-                frontier, labels, other = backward_heap, backward, forward
-                other_top = forward_top
-            bound = meeting - other_top
-            dist, node = heappop(frontier)
-            if dist > labels[node]:
-                continue
-            for neighbor, weight in adjacency[node]:
-                candidate = dist + weight
-                if candidate >= bound:
+        try:
+            while forward_heap and backward_heap:
+                forward_top = forward_heap[0][0]
+                backward_top = backward_heap[0][0]
+                if forward_top + backward_top >= meeting:
+                    break
+                if len(forward_heap) <= len(backward_heap):
+                    frontier, labels, seen = forward_heap, forward, forward_seen
+                    other = backward
+                    other_top = backward_top
+                else:
+                    frontier, labels, seen = backward_heap, backward, backward_seen
+                    other = forward
+                    other_top = forward_top
+                bound = meeting - other_top
+                dist, node = heappop(frontier)
+                if dist > labels[node]:
                     continue
-                known = labels.get(neighbor)
-                if known is None or candidate < known:
+                for neighbor, weight in adjacency[node]:
+                    candidate = dist + weight
+                    if candidate >= bound:
+                        continue
+                    known = labels[neighbor]
+                    if known is None:
+                        seen.append(neighbor)
+                    elif candidate >= known:
+                        continue
                     labels[neighbor] = candidate
                     heappush(frontier, (candidate, neighbor))
-                    opposite = other.get(neighbor)
+                    opposite = other[neighbor]
                     if opposite is not None and candidate + opposite < meeting:
                         meeting = candidate + opposite
                         bound = meeting - other_top
-        labels_set = len(forward) + len(backward)
+        finally:
+            for position in forward_seen:
+                forward[position] = None
+            for position in backward_seen:
+                backward[position] = None
+        labels_set = len(forward_seen) + len(backward_seen)
         return (None if meeting == math.inf else meeting), labels_set
 
 
@@ -478,7 +540,9 @@ class Network:
         both orders. Once the searches from ``i`` have labelled as many
         nodes as the version has, ``i``'s next new target computes and
         keeps its whole tree, which then answers every query that starts
-        or ends at ``i``.
+        or ends at ``i``. Searched answers of one cost are one shared
+        ``Fraction`` per version, made at the first of them; a pinned
+        cost is returned as stored.
         """
         order, count = self._order, self._node_count
         if order.get(i, count) >= count:
@@ -492,10 +556,12 @@ class Network:
             return Fraction(0)
         engine = self._engine
         if engine is None:
-            engine = self._engine = _PathEngine(
-                islice(self._order, self._node_count), self._link_items()
-            )
+            engine = self._engine = _PathEngine(order, count, self._link_items())
         scaled = engine.distance(i, j)
         if scaled is None:
             raise Unreachable(f"no path between {i} and {j}")
-        return Fraction(scaled, engine.scale)
+        answers = engine._answers
+        answer = answers.get(scaled)
+        if answer is None:
+            answer = answers[scaled] = Fraction(scaled, engine.scale)
+        return answer

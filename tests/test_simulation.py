@@ -723,6 +723,18 @@ CODE_ERRORS = [
      "events[0].add_node.links[1]", "expected a (peer, coeff) pair, got (2,)"),
     (dict(events=(AddNode(6, DomainId.parse("1"), (5,)),)),
      "events[0].add_node.links[0]", "expected a (peer, coeff) pair, got 5"),
+    (dict(events=(AddNode("6", DomainId.parse("1")),)),
+     "events[0].add_node.node", "expected an integer, got '6'"),
+    (dict(events=(AddNode(0, DomainId.parse("1")),)),
+     "events[0].add_node.node", "must be at least 1, got 0"),
+    (dict(events=(AddNode(6, DomainId.parse("1"), ((5, 1), (1, "x"))),)),
+     "events[0].add_node.links[1][1]", "expected a number, got 'x'"),
+    (dict(events=(AddNode(6, DomainId.parse("1"), ((1, None),)),)),
+     "events[0].add_node.links[0][1]", "expected a number, got None"),
+    (dict(events=(AddNode(6, DomainId.parse("1"), (("5", 1),)),)),
+     "events[0].add_node.links[0][0]", "expected an integer, got '5'"),
+    (dict(events=(AddNode(6, DomainId.parse("1"), None),)),
+     "events[0].add_node.links", "expected an array, got NoneType"),
 ]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import random
 import statistics
+import types
 from enum import IntEnum
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from netmansim import (
     UnknownNode,
     Unreachable,
 )
+from netmansim import topology
 from conftest import parent_links
 
 
@@ -503,8 +505,10 @@ _MIXED_COEFFS = st.one_of(
 
 
 @st.composite
-def mixed_networks(draw, max_nodes: int = 40, links_per_node: int = 2):
-    size = draw(st.integers(min_value=2, max_value=max_nodes))
+def mixed_networks(
+    draw, max_nodes: int = 40, links_per_node: int = 2, min_nodes: int = 2
+):
+    size = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     nodes = list(range(1, size + 1))
     pair = (
         st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
@@ -711,6 +715,53 @@ def test_pair_search_into_another_component_prunes_nothing():
     _each_pair_matches_reference(nodes, links)
 
 
+def _label_slots_are_empty(net: Network) -> bool:
+    engine = net._engine
+    return all(label is None for label in engine._forward + engine._backward)
+
+
+def test_every_label_slot_is_empty_after_each_pair_search(monkeypatch):
+    # 1-3 meets over 1-2-3; 2-4 ties at 1 over 2-1-4 and 2-3-4, each with
+    # one zero-cost link; 10-11 is another component. Each query comes
+    # from a new source, so each is one pair search.
+    links = [(1, 2, 0), (2, 3, 1), (1, 4, 1), (4, 3, 0), (3, 5, 2), (10, 11, 1)]
+    net = Network(nodes=[1, 2, 3, 4, 5, 10, 11], links=links)
+    assert net.path_cost(1, 3) == 1
+    assert _label_slots_are_empty(net)
+    with pytest.raises(Unreachable):
+        net.path_cost(5, 10)
+    assert _label_slots_are_empty(net)
+    assert net.path_cost(2, 4) == 1
+    assert _label_slots_are_empty(net)
+    assert set(net._engine._labelled) == {1, 5, 2}
+    assert net._engine._trees == {}
+
+    # A search stopped by an exception from its second pop, after the
+    # first labelled 4, 1 and 3 forward, still clears what it set and
+    # leaves no answer or label count behind.
+    pops = []
+
+    def failing_heappop(heap):
+        pops.append(heap)
+        if len(pops) == 2:
+            raise KeyboardInterrupt
+        return heapq.heappop(heap)
+
+    patched = types.SimpleNamespace(heappush=heapq.heappush, heappop=failing_heappop)
+    monkeypatch.setattr(topology, "heapq", patched)
+    engine = net._engine
+    pairs, labelled = dict(engine._pairs), dict(engine._labelled)
+    with pytest.raises(KeyboardInterrupt):
+        net.path_cost(4, 5)
+    assert len(pops) == 2
+    assert _label_slots_are_empty(net)
+    assert (engine._pairs, engine._labelled) == (pairs, labelled)
+    monkeypatch.undo()
+    assert net.path_cost(4, 5) == 2
+    assert _label_slots_are_empty(net)
+    _each_pair_matches_reference([1, 2, 3, 4, 5, 10, 11], links)
+
+
 @given(mixed_networks(max_nodes=12), st.data())
 def test_add_link_chain_keeps_each_version_answers(net, data):
     nodes = sorted(net.nodes)
@@ -796,3 +847,84 @@ def test_versions_branched_off_an_older_one_match_fresh_builds(net, data):
     for (one, _), one_built in zip(versions, fresh):
         for (other, _), other_built in zip(versions, fresh):
             assert (one == other) == (one_built == other_built)
+
+
+def _matches_fresh_build(version: Network, contents, pins, queries) -> None:
+    """Each query equals the Fraction reference and a fresh build's answer.
+
+    The version's engine, if built, has one slot per node of the version,
+    however many its shared table holds: its break-even is that count.
+    """
+    nodes, links = contents
+    fresh = Network(nodes=nodes, links=links, k_override=pins)
+    _answers_match_reference(version, queries)
+    for i, j in queries:
+        assert _answer(version, i, j) == _answer(fresh, i, j)
+    engine = version._engine
+    if engine is not None:
+        assert len(engine._adjacency) == len(engine._forward) == len(nodes)
+
+
+@given(mixed_networks(max_nodes=10, min_nodes=4), st.data())
+def test_an_older_version_answers_new_pairs_after_a_newer_one_grew_its_tables(
+    net, data
+):
+    nodes = sorted(net.nodes)
+    source = data.draw(st.sampled_from(nodes))
+    others = [n for n in nodes if n != source]
+    first = tuple(data.draw(st.permutations(others))[:2])
+    # Leave the source and the first pair unpinned: the first pair then
+    # builds the oldest version's engine with one pair search, and the
+    # source's pair searches reach the break-even below.
+    pins = {
+        pair: cost
+        for pair, cost in net.k_override.items()
+        if source not in pair and pair != tuple(sorted(first))
+    }
+    oldest = Network(nodes=nodes, links=net.links, k_override=pins)
+    versions = [(oldest, (nodes, list(oldest.links)))]
+    _matches_fresh_build(oldest, versions[0][1], pins, [first])
+    engine = oldest._engine
+    assert engine is not None
+    # Grow the newest version in place, and between the steps query any
+    # version made since, the newest or one a later step has outgrown.
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        versions.append(_grow(*versions[-1], data))
+        version, contents = data.draw(st.sampled_from(versions[1:]))
+        _matches_fresh_build(version, contents, pins, data.draw(_queries(contents[0])))
+    newest = versions[-1][0]
+    assert newest._order is oldest._order and newest._links is oldest._links
+    assert (len(oldest._order), len(oldest._links)) != (
+        oldest._node_count,
+        oldest._link_count,
+    )
+    # The oldest version again, on pairs it was never asked. It has no
+    # tree yet, and every pair search labels at least the source and its
+    # target, so with 4 nodes or more the source reaches its version's
+    # node count and builds its tree before its last target.
+    asked = [(source, j) for j in data.draw(st.permutations(nodes))]
+    _matches_fresh_build(oldest, versions[0][1], pins, asked)
+    assert oldest._engine is engine and source in engine._trees
+    assert len(engine._trees[source]) == len(nodes)
+
+
+def test_equal_answers_in_one_version_are_one_fraction():
+    # On a chain of half-cost links, 1-3, 2-4 and 3-5 each cost 1.
+    halves = [(n, n + 1, "1/2") for n in range(1, 5)]
+    net = Network(nodes=range(1, 6), links=halves, k_override={(1, 5): 7})
+    one = net.path_cost(1, 3)
+    assert one == 1
+    assert net.path_cost(4, 2) is one and net.path_cost(3, 1) is one
+    assert net.path_cost(3, 5) is one
+    assert net.path_cost(1, 4) == Fraction(3, 2)
+    # A pin is returned as stored and takes no entry.
+    assert net.path_cost(5, 1) is net._override[1, 5]
+    assert net._engine._answers == {2: 1, 3: Fraction(3, 2)}
+    assert net._engine._answers[2] is one
+    # A new version starts with no answers, and hands out its own Fraction.
+    grown = net.add_node(6)
+    assert grown._engine is None
+    again = grown.path_cost(2, 4)
+    assert again == 1 and again is not one
+    assert grown._engine._answers == {2: 1}
+    assert net._engine._answers == {2: 1, 3: Fraction(3, 2)}
