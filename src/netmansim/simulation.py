@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import ChainMap
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +20,7 @@ from typing import BinaryIO, Container, Iterable, Mapping, TextIO, Union
 from ._record import Record
 from .costs import CostParams, _prices
 from .errors import (
+    DuplicateNode,
     NegativeCoeff,
     ParseError,
     TopologyError,
@@ -26,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .hierarchy import DomainId, DomainState, ManagerTree
-from .topology import Network, NodeId, _coeff, _link_key
+from .topology import Network, NodeId, _check_node_id, _coeff, _link_key
 
 __all__ = [
     "MODEL_NAMES",
@@ -87,6 +89,9 @@ class Scenario(Record):
     ``ValidationError``, with the JSON path of the fault, is raised
     unless:
 
+    - ``central`` and ``m_max`` are integers of at least 1, and
+      ``params`` is a ``CostParams``, checked in that order, as the
+      loader checks them;
     - ``nodes`` is not empty and holds ``central``;
     - each event is an ``AddNode`` or a ``Snapshot``;
     - each join adds a new node, links it, by ``(peer, coeff)`` pairs,
@@ -153,6 +158,11 @@ class Scenario(Record):
         for field, value in zip(self._fields, fields):
             object.__setattr__(self, field, value)
         object.__setattr__(self, "network", network)
+        _expect_int(self.central, "central", minimum=1)
+        _expect_int(self.m_max, "m_max", minimum=1)
+        if not isinstance(self.params, CostParams):
+            message = f"expected a CostParams, got {type(self.params).__name__}"
+            raise ValidationError("params", message)
         if not self.nodes:
             raise ValidationError("nodes", "must not be empty")
         known = dict.fromkeys(self.nodes)
@@ -320,11 +330,18 @@ class SnapshotRecord(Record):
 class SimulationState(Record):
     """Mutable state threaded through apply_event.
 
-    It compares and prints by its fields, as a record does, but its
-    fields can be set, so it has no hash.
+    A join that ``apply_event`` has checked joins ``tree`` at once and
+    waits for the network. Reading ``network`` adds every waiting join,
+    in order, in one new ``Network`` version, so a stepwise replay makes
+    one version per read, not one per node and link. Setting ``network``
+    replaces it and drops the waiting joins.
+
+    It compares and prints by ``network``, ``tree`` and ``snapshots``, as
+    a record does, but its fields can be set, so it has no hash.
     """
 
-    __slots__ = ("network", "tree", "snapshots")
+    __slots__ = ("_network", "_waiting", "tree", "snapshots")
+    _fields = ("network", "tree", "snapshots")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
@@ -333,9 +350,23 @@ class SimulationState(Record):
         self, network: Network, tree: ManagerTree,
         snapshots: list[SnapshotRecord] | None = None,
     ) -> None:
+        # Each waiting join's node -> its (peer, coeff) links.
+        self._waiting: dict[NodeId, tuple[tuple[NodeId, Fraction], ...]] = {}
         self.network = network
         self.tree = tree
         self.snapshots = [] if snapshots is None else snapshots
+
+    @property
+    def network(self) -> Network:
+        if self._waiting:
+            self._network = self._network._joined(self._waiting.items())
+            self._waiting.clear()
+        return self._network
+
+    @network.setter
+    def network(self, network: Network) -> None:
+        self._network = network
+        self._waiting.clear()
 
 
 class SimulationResult(Record):
@@ -782,10 +813,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
         tuple(events), tuple(polling_counts), tuple(models), flatbed_itinerary, notes,
     )
     if sound and links_sound and pins_sound:
-        network = Network._of(
-            order, len(order), link_table, len(link_table), pin_table
-        )
-        return Scenario._loaded(network, *fields)
+        return Scenario._loaded(Network._of(order, link_table, pin_table), *fields)
     # Scenario builds the network again and reports the first fault.
     try:
         return Scenario(*fields)
@@ -799,19 +827,28 @@ def _scenario_from_raw(raw: object) -> Scenario:
 def apply_event(state: SimulationState, event: Event) -> SimulationState:
     """Apply one event to the state, in place, and return the state.
 
-    AddNode builds the network with the node and its links, then hands
-    the node to the hierarchy, which may clone a child domain; the state
-    takes the new network only once both steps have succeeded, so a
-    failed join leaves it as it was.
+    AddNode checks the node and then each of its links as
+    ``Network.add_node`` and ``add_link`` would, raising their errors,
+    then hands the node to the hierarchy, which may clone a child
+    domain. Only once both steps have succeeded does the join wait for
+    the network (see ``SimulationState``), so a failed join leaves the
+    state as it was.
     Snapshot appends a record of the current hierarchy and changes
     nothing else.
     """
     if isinstance(event, AddNode):
-        network = state.network.add_node(event.node)
+        node, waiting, order = event.node, state._waiting, state._network._order
+        _check_node_id(node)
+        if node in order or node in waiting:
+            raise DuplicateNode(f"duplicate node {node}")
+        known = ChainMap({node: None}, waiting, order)
+        taken: set[tuple[NodeId, NodeId]] = set()  # this join's links
+        links = []
         for peer, coeff in event.links:
-            network = network.add_link(event.node, peer, coeff)
-        state.tree.add_node_to_domain(event.node, event.domain)
-        state.network = network
+            taken.add(_link_key(node, peer, known, taken))
+            links.append((peer, _coeff(coeff, "link", node, peer)))
+        state.tree.add_node_to_domain(node, event.domain)
+        waiting[node] = tuple(links)
     elif isinstance(event, Snapshot):
         state.snapshots.append(SnapshotRecord(event.label, state.tree.states()))
     else:
@@ -820,22 +857,15 @@ def apply_event(state: SimulationState, event: Event) -> SimulationState:
 
 
 def _model_costs(
-    scenario: Scenario,
-    state: SimulationState,
-    models: tuple[str, ...],
-    pending: list,
+    scenario: Scenario, state: SimulationState, models: tuple[str, ...]
 ) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
     """Price the current state: (per-poll, deploy) bytes keyed by model.
 
-    The network first takes the ``pending`` joins and the list is
-    emptied. With no model asked, neither happens and both tables are
-    empty.
+    With no model asked, both tables are empty and the network is not
+    read, so its waiting joins go on waiting.
     """
     if not models:
         return {}, {}
-    if pending:
-        state.network = state.network._joined(pending)
-        pending.clear()
     network, central = state.network, scenario.central
     present = network.nodes if "cs" in models or "flatbed" in models else ()
     targets = sorted(present)
@@ -864,7 +894,7 @@ def run(
     polling_counts: Iterable[int] | None = None,
     costs_at_snapshots: bool = False,
 ) -> SimulationResult:
-    """Execute a scenario from a copy of its ``network``; price the final one.
+    """Execute a scenario from its ``network``; price the final one.
 
     ``models`` and ``polling_counts`` default to the scenario's own; pass
     them to override from a CLI or a sweep. Costs are evaluated on the
@@ -874,14 +904,16 @@ def run(
 
     ``run`` replays the joins checked when the scenario was made, not
     through ``apply_event``: each joins the tree through
-    ``ManagerTree.add_node_to_domain`` at once, and the network takes the
-    joins made since its last version in one batch, only where a version
+    ``ManagerTree.add_node_to_domain`` at once and waits in the
+    ``SimulationState``, as a checked step's join does, until a version
     is priced, at a snapshot under ``costs_at_snapshots`` and at the end.
     So a run makes one ``Network`` version per pricing point, not one per
-    node and link, and none when no model is asked: it then copies no
-    network and prices nothing, and a snapshot under
-    ``costs_at_snapshots`` carries empty tables. Snapshots go through
-    ``apply_event``.
+    node and link. It prices from a version of its own over the
+    scenario's tables, made in O(1) since no version's tables change, so
+    no run builds a path engine on ``scenario.network``. When no model
+    is asked it makes no version and prices nothing, and a snapshot
+    under ``costs_at_snapshots`` carries empty tables. Snapshots go
+    through ``apply_event``.
     """
     chosen = tuple(scenario.models if models is None else models)
     for model in chosen:
@@ -904,29 +936,27 @@ def run(
     tree = ManagerTree.initial_partition(
         scenario.nodes, scenario.m_max, scenario.central
     )
-    # Only a priced version is read, and only a copy is grown.
-    network = scenario.network._detached() if ordered_models else scenario.network
+    network = scenario.network
+    if ordered_models:  # else no version is read
+        network = Network._of(network._order, network._links, network._override)
     state = SimulationState(network=network, tree=tree)
-    # Joins not yet in state.network; _model_costs hands them over.
-    pending: list[tuple[NodeId, tuple[tuple[NodeId, Fraction], ...]]] = []
+    waiting = state._waiting
     # The tables of the latest snapshot, while no AddNode has changed
     # the state since: the final state is then priced already.
     priced = None
     for event in scenario.events:
         if isinstance(event, AddNode):
             tree.add_node_to_domain(event.node, event.domain)
-            pending.append((event.node, event.links))
+            waiting[event.node] = event.links
             priced = None
             continue
         apply_event(state, event)
         if costs_at_snapshots:
-            priced = _model_costs(scenario, state, ordered_models, pending)
+            priced = _model_costs(scenario, state, ordered_models)
             taken = state.snapshots[-1]
             state.snapshots[-1] = SnapshotRecord(taken.label, taken.domains, *priced)
 
-    per_poll, deploy = priced or _model_costs(
-        scenario, state, ordered_models, pending
-    )
+    per_poll, deploy = priced or _model_costs(scenario, state, ordered_models)
     return SimulationResult(
         scenario=scenario.name,
         models=ordered_models,

@@ -30,25 +30,18 @@ whose label plus the other side's nearest frontier reaches the best
 meeting sum is skipped: no path through it can be cheaper.
 
 The search numbers nodes by their join positions in the version's node
-table, which for a version are 0 to its node count - 1. Its adjacency is
-a list of ``(position, scaled weight)`` lists, and a tree is a list of
-costs by position. A pair search labels into two lists of one slot per
-position that the engine keeps for its version's life, and sets back to
-``None`` exactly the slots it set, whether it returns or raises. The
-memo of pair answers, the trees and the label counts stay keyed by node
-id.
+table, which are 0 to its node count - 1. Its adjacency is a list of
+``(position, scaled weight)`` lists, and a tree is a list of costs by
+position. A pair search labels into two lists of one slot per position
+that the engine keeps for its version's life, and sets back to ``None``
+exactly the slots it set, whether it returns or raises. The memo of pair
+answers, the trees and the label counts stay keyed by node id.
 
-Versions made from one another by ``add_node`` and ``add_link`` share two
-insertion-ordered tables, node -> join position and link -> coefficient,
-and each keeps only its own node and link counts: a version holds exactly
-the first entries of each table, as many as its counts say. One rule
-grows them: a version that holds every entry of its tables appends to
-them, so a join costs O(1) however large the network, and any other
-version grows a copy of its own prefix. ``add_node`` and ``add_link``
-make one version per write. A simulation run, whose joins its
-``Scenario`` has checked already, appends every join made since its last
-priced version in one batch (``Network._joined``) and makes one version
-per pricing point.
+Each version owns two insertion-ordered tables, node -> join position
+and link -> coefficient, that nothing changes after the version is
+made. ``add_node``, ``add_link`` and ``Network._joined``, which adds a
+batch of checked joins in one version, copy the table they change and
+may share the other with the version they were made from.
 
 The constructor checks each link with ``_link_key`` and ``_coeff``, as
 ``add_link`` does, and each pin with ``_check_node_id`` and ``_coeff``.
@@ -63,7 +56,6 @@ import heapq
 import math
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
 from typing import Container, Iterable, Mapping, Union
 
 from .errors import (
@@ -153,33 +145,25 @@ def _link_key(
     return key
 
 
-def _prefix(table: dict, count: int) -> dict:
-    """A new dict of the first ``count`` entries of ``table``."""
-    if len(table) == count:
-        return table.copy()
-    return dict(islice(table.items(), count))
-
-
 class _PathEngine:
     """Integer Dijkstra over one network version, with memoised answers.
 
-    Nodes are numbered by join position (see the module docstring), read
-    from the version's node table ``_order`` only when a search or a tree
-    needs one; a later version may append to that table, but never moves
-    an entry. ``_adjacency[p]`` lists the ``(position, scaled weight)``
-    neighbours of the node at position ``p``. A query that no kept tree
-    answers runs a bidirectional search between its two ends, growing the
-    side with fewer heap entries and skipping labels that cannot beat the
-    best meeting, and the answer is kept for that pair, in either order.
-    The search labels into ``_forward`` and ``_backward``, one slot per
-    position, which are all ``None`` between searches. Each source adds
-    up the labels its pair searches set. Once the total reaches the
-    version's node count, what one full search costs, the source's next
-    new target builds its single-source tree instead, a list of costs by
-    position kept for the rest of this version's life; it answers every
-    query that starts or ends at the source. Sources that each ask for
-    one target, as the hops of a flat-bed round trip do, so never fill an
-    all-pairs table, even when the same version is priced twice.
+    Nodes are numbered by join position in the version's node table
+    ``_order`` (see the module docstring). ``_adjacency[p]`` lists the
+    ``(position, scaled weight)`` neighbours of the node at position
+    ``p``. A query that no kept tree answers runs a bidirectional search
+    between its two ends, growing the side with fewer heap entries and
+    skipping labels that cannot beat the best meeting, and the answer is
+    kept for that pair, in either order. The search labels into
+    ``_forward`` and ``_backward``, one slot per position, which are all
+    ``None`` between searches. Each source adds up the labels its pair
+    searches set. Once the total reaches the version's node count, what
+    one full search costs, the source's next new target builds its
+    single-source tree instead, a list of costs by position kept for the
+    rest of this version's life; it answers every query that starts or
+    ends at the source. Sources that each ask for one target, as the
+    hops of a flat-bed round trip do, so never fill an all-pairs table,
+    even when the same version is priced twice.
 
     ``_trees``, ``_pairs`` and ``_labelled`` are keyed by node id.
     ``_answers`` holds the one ``Fraction`` that ``Network.path_cost``
@@ -199,14 +183,12 @@ class _PathEngine:
     )
 
     def __init__(
-        self,
-        order: Mapping[NodeId, int],
-        count: int,
-        links: list[tuple[Pair, Fraction]],
+        self, order: Mapping[NodeId, int], links: Mapping[Pair, Fraction]
     ) -> None:
-        scale = math.lcm(*(cost.denominator for _, cost in links))
+        scale = math.lcm(*(cost.denominator for cost in links.values()))
+        count = len(order)
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-        for (a, b), cost in links:
+        for (a, b), cost in links.items():
             weight = cost.numerator * (scale // cost.denominator)
             a, b = order[a], order[b]
             adjacency[a].append((b, weight))
@@ -358,21 +340,9 @@ class Network:
     version also owns a path engine, built on its first path search and
     never shared with the versions derived from it. It is a cache: it
     takes no part in equality.
-
-    Versions derived from one another share their node and link tables
-    (see the module docstring): the newest grows them in place and an
-    older one grows a copy of its own entries. So make and read them from
-    one thread at a time.
     """
 
-    __slots__ = (
-        "_order",
-        "_node_count",
-        "_links",
-        "_link_count",
-        "_override",
-        "_engine",
-    )
+    __slots__ = ("_order", "_links", "_override", "_engine")
 
     def __init__(
         self,
@@ -409,9 +379,7 @@ class Network:
                 override_map[key] = cost
 
         self._order = order
-        self._node_count = len(order)
         self._links = link_map
-        self._link_count = len(link_map)
         self._override = override_map
         self._engine: _PathEngine | None = None
 
@@ -419,57 +387,27 @@ class Network:
     def _of(
         cls,
         order: dict[NodeId, int],
-        node_count: int,
         links: dict[Pair, Fraction],
-        link_count: int,
         override: dict[Pair, Fraction],
     ) -> "Network":
-        """A version over checked tables, kept as given.
+        """A version over checked tables, keyed as ``__init__`` keys them.
 
-        It holds the first ``node_count`` and ``link_count`` entries of
-        ``order`` and ``links``, keyed as ``__init__`` keys them.
+        The tables are kept as given, so no one may change them after.
         """
         network = cls.__new__(cls)
         network._order = order
-        network._node_count = node_count
         network._links = links
-        network._link_count = link_count
         network._override = override
         network._engine = None
         return network
 
-    def _link_items(self) -> list[tuple[Pair, Fraction]]:
-        """This version's links, in the order they were added."""
-        return list(islice(self._links.items(), self._link_count))
-
-    def _version(
-        self,
-        order: dict[NodeId, int],
-        node_count: int,
-        links: dict[Pair, Fraction],
-        link_count: int,
-    ) -> "Network":
-        return Network._of(order, node_count, links, link_count, self._override)
-
-    def _detached(self) -> "Network":
-        """An equal version over a copy of this version's own entries."""
-        order = _prefix(self._order, self._node_count)
-        links = _prefix(self._links, self._link_count)
-        return self._version(order, self._node_count, links, self._link_count)
-
-    def _growable(self) -> "Network":
-        """This version if it holds every entry of its tables, else a detached one."""
-        if (len(self._order), len(self._links)) == (self._node_count, self._link_count):
-            return self
-        return self._detached()
-
     @property
     def nodes(self) -> frozenset[NodeId]:
-        return frozenset(islice(self._order, self._node_count))
+        return frozenset(self._order)
 
     @property
     def links(self) -> tuple[tuple[NodeId, NodeId, Fraction], ...]:
-        return tuple((a, b, cost) for (a, b), cost in sorted(self._link_items()))
+        return tuple((a, b, cost) for (a, b), cost in sorted(self._links.items()))
 
     @property
     def k_override(self) -> dict[Pair, Fraction]:
@@ -477,7 +415,7 @@ class Network:
 
     def __repr__(self) -> str:
         return (
-            f"Network(nodes={self._node_count}, links={self._link_count}, "
+            f"Network(nodes={len(self._order)}, links={len(self._links)}, "
             f"overrides={len(self._override)})"
         )
 
@@ -485,8 +423,8 @@ class Network:
         if not isinstance(other, Network):
             return NotImplemented
         return (
-            self.nodes == other.nodes
-            and dict(self._link_items()) == dict(other._link_items())
+            self._order.keys() == other._order.keys()
+            and self._links == other._links
             and self._override == other._override
         )
 
@@ -495,37 +433,37 @@ class Network:
     ) -> "Network":
         """One new version with each ``(node, links)`` join added, in order.
 
-        The joins must be checked already, as ``Scenario`` checks them:
-        each node new, each ``(peer, coeff)`` link to a node known by then,
-        each peer once and never the node itself, at a non-negative
-        coefficient. Only a coefficient that is not already a non-negative
-        ``Fraction`` goes through ``_coeff``, so it is stored exactly as
-        ``add_link`` stores it.
+        The joins must be checked already, as ``Scenario`` and
+        ``apply_event`` check them: each node new, each ``(peer, coeff)``
+        link to a node known by then, each peer once and never the node
+        itself, at a non-negative coefficient. Only a coefficient that is
+        not already a non-negative ``Fraction`` goes through ``_coeff``, so
+        it is stored exactly as ``add_link`` stores it.
         """
-        base = self._growable()
-        order, links = base._order, base._links
+        order, links = self._order.copy(), self._links.copy()
         for node, pairs in joins:
             order[node] = len(order)
             for peer, coeff in pairs:
                 if not (type(coeff) is Fraction and coeff.numerator >= 0):
                     coeff = _coeff(coeff, "link", node, peer)
                 links[(node, peer) if node < peer else (peer, node)] = coeff
-        return self._version(order, len(order), links, len(links))
+        return Network._of(order, links, self._override)
 
     def add_node(self, node: NodeId) -> "Network":
         """Return a copy of this network with ``node`` added."""
         _check_node_id(node)
-        if self._order.get(node, self._node_count) < self._node_count:
+        if node in self._order:
             raise DuplicateNode(f"duplicate node {node}")
-        return self._joined(((node, ()),))
+        order = self._order.copy()
+        order[node] = len(order)
+        return Network._of(order, self._links, self._override)
 
     def add_link(self, a: NodeId, b: NodeId, coeff: NumberLike) -> "Network":
         """Return a copy of this network with an ``a``-``b`` link added."""
-        base = self._growable()
-        key = _link_key(a, b, base._order, base._links)
-        base._links[key] = _coeff(coeff, "link", a, b)
-        count = base._link_count
-        return self._version(base._order, base._node_count, base._links, count + 1)
+        key = _link_key(a, b, self._order, self._links)
+        links = self._links.copy()
+        links[key] = _coeff(coeff, "link", a, b)
+        return Network._of(self._order, links, self._override)
 
     def path_cost(self, i: NodeId, j: NodeId) -> Fraction:
         """Cost of the cheapest path between ``i`` and ``j``.
@@ -544,10 +482,10 @@ class Network:
         ``Fraction`` per version, made at the first of them; a pinned
         cost is returned as stored.
         """
-        order, count = self._order, self._node_count
-        if order.get(i, count) >= count:
+        order = self._order
+        if i not in order:
             raise UnknownNode(f"unknown node {i}")
-        if order.get(j, count) >= count:
+        if j not in order:
             raise UnknownNode(f"unknown node {j}")
         override = self._override.get((i, j) if i <= j else (j, i))
         if override is not None:
@@ -556,7 +494,7 @@ class Network:
             return Fraction(0)
         engine = self._engine
         if engine is None:
-            engine = self._engine = _PathEngine(order, count, self._link_items())
+            engine = self._engine = _PathEngine(order, self._links)
         scaled = engine.distance(i, j)
         if scaled is None:
             raise Unreachable(f"no path between {i} and {j}")

@@ -6,6 +6,7 @@ import gc
 import inspect
 import io
 import json
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -735,6 +736,10 @@ CODE_ERRORS = [
      "events[0].add_node.links[0][0]", "expected an integer, got '5'"),
     (dict(events=(AddNode(6, DomainId.parse("1"), None),)),
      "events[0].add_node.links", "expected an array, got NoneType"),
+    (dict(central=True), "central", "expected an integer, got True"),
+    (dict(central=10.0), "central", "expected an integer, got 10.0"),
+    (dict(m_max=0), "m_max", "must be at least 1, got 0"),
+    (dict(params={"s_req": 1}), "params", "expected a CostParams, got dict"),
 ]
 
 
@@ -856,6 +861,10 @@ def test_a_simulation_state_is_a_mutable_record():
     assert state != SimulationState(network, tree)
     del state.snapshots
     assert not hasattr(state, "snapshots")
+    # Setting the network drops the joins waiting for it.
+    apply_event(state, AddNode(2, ROOT_DOMAIN))
+    state.network = network
+    assert state.network is network and state._waiting == {}
 
 
 def test_a_long_itinerary_loads_in_linear_time():
@@ -1014,13 +1023,13 @@ def test_a_run_makes_one_network_version_per_pricing_point(monkeypatch):
     )
     scenario = load_scenario(text)
     versions = []
-    version = Network._version
+    version = Network._of.__func__
 
-    def counting(self, *tables):
+    def counting(cls, *tables):
         versions.append(tables)
-        return version(self, *tables)
+        return version(cls, *tables)
 
-    monkeypatch.setattr(Network, "_version", counting)
+    monkeypatch.setattr(Network, "_of", classmethod(counting))
     plain = run(scenario)
     assert len(versions) <= 2
     versions.clear()
@@ -1030,26 +1039,84 @@ def test_a_run_makes_one_network_version_per_pricing_point(monkeypatch):
     assert priced.per_poll == plain.per_poll
 
 
-def test_stepwise_joins_grow_the_newest_version_without_copying(monkeypatch):
-    # Versions share their tables so that apply_event steps a join in O(1):
-    # the newest version appends to them, so this 2,000-join chain, each
-    # join linked to the node before it, copies nothing.
-    def refuse(self):
-        raise AssertionError("a stepwise join copied the network's tables")
+def test_stepwise_joins_make_no_version_until_the_network_is_read(monkeypatch):
+    # A checked join waits in the state, so this 2,000-join chain, each
+    # join linked to the node before it, makes no Network version until
+    # state.network is read, and then makes one, however many joins wait.
+    versions = []
+    joined = Network._joined
 
-    state = SimulationState(Network([1]), ManagerTree.initial_partition([1], 1, 1))
-    monkeypatch.setattr(Network, "_detached", refuse)
+    def counting(self, joins):
+        versions.append(self)
+        return joined(self, joins)
+
+    start = Network([1])
+    state = SimulationState(start, ManagerTree.initial_partition([1], 1, 1))
+    monkeypatch.setattr(Network, "_joined", counting)
     for node in range(2, 2002):
         apply_event(state, AddNode(node, ROOT_DOMAIN, ((node - 1, Fraction(1)),)))
+    assert versions == []
+    network = state.network
+    assert versions == [start]
+    assert state.network is network and len(versions) == 1
     monkeypatch.undo()
     chain = [(node - 1, node, 1) for node in range(2, 2002)]
-    assert state.network == Network(range(1, 2002), chain)
-    assert state.network.path_cost(1, 2001) == 2000
+    assert network == Network(range(1, 2002), chain)
+    assert network.path_cost(1, 2001) == 2000
+    assert start.nodes == {1}
 
 
 NUMBERS = st.sampled_from(
     [0, 1, 3, Fraction(1, 3), Fraction(5, 2), "1/2", "2.5", Decimal("0.75")]
 )
+
+
+def _stepped(network: Network, join: AddNode) -> Network:
+    """``join`` added to ``network`` one write at a time, checked by each."""
+    network = network.add_node(join.node)
+    for peer, coeff in join.links:
+        network = network.add_link(join.node, peer, coeff)
+    return network
+
+
+@given(st.data())
+def test_waiting_joins_read_as_fresh_builds_and_a_failed_join_keeps_them(data):
+    nodes, links = [1, 2, 3], [(1, 2, 1)]
+    state = SimulationState(
+        Network(nodes, links), ManagerTree.initial_partition(nodes, 2, 1)
+    )
+    for node in range(4, 4 + data.draw(st.integers(min_value=0, max_value=8))):
+        peers = data.draw(st.lists(st.sampled_from(nodes), unique=True, max_size=3))
+        pairs = tuple((peer, data.draw(NUMBERS)) for peer in peers)
+        domain = data.draw(st.sampled_from(state.tree.domain_ids()))
+        apply_event(state, AddNode(node, domain, pairs))
+        nodes.append(node)
+        links += [(peer, node, coeff) for peer, coeff in pairs]
+        if data.draw(st.booleans()):
+            read, fresh = state.network, Network(nodes, links)
+            assert read == fresh
+            assert list(read._order.items()) == list(fresh._order.items())
+    network, waiting = state._network, dict(state._waiting)
+    domains = state.tree.states()
+    new = nodes[-1] + 1
+    kind = data.draw(st.sampled_from(["domain", "peer", "node", "coeff"]))
+    failing = {
+        "domain": AddNode(new, DomainId.parse("1.99"), ((1, 1),)),
+        "peer": AddNode(new, ROOT_DOMAIN, ((1, 1), (new + 1, 1))),
+        "node": AddNode(data.draw(st.sampled_from(nodes)), ROOT_DOMAIN),
+        "coeff": AddNode(new, ROOT_DOMAIN, ((1, 2), (2, "-1/2"))),
+    }[kind]
+    with pytest.raises(Exception) as caught:
+        apply_event(state, failing)
+    if kind == "domain":
+        assert caught.type is UnknownDomain
+    else:
+        # the error, and its wording, of the same join written step by step
+        with pytest.raises(caught.type, match=f"^{re.escape(str(caught.value))}$"):
+            _stepped(Network(nodes, links), failing)
+    assert state._network is network and state._waiting == waiting
+    assert state.tree.states() == domains
+    assert state.network == Network(nodes, links)
 
 
 @st.composite
@@ -1256,12 +1323,8 @@ def test_a_loaded_network_is_the_one_its_fields_build(doc):
     built = Network(scenario.nodes, scenario.links, scenario.k_override)
     # node order, link insertion order and pins, entry for entry
     assert list(loaded._order.items()) == list(built._order.items())
-    assert loaded._link_items() == built._link_items()
+    assert list(loaded._links.items()) == list(built._links.items())
     assert list(loaded._override.items()) == list(built._override.items())
-    assert (loaded._node_count, loaded._link_count) == (
-        built._node_count,
-        built._link_count,
-    )
     made = replace(scenario)
     for at_snapshots in (False, True):
         assert run(scenario, costs_at_snapshots=at_snapshots) == run(
@@ -1646,15 +1709,15 @@ class TestRun:
             builds.append(args)
             build(self, *args, **kwargs)
 
-        copies = []
-        detach = Network._detached
+        versions = []
+        version = Network._of.__func__
 
-        def copying(self):
-            copies.append(self)
-            return detach(self)
+        def starting(cls, *tables):
+            versions.append(tables)
+            return version(cls, *tables)
 
         monkeypatch.setattr(Network, "__init__", counting)
-        monkeypatch.setattr(Network, "_detached", copying)
+        monkeypatch.setattr(Network, "_of", classmethod(starting))
         plain = run(scenario)
         priced = run(scenario, costs_at_snapshots=True)
         assert run(scenario) == plain
@@ -1662,15 +1725,28 @@ class TestRun:
         assert (priced.per_poll, priced.deploy) == (plain.per_poll, plain.deploy)
         assert priced.snapshots[0].per_poll != priced.per_poll
         assert builds == []
-        # Each run copies the tables once, and its joins grow that copy.
-        assert len(copies) == 4
-        assert all(copy is scenario.network for copy in copies)
+        # Each run starts one version over the loaded tables, and prices
+        # new versions, never the loaded one.
+        loaded = scenario.network
+        starts = [made for made in versions if made[0] is loaded._order]
+        assert len(starts) == 4
+        assert all(made[1] is loaded._links for made in starts)
+        assert loaded._engine is None
         monkeypatch.undo()
         fresh = Network(scenario.nodes, scenario.links, scenario.k_override)
         assert scenario.network == fresh
-        # The joins grew copies: the loaded tables keep their size.
+        # The joins went into new versions: the loaded tables keep their size.
         assert len(scenario.network._order) == len(scenario.nodes)
         assert len(scenario.network._links) == len(scenario.links)
+
+    def test_a_run_builds_no_path_engine_on_the_scenario_network(self):
+        # The first snapshot comes before every join, so the network priced
+        # there has the scenario's nodes and links.
+        scenario = load_scenario(self.growing_scenario_text())
+        assert isinstance(scenario.events[0], Snapshot)
+        priced = run(scenario, costs_at_snapshots=True)
+        assert priced.snapshots[0].per_poll["cs"] > 0
+        assert scenario.network._engine is None
 
     def test_a_run_with_no_model_makes_no_network_version(self, monkeypatch):
         scenario = load_scenario(self.growing_scenario_text(models=[]))
@@ -1678,8 +1754,8 @@ class TestRun:
         def refuse(self, *args):
             raise AssertionError("a run with no model made a Network version")
 
-        for name in ("_detached", "_joined", "_version"):
-            monkeypatch.setattr(Network, name, refuse)
+        monkeypatch.setattr(Network, "_joined", refuse)
+        monkeypatch.setattr(Network, "_of", classmethod(refuse))
         plain = run(scenario)
         priced = run(scenario, costs_at_snapshots=True)
         assert (plain.per_poll, plain.deploy) == ({}, {})

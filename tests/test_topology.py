@@ -781,7 +781,7 @@ def test_add_link_chain_keeps_each_version_answers(net, data):
         assert _answers_match_reference(version, queries) == expected
 
 
-# -- versions sharing their node and link tables ------------------------------
+# -- versions grown from one another ------------------------------------------
 
 
 def _grow(version: Network, contents, data):
@@ -818,12 +818,8 @@ def test_versions_branched_off_an_older_one_match_fresh_builds(net, data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         trunk.append(_grow(*trunk[-1], data))
     # Two children of one version that already has a descendant, grown in
-    # turns, so each appends where the other has appended before.
+    # turns, so each adds where the other has added before.
     base = trunk[data.draw(st.integers(min_value=0, max_value=len(trunk) - 2))]
-    # A detached copy holds only its own entries: the branch that grows
-    # first appends to them, and the other grows a copy of its prefix.
-    if data.draw(st.booleans()):
-        base = (base[0]._detached(), base[1])
     branches = [[base], [base]]
     for side in data.draw(st.lists(st.sampled_from([0, 1]), min_size=2, max_size=10)):
         branches[side].append(_grow(*branches[side][-1], data))
@@ -852,8 +848,8 @@ def test_versions_branched_off_an_older_one_match_fresh_builds(net, data):
 def _matches_fresh_build(version: Network, contents, pins, queries) -> None:
     """Each query equals the Fraction reference and a fresh build's answer.
 
-    The version's engine, if built, has one slot per node of the version,
-    however many its shared table holds: its break-even is that count.
+    The version's engine, if built, has one slot per node of the version:
+    its break-even is that count.
     """
     nodes, links = contents
     fresh = Network(nodes=nodes, links=links, k_override=pins)
@@ -886,18 +882,14 @@ def test_an_older_version_answers_new_pairs_after_a_newer_one_grew_its_tables(
     _matches_fresh_build(oldest, versions[0][1], pins, [first])
     engine = oldest._engine
     assert engine is not None
-    # Grow the newest version in place, and between the steps query any
-    # version made since, the newest or one a later step has outgrown.
+    # Grow the newest version, and between the steps query any version
+    # made since, the newest or one a later step has outgrown.
     for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
         versions.append(_grow(*versions[-1], data))
         version, contents = data.draw(st.sampled_from(versions[1:]))
         _matches_fresh_build(version, contents, pins, data.draw(_queries(contents[0])))
-    newest = versions[-1][0]
-    assert newest._order is oldest._order and newest._links is oldest._links
-    assert (len(oldest._order), len(oldest._links)) != (
-        oldest._node_count,
-        oldest._link_count,
-    )
+    # The newer versions' nodes and links went into tables of their own.
+    assert (len(oldest._order), len(oldest._links)) == (len(nodes), len(net.links))
     # The oldest version again, on pairs it was never asked. It has no
     # tree yet, and every pair search labels at least the source and its
     # target, so with 4 nodes or more the source reaches its version's
