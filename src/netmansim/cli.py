@@ -1,22 +1,21 @@
 """Command-line front end: simulate, validate, and explain scenarios.
 
-A command runs with the cyclic garbage collector paused, and ``main``
-turns it back on afterwards only if it was on before. A call builds
-tens of thousands of containers, such as the parsed JSON, link and pin
-triples, network tables and domain states, that mostly stay alive until
-the command ends. So a collection during the call walks live data and
-frees next to nothing: on a 10^4-node scenario such collections took
-about a sixth of the call. What the command drops, the manager tree
-included, is freed by reference counting. Only the argument parser's
-cycles, about 140 objects whatever the scenario, wait for the
-collector's first pass after the command. Library calls leave the
-collector alone.
+A command runs with the cyclic garbage collector paused, through the
+same helper that pauses it inside ``load_scenario`` (see
+``simulation._collector_paused``), and ``main`` turns it back on
+afterwards only if it was on before. The load's own pause is then a
+no-op. So the run, the argument checks, the report and its CSV also
+run without collections, which would walk live data and free next to
+nothing: on a 10^4-node scenario such collections took about a sixth
+of the call. What the command drops, the manager tree included, is
+freed by reference counting. Only the argument parser's cycles, about
+140 objects whatever the scenario, wait for the collector's first pass
+after the command.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
 from typing import Sequence
@@ -27,6 +26,7 @@ from .simulation import (
     MODEL_NAMES,
     Scenario,
     SimulationResult,
+    _collector_paused,
     load_bundled_scenario,
     load_scenario_file,
     run,
@@ -199,19 +199,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point. Returns 0 on success, 1 on bad input, 2 on runtime error."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    collecting = gc.isenabled()
-    gc.disable()  # see the module docstring
-    try:
-        return args.handler(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NetmanError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if collecting:
-            gc.enable()
+    with _collector_paused():  # see the module docstring
+        try:
+            return args.handler(args)
+        except (ParseError, ValidationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (NetmanError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -560,6 +560,10 @@ JOIN_3 = {"add_node": {"node": 3, "domain": "1.9"}}  # no such domain
 # faults (repeated nodes, links, self-pins, repeated pins) before every
 # other fault of meaning.
 TWO_FAULT_ERRORS = [
+    # A Scenario made in code checks polling_counts first (see CODE_ERRORS).
+    (dict(events=[{"add_node": {"node": 0, "domain": "1", "links": []}}],
+          polling_counts=[-1]),
+     "events[0].add_node.node", "must be at least 1, got 0"),
     (dict(PAIR, links=[[1, 9, 1]], params=params(s_req=-1)), "params.s_req",
      "must be non-negative, got -1"),
     (dict(PAIR, links=[[1, 1, 1]], events=[{"add_node": 5}]), "events[0].add_node",
@@ -740,6 +744,17 @@ CODE_ERRORS = [
     (dict(central=10.0), "central", "expected an integer, got 10.0"),
     (dict(m_max=0), "m_max", "must be at least 1, got 0"),
     (dict(params={"s_req": 1}), "params", "expected a CostParams, got dict"),
+    (dict(name=5), "name", "expected a string, got int"),
+    (dict(name=""), "name", "must not be empty"),
+    (dict(polling_counts=(True,)), "polling_counts[0]",
+     "expected an integer, got True"),
+    (dict(polling_counts=(1, -1)), "polling_counts[1]", "must be at least 0, got -1"),
+    (dict(models=("snmp",)), "models[0]",
+     "unknown model 'snmp' (choose from ('cs', 'flatbed', 'imasnm'))"),
+    (dict(models=("cs", "imasnm", "cs")), "models[2]", "duplicate model 'cs'"),
+    # Two faults: a file reports the join first (see TWO_FAULT_ERRORS).
+    (dict(events=(AddNode(0, DomainId.parse("1")),), polling_counts=(-1,)),
+     "polling_counts[0]", "must be at least 0, got -1"),
 ]
 
 
@@ -1588,6 +1603,15 @@ def single_node_scenario_text() -> str:
     )
 
 
+def priced_grown_text(size: int) -> str:
+    """``grown_doc(size)`` priced by every model at two polling counts."""
+    sizes = params(s_req=120, s_res=280, s_ma=2048, d=64, ma_size=4096, ma_res=96)
+    return scenario_text(
+        **grown_doc(size), params=sizes, models=["cs", "flatbed", "imasnm"],
+        polling_counts=[1, 9],
+    )
+
+
 class TestRun:
     def test_single_node_zero_event_scenario(self):
         result = run(load_scenario(single_node_scenario_text()))
@@ -1784,21 +1808,30 @@ class TestRun:
         assert result.per_poll["imasnm"] != result.snapshots[0].per_poll["imasnm"]
 
     def test_a_finished_tree_is_freed_without_the_collector(self):
-        scenario = load_bundled_scenario("growth19")
-        was_enabled, flags = gc.isenabled(), gc.get_debug()
-        gc.collect()
-        gc.disable()
-        try:
-            run(scenario, costs_at_snapshots=True)
-            gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the pass finds unreachable
+        """A load and a priced run leave no cyclic garbage at all."""
+        generated = priced_grown_text(40)
+        loads = (
+            lambda: load_bundled_scenario("growth19"),
+            lambda: load_scenario(generated),
+        )
+        for load in loads:
+            was_enabled, flags = gc.isenabled(), gc.get_debug()
             gc.collect()
-            left = [item for item in gc.garbage if type(item) is _ManagerRecord]
-        finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
-            if was_enabled:
-                gc.enable()
-        assert left == []
+            gc.disable()
+            try:
+                scenario = load()
+                run(scenario, costs_at_snapshots=True)
+                del scenario
+                gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the pass finds unreachable
+                unreachable = gc.collect()
+                left = [item for item in gc.garbage if type(item) is _ManagerRecord]
+            finally:
+                gc.set_debug(flags)
+                gc.garbage.clear()
+                if was_enabled:
+                    gc.enable()
+            assert left == []
+            assert unreachable == 0
 
     def test_a_scenario_built_in_code_is_checked_when_built(self):
         scenario = load_scenario(scenario_text(nodes=[1, 2], links=[[1, 2, 1]]))
@@ -1915,6 +1948,98 @@ class TestRun:
         assert before == 30
         # after: 2-4 costs 2 (through 1), then 4-1, 1-3 and 3-2 cost 1
         assert after == result.per_poll_of("flatbed") == 50
+
+
+class TestCollectorPause:
+    """``load_scenario`` pauses the cyclic collector and restores it.
+
+    ``run`` leaves it as the caller set it.
+    """
+
+    @pytest.fixture(params=[True, False], ids=["gc_on", "gc_off"])
+    def collecting(self, request):
+        before = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if before else gc.disable)()
+
+    def test_restored_after_success(self, collecting, monkeypatch):
+        seen = []
+
+        def spy(name):
+            real = getattr(simulation, name)
+
+            def record(*args):
+                seen.append((name, gc.isenabled()))
+                return real(*args)
+
+            monkeypatch.setattr(simulation, name, record)
+
+        spy("_scenario_from_raw")
+        spy("_model_costs")
+        run(load_scenario(priced_grown_text(3)))
+        assert seen == [("_scenario_from_raw", False), ("_model_costs", collecting)]
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize(
+        "call, error, where",
+        [
+            (lambda: load_scenario("{broken"), ParseError, None),
+            (lambda: load_scenario(scenario_text(m_max=0)), ValidationError, "m_max"),
+            (
+                lambda: run(load_bundled_scenario("growth19"), models=("cs",)),
+                ValidationError,
+                "models",
+            ),
+            (
+                lambda: run(load_bundled_scenario("growth19"), models=("snmp",)),
+                ValueError,
+                None,
+            ),
+        ],
+        ids=["parse", "field", "unreachable", "unknown_model_argument"],
+    )
+    def test_restored_after_a_failure(self, collecting, call, error, where):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert getattr(info.value, "path", None) == where
+        assert gc.isenabled() is collecting
+
+    def test_no_pass_runs_while_a_load_works(self, monkeypatch):
+        """No collector pass starts before a load's last step returns.
+
+        Turning the collector back on lets its next young pass start at
+        once, in the pause's exit, after the work is done.
+        """
+        big = scenario_text(**grown_doc(2000))  # a few thousand links and pins
+        starts, marks = [], []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        real = simulation._scenario_from_raw
+
+        def last_step(raw):
+            scenario = real(raw)
+            marks.append(len(starts))
+            return scenario
+
+        monkeypatch.setattr(simulation, "_scenario_from_raw", last_step)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            gc.collect()  # so no young pass is due as the load starts
+            del starts[:]
+            load_scenario(big)
+        finally:
+            gc.callbacks.remove(count)
+            if not was_enabled:
+                gc.disable()
+        assert marks == [0]
+        assert len(starts) <= 1
 
 
 class TestGrowth19Storyline:
