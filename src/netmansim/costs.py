@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from ._record import Record
 from .errors import ItineraryTooShort, Unreachable
 from .hierarchy import DomainState, ManagerTree
-from .topology import Network, NodeId, NumberLike
+from .topology import Network, NodeId, NumberLike, _count
 
 __all__ = [
     "CostParams",
@@ -77,14 +77,6 @@ def _weighted_sum(terms: Iterable[tuple[int, Fraction]]) -> Fraction:
             numerators.get(denominator, 0) + weight * numerator
         )
     return _total(numerators)
-
-
-def _count(value: object, name: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
-    return value
 
 
 class CostParams(Record):

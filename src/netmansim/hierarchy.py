@@ -22,7 +22,7 @@ from .errors import (
     UnknownDomain,
     UnknownNode,
 )
-from .topology import NodeId, _check_node_id, _node_order
+from .topology import NodeId, _check_node_id, _count, _node_order
 
 __all__ = [
     "DomainId",
@@ -177,14 +177,6 @@ class _ManagerRecord:
         return self.state
 
 
-def _check_m_max(m_max: object) -> int:
-    if isinstance(m_max, bool) or not isinstance(m_max, int):
-        raise ValueError(f"m_max must be an int, got {m_max!r}")
-    if m_max < 1:
-        raise ValueError(f"m_max must be at least 1, got {m_max}")
-    return m_max
-
-
 class ManagerTree:
     """Mutable hierarchy of domain managers.
 
@@ -195,7 +187,7 @@ class ManagerTree:
     """
 
     def __init__(self, m_max: int) -> None:
-        self._m_max = _check_m_max(m_max)
+        self._m_max = _count(m_max, "m_max", 1)
         # Only public lookups go through _managers; records link directly.
         self._managers: dict[DomainId, _ManagerRecord] = {}
         self._root: _ManagerRecord | None = None
@@ -293,7 +285,7 @@ class ManagerTree:
         into a domain that does not exist yet stops the replay. Returns
         the counts and the number of joins replayed.
         """
-        _check_m_max(m_max)
+        _count(m_max, "m_max", 1)
         chunks, rest = divmod(node_count - 1, m_max)
         shape = {ROOT_DOMAIN.path: [1 + rest, chunks]}
         for index in range(1, chunks + 1):

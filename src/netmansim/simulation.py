@@ -86,18 +86,22 @@ class Scenario(Record):
 
     Making one checks every rule of its meaning, whether the loader or
     other code makes it. Made in code, its ``network`` is built from
-    ``nodes``, ``links`` and ``k_override``, and raises the
-    ``TopologyError`` the ``Network`` constructor raises. Then
-    ``ValidationError``, with the JSON path of the fault, is raised
+    ``nodes``, ``links`` and ``k_override``, and raises what the
+    ``Network`` constructor raises: a ``TopologyError`` for a fault of
+    meaning, and a ``TypeError`` or ``ValueError`` for an entry of the
+    wrong type or form, such as a node ``"5"`` (``node id must be an
+    int, got '5'``) or a node 0 (``node id must be positive, got 0``).
+    Then ``ValidationError``, with the JSON path of the fault, is raised
     unless:
 
     - ``name`` is a non-empty string; ``central`` and ``m_max`` are
       integers of at least 1; ``params`` is a ``CostParams``; each of
-      ``polling_counts`` is an integer of at least 0; and each of
-      ``models`` is one of ``MODEL_NAMES``, named once, checked in that
-      order;
+      ``polling_counts`` is an integer of at least 0; each of
+      ``models`` is one of ``MODEL_NAMES``, named once; and ``notes``
+      is ``None`` or a string, checked in that order;
     - ``nodes`` is not empty and holds ``central``;
-    - each event is an ``AddNode`` or a ``Snapshot``;
+    - each event is an ``AddNode`` or a ``Snapshot`` whose label is a
+      string;
     - each join adds a new node, links it, by ``(peer, coeff)`` pairs,
       to nodes known by then, each peer once and never itself, at a
       non-negative coefficient, and joins a ``DomainId`` that exists
@@ -106,8 +110,9 @@ class Scenario(Record):
     - every ``k_override`` id is a node that is initial or joins later;
     - every ``domain_k`` value is a non-negative number, and its key a
       domain id that exists by the end;
-    - a ``flatbed_itinerary`` is not empty, names known nodes once each,
-      starts at ``central`` and visits every node that ever joins.
+    - a ``flatbed_itinerary`` holds integers of at least 1, is not
+      empty, names known nodes once each, starts at ``central`` and
+      visits every node that ever joins.
 
     A fault that the loader finds too is reported with the loader's
     path and message. With faults in more than one field, the one reported first can
@@ -143,11 +148,10 @@ class Scenario(Record):
         models: tuple[str, ...], flatbed_itinerary: tuple[NodeId, ...] | None = None,
         notes: str | None = None,
     ) -> None:
-        fields = (
+        self._fill((
             name, nodes, links, k_override, central, m_max, params, domain_k,
             events, polling_counts, models, flatbed_itinerary, notes,
-        )
-        self._fill(Network(nodes, links, k_override), fields, pins=True)
+        ))
 
     @classmethod
     def _loaded(cls, network: Network, *fields: object) -> "Scenario":
@@ -160,13 +164,19 @@ class Scenario(Record):
         the order ``__init__`` checks it.
         """
         scenario = cls.__new__(cls)
-        scenario._fill(network, fields, pins=False)
+        scenario._fill(fields, network)
         return scenario
 
-    def _fill(self, network: Network, fields: tuple, pins: bool) -> None:
-        """Set the fields and ``network``; check every other rule, pins if ``pins``."""
+    def _fill(self, fields: tuple, network: Network | None = None) -> None:
+        """Set the fields and ``network``; check every other rule.
+
+        Without a ``network``, build it from the fields and check the pins.
+        """
         for field, value in zip(self._fields, fields):
             object.__setattr__(self, field, value)
+        built = network is None
+        if built:
+            network = Network(self.nodes, self.links, self.k_override)
         object.__setattr__(self, "network", network)
         _check_name(self.name)
         _expect_int(self.central, "central", minimum=1)
@@ -174,8 +184,10 @@ class Scenario(Record):
         if not isinstance(self.params, CostParams):
             message = f"expected a CostParams, got {type(self.params).__name__}"
             raise ValidationError("params", message)
-        _check_polling_counts(self.polling_counts)
+        _check_ints(self.polling_counts, "polling_counts", 0)
         _check_models(self.models)
+        if self.notes is not None:
+            _expect_str(self.notes, "notes")
         if not self.nodes:
             raise ValidationError("nodes", "must not be empty")
         known = dict.fromkeys(self.nodes)
@@ -183,7 +195,7 @@ class Scenario(Record):
             message = f"central node {self.central} is not in nodes"
             raise ValidationError("central", message)
         joins = self._check_events(known)
-        if pins:
+        if built:
             self._check_pins(known)
         self._check_itinerary(known)
         self._check_domains(joins)
@@ -195,7 +207,7 @@ class Scenario(Record):
         """
         joins: dict[int, DomainId] = {}
         labels: set[str] = set()
-        for index, event in enumerate(self.events):
+        for index, event in enumerate(_iterate(self.events, "events")):
             if isinstance(event, AddNode):
                 node = event.node
                 if not (type(node) is int and node > 0):
@@ -244,6 +256,8 @@ class Scenario(Record):
                             raise ValidationError(path, message) from None
                 joins[index] = event.domain
             elif isinstance(event, Snapshot):
+                if type(event.label) is not str:
+                    _expect_str(event.label, f"events[{index}].snapshot")
                 if event.label in labels:
                     path = f"events[{index}].snapshot"
                     raise ValidationError(path, f"duplicate label {event.label!r}")
@@ -270,6 +284,7 @@ class Scenario(Record):
         itinerary = self.flatbed_itinerary
         if itinerary is None:
             return
+        _check_ints(itinerary, "flatbed_itinerary", 1)
         stops: set[NodeId] = set()
         for index, stop in enumerate(itinerary):
             if stop not in known:
@@ -482,18 +497,27 @@ def _check_name(value: object) -> str:
     return value
 
 
-def _check_polling_counts(counts: Iterable[object]) -> None:
-    """Each polling count is an integer of at least 0."""
+def _iterate(value: object, path: str) -> Iterator:
+    """``iter(value)``; a value that cannot be iterated raises at ``path``."""
+    try:
+        return iter(value)
+    except TypeError:
+        message = f"expected an array, got {type(value).__name__}"
+        raise ValidationError(path, message) from None
+
+
+def _check_ints(values: object, where: str, minimum: int) -> None:
+    """Each of the ``where`` values is an integer of at least ``minimum``."""
     # An entry that fails the inline test has its JSON path formatted.
-    for index, count in enumerate(counts):
-        if not (type(count) is int and count >= 0):
-            _expect_int(count, f"polling_counts[{index}]", minimum=0)
+    for index, value in enumerate(_iterate(values, where)):
+        if not (type(value) is int and value >= minimum):
+            _expect_int(value, f"{where}[{index}]", minimum=minimum)
 
 
-def _check_models(models: Iterable[object]) -> None:
+def _check_models(models: object) -> None:
     """Each model is a string, one of ``MODEL_NAMES``, named once."""
     seen: set[str] = set()
-    for index, model in enumerate(models):
+    for index, model in enumerate(_iterate(models, "models")):
         path = f"models[{index}]"
         if _expect_str(model, path) not in MODEL_NAMES:
             message = f"unknown model {model!r} (choose from {MODEL_NAMES})"
@@ -590,12 +614,13 @@ def _entries(
 
 
 def _expect_keys(
-    obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+    obj: dict, path: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()
 ) -> None:
+    """Every key of ``obj`` is in ``keys``, and every key not ``optional`` in ``obj``."""
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in keys:
             raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
-    missing = [key for key in required if key not in obj]
+    missing = [key for key in keys if key not in obj and key not in optional]
     if missing:
         key = min(missing)
         raise ValidationError(f"{path}.{key}" if path else key, "missing required key")
@@ -650,7 +675,7 @@ def _event(entry: object, index: int, memo: dict, domain_memo: dict) -> Event:
     node, text, pairs = body.get("node"), body.get("domain"), body.get("links", [])
     # A key held at null passes here and fails its own test below.
     if len(body) != 2 + ("links" in body) or node is None or text is None:
-        _expect_keys(body, f"events[{index}].add_node", ("node", "domain"), ("links",))
+        _expect_keys(body, f"events[{index}].add_node", AddNode._fields, ("links",))
     if type(node) is not int or node < 1:
         _expect_int(node, f"events[{index}].add_node.node", minimum=1)
     if type(text) is not str:
@@ -763,32 +788,19 @@ def load_bundled_scenario(name: str) -> Scenario:
         return load_scenario(stream)
 
 
+# The keys a scenario file may omit; its other keys are Scenario's fields.
+_OPTIONAL = ("k_override", "domain_k", "flatbed_itinerary", "notes")
+
+
 def _scenario_from_raw(raw: object) -> Scenario:
     top = _expect_object(raw, "")
-    _expect_keys(
-        top,
-        "",
-        required=(
-            "name",
-            "nodes",
-            "links",
-            "central",
-            "m_max",
-            "params",
-            "events",
-            "polling_counts",
-            "models",
-        ),
-        optional=("k_override", "domain_k", "flatbed_itinerary", "notes"),
-    )
+    _expect_keys(top, "", Scenario._fields, _OPTIONAL)
 
     name = _check_name(top["name"])
 
     # Repeats, emptiness and every rule across fields are Scenario's to check.
     nodes = tuple(_expect_array(top["nodes"], "nodes"))
-    for index, node in enumerate(nodes):
-        if type(node) is not int or node < 1:
-            _expect_int(node, f"nodes[{index}]", minimum=1)
+    _check_ints(nodes, "nodes", 1)
     # The network's node table; a repeated node leaves it short.
     order = dict(zip(nodes, range(len(nodes))))
     sound = len(order) == len(nodes)
@@ -802,21 +814,11 @@ def _scenario_from_raw(raw: object) -> Scenario:
     m_max = _expect_int(top["m_max"], "m_max", minimum=1)
 
     params_obj = _expect_object(top["params"], "params")
-    param_fields = (
-        "s_req",
-        "s_res",
-        "num_vars",
-        "s_ma",
-        "d",
-        "ma_size",
-        "mda_size",
-        "ma_res",
-    )
-    _expect_keys(params_obj, "params", required=param_fields)
+    _expect_keys(params_obj, "params", CostParams._fields)
     num_vars = _expect_int(params_obj["num_vars"], "params.num_vars", minimum=1)
     sizes = {
         name: _expect_number(params_obj[name], f"params.{name}", memo)
-        for name in param_fields
+        for name in CostParams._fields
         if name != "num_vars"
     }
     params = CostParams(num_vars=num_vars, **sizes)
@@ -841,16 +843,14 @@ def _scenario_from_raw(raw: object) -> Scenario:
             domain_k[key] = _expect_number(dk_obj[key], f"domain_k.{key}", memo)
 
     polling_counts = _expect_array(top["polling_counts"], "polling_counts")
-    _check_polling_counts(polling_counts)
+    _check_ints(polling_counts, "polling_counts", 0)
     models = _expect_array(top["models"], "models")
     _check_models(models)
 
     flatbed_itinerary: tuple[NodeId, ...] | None = None
     if "flatbed_itinerary" in top:
         stops = _expect_array(top["flatbed_itinerary"], "flatbed_itinerary")
-        for index, stop in enumerate(stops):
-            if not (type(stop) is int and stop >= 1):
-                _expect_int(stop, f"flatbed_itinerary[{index}]", minimum=1)
+        _check_ints(stops, "flatbed_itinerary", 1)
         flatbed_itinerary = tuple(stops)
 
     notes: str | None = None

@@ -67,7 +67,7 @@ from .errors import (
     UnknownNode,
 )
 
-__all__ = ["NodeId", "NumberLike", "Network"]
+__all__ = ["NodeId", "Network"]
 
 NodeId = int
 
@@ -103,6 +103,14 @@ def _check_node_id(node: object) -> NodeId:
     if node < 1:
         raise ValueError(f"node id must be positive, got {node}")
     return node
+
+
+def _count(value: object, name: str, minimum: int = 0) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def _node_order(nodes: Iterable[NodeId]) -> dict[NodeId, int]:

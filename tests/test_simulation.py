@@ -75,6 +75,14 @@ def scenario_text(**overrides) -> str:
     return json.dumps(doc)
 
 
+# Each key a sound file must hold, by its path: every Scenario field a
+# file may not omit, then every CostParams field.
+REQUIRED_KEYS = [
+    *(field for field in Scenario._fields if field not in simulation._OPTIONAL),
+    *(f"params.{field}" for field in CostParams._fields),
+]
+
+
 def rejects(text: str, path: str) -> None:
     with pytest.raises(ValidationError) as info:
         load_scenario(text)
@@ -118,6 +126,15 @@ class TestLoadScenario:
         doc = json.loads(scenario_text())
         del doc["central"]
         rejects(json.dumps(doc), "central")
+
+    @pytest.mark.parametrize("path", REQUIRED_KEYS)
+    def test_each_required_key_is_required(self, path):
+        doc = json.loads(scenario_text())
+        *outer, key = path.split(".")
+        del (doc[outer[0]] if outer else doc)[key]
+        with pytest.raises(ValidationError) as info:
+            load_scenario(json.dumps(doc))
+        assert (info.value.path, info.value.message) == (path, "missing required key")
 
     def test_decimal_literals_load_exactly(self):
         doc = json.loads(scenario_text())
@@ -752,6 +769,18 @@ CODE_ERRORS = [
     (dict(models=("snmp",)), "models[0]",
      "unknown model 'snmp' (choose from ('cs', 'flatbed', 'imasnm'))"),
     (dict(models=("cs", "imasnm", "cs")), "models[2]", "duplicate model 'cs'"),
+    (dict(notes=5), "notes", "expected a string, got int"),
+    (dict(events=(Snapshot(5),)), "events[0].snapshot", "expected a string, got int"),
+    (dict(flatbed_itinerary=(1, 2.0, 3, 4, 5)), "flatbed_itinerary[1]",
+     "expected an integer, got 2.0"),
+    (dict(flatbed_itinerary=(1, True, 3, 4, 5)), "flatbed_itinerary[1]",
+     "expected an integer, got True"),
+    (dict(flatbed_itinerary=(1, 0, 3, 4, 5)), "flatbed_itinerary[1]",
+     "must be at least 1, got 0"),
+    (dict(events=None), "events", "expected an array, got NoneType"),
+    (dict(polling_counts=None), "polling_counts", "expected an array, got NoneType"),
+    (dict(models=None), "models", "expected an array, got NoneType"),
+    (dict(flatbed_itinerary=5), "flatbed_itinerary", "expected an array, got int"),
     # Two faults: a file reports the join first (see TWO_FAULT_ERRORS).
     (dict(events=(AddNode(0, DomainId.parse("1")),), polling_counts=(-1,)),
      "polling_counts[0]", "must be at least 0, got -1"),
@@ -765,6 +794,19 @@ def test_a_field_of_the_wrong_type_made_in_code_is_named_by_its_path(
     with pytest.raises(ValidationError) as info:
         replace(chain_in_code(), **fields)
     assert (info.value.path, info.value.message) == (path, message)
+
+
+# The Network constructor's own errors, which Scenario lets through.
+@pytest.mark.parametrize("nodes, error, message", [
+    ((1, 2, 3, 4, "5"), TypeError, "node id must be an int, got '5'"),
+    ((1, 2, 3, 4, 0), ValueError, "node id must be positive, got 0"),
+])
+def test_a_node_of_the_wrong_type_made_in_code_raises_the_network_error(
+    nodes, error, message
+):
+    with pytest.raises(error) as info:
+        replace(chain_in_code(), nodes=nodes)
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_a_join_link_made_in_code_takes_any_number_add_link_takes():
