@@ -76,14 +76,15 @@ def _parse_pollings(text: str) -> tuple[int, ...]:
 
 def _print_tree(title: str, result: SimulationResult) -> None:
     """``title``, then one line per final domain, indented by its depth."""
-    print(title)
     # final_domains are in id order, which is pre-order, and an id has
     # one dot per level below the root.
-    for state in result.final_domains:
-        print(
-            f"{'  ' * state.id.count('.')}{state.id}  host={state.manager_host}  "
-            f"members=[{', '.join(map(str, state.members))}]"
-        )
+    lines = [title]
+    lines += [
+        f"{'  ' * state.id.count('.')}{state.id}  host={state.manager_host}  "
+        f"members=[{', '.join(map(str, state.members))}]"
+        for state in result.final_domains
+    ]
+    print("\n".join(lines))
 
 
 def _print_snapshots(result: SimulationResult) -> None:

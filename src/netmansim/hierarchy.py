@@ -6,6 +6,9 @@ one at a time: a domain below ``m_max`` members takes the node, and a
 full one clones a child manager hosted on the node, so the tree deepens
 as the network grows. Only the tree changes membership; it keeps one
 frozen ``DomainState`` per domain and builds each ``Domain`` from it.
+
+The tree keys its records by ``DomainId.path``, a tuple hashed in C,
+so a join does O(1) Python work and one O(depth) hash in C.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class DomainId(Record):
                 raise ValueError(f"domain id parts must be ints: {path!r}")
             if part < 1:
                 raise ValueError(f"domain id parts must be positive: {path!r}")
-        object.__setattr__(self, "path", path)
+        _set_path(self, path)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -75,7 +78,7 @@ class DomainId(Record):
     def _unchecked(cls, path: tuple[int, ...]) -> "DomainId":
         """An id made without checks: ``path`` must already be valid."""
         domain = object.__new__(cls)
-        object.__setattr__(domain, "path", path)
+        _set_path(domain, path)
         return domain
 
     @classmethod
@@ -101,6 +104,11 @@ class DomainId(Record):
             return DomainId(self.path + (index,))  # raises the usual error
         return DomainId._unchecked(self.path + (index,))
 
+
+# A record made on every join or snapshot sets its fields through its
+# slot descriptors, past Record.__setattr__, at about half the cost of
+# object.__setattr__.
+_set_path = DomainId.path.__set__
 
 ROOT_DOMAIN = DomainId((1,))
 
@@ -131,11 +139,17 @@ class DomainState(Record):
         self, id: str, manager_host: NodeId, members: tuple[NodeId, ...],
         parent: str | None, children: tuple[str, ...],
     ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "manager_host", manager_host)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "children", children)
+        set_id, set_host, set_members, set_parent, set_children = _STATE_SETTERS
+        set_id(self, id)
+        set_host(self, manager_host)
+        set_members(self, members)
+        set_parent(self, parent)
+        set_children(self, children)
+
+
+_STATE_SETTERS = tuple(
+    [vars(DomainState)[name].__set__ for name in DomainState.__slots__]
+)
 
 
 class _ManagerRecord:
@@ -184,12 +198,16 @@ class ManagerTree:
     with ``add_node_to_domain``, which returns the tree itself so calls
     can be chained. The tree is single-writer: share it between
     threads only once quiescent.
+
+    A join costs one lookup by ``DomainId.path`` and, into a full
+    domain, one new child record. A ``states()`` call costs one walk of
+    the tree plus a new state for each domain changed since the last.
     """
 
     def __init__(self, m_max: int) -> None:
         self._m_max = _count(m_max, "m_max", 1)
         # Only public lookups go through _managers; records link directly.
-        self._managers: dict[DomainId, _ManagerRecord] = {}
+        self._managers: dict[tuple[int, ...], _ManagerRecord] = {}
         self._root: _ManagerRecord | None = None
         self._node_domain: dict[NodeId, _ManagerRecord] = {}
 
@@ -219,35 +237,30 @@ class ManagerTree:
         others = sorted(order.keys() - {central})
         full_chunks = len(others) // m_max
         root_members = [central] + others[full_chunks * m_max :]
-        root = tree._install(None, root_members, central)
-        for index in range(full_chunks):
-            chunk = others[index * m_max : (index + 1) * m_max]
-            tree._install(root, chunk, chunk[0])
+        root = _ManagerRecord(ROOT_DOMAIN, "1", central, root_members, None, None)
+        tree._root = root
+        managers = tree._managers
+        managers[ROOT_DOMAIN.path] = root
+        node_domain = tree._node_domain
+        node_domain.update(dict.fromkeys(root_members, root))
+        children = root.children
+        for index in range(1, full_chunks + 1):
+            chunk = others[(index - 1) * m_max : index * m_max]
+            path = (1, index)
+            record = _ManagerRecord(
+                DomainId._unchecked(path), f"1.{index}", chunk[0], chunk,
+                ROOT_DOMAIN, "1",
+            )
+            children.append(record)
+            managers[path] = record
+            for node in chunk:
+                node_domain[node] = record
         return tree
 
-    def _install(
-        self, parent: _ManagerRecord | None, members: list[NodeId], host: NodeId
-    ) -> _ManagerRecord:
-        """Add the root, or ``parent``'s next child, and register its members."""
-        if parent is None:
-            name = str(ROOT_DOMAIN)
-            record = _ManagerRecord(ROOT_DOMAIN, name, host, members, None, None)
-            self._root = record
-        else:
-            index = len(parent.children) + 1
-            domain_id = parent.id.child(index)
-            name = f"{parent.name}.{index}"
-            record = _ManagerRecord(
-                domain_id, name, host, members, parent.id, parent.name
-            )
-            parent.children.append(record)
-            parent.state = None  # its children changed
-        self._managers[record.id] = record
-        self._node_domain.update(dict.fromkeys(members, record))
-        return record
-
     def _record(self, domain: DomainId) -> _ManagerRecord:
-        record = self._managers.get(domain)
+        record = None
+        if domain.__class__ is DomainId:
+            record = self._managers.get(domain.path)
         if record is None:
             raise UnknownDomain(f"no such domain: {domain}")
         return record
@@ -264,12 +277,19 @@ class ManagerTree:
         owner = self._node_domain.get(node)
         if owner is not None:
             raise DuplicateNode(f"node {node} already belongs to {owner.name}")
+        record.state = None  # its members or its children change
         if len(record.members) < self._m_max:
             record.members.append(node)
-            record.state = None
-            self._node_domain[node] = record
         else:
-            self._install(record, [node], node)
+            parent, index = record, len(record.children) + 1
+            path = parent.id.path + (index,)
+            record = _ManagerRecord(
+                DomainId._unchecked(path), f"{parent.name}.{index}", node, [node],
+                parent.id, parent.name,
+            )
+            parent.children.append(record)
+            self._managers[path] = record
+        self._node_domain[node] = record
         return self
 
     @staticmethod

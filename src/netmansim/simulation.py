@@ -17,7 +17,9 @@ from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import BinaryIO, Container, Iterable, Iterator, Mapping, TextIO, Union
+from typing import (
+    BinaryIO, Container, Iterable, Iterator, Mapping, Sequence, TextIO, Union,
+)
 
 from ._record import Record
 from .costs import CostParams, _prices
@@ -64,9 +66,15 @@ class AddNode(Record):
         self, node: NodeId, domain: DomainId,
         links: tuple[tuple[NodeId, Fraction], ...] = (),
     ) -> None:
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "links", links)
+        set_node, set_domain, set_links = _JOIN_SETTERS
+        set_node(self, node)
+        set_domain(self, domain)
+        set_links(self, links)
+
+
+# A loader makes one AddNode per join: it sets the fields through their
+# slot descriptors, past Record.__setattr__ (see DomainState).
+_JOIN_SETTERS = tuple([vars(AddNode)[name].__set__ for name in AddNode.__slots__])
 
 
 class Snapshot(Record):
@@ -108,9 +116,9 @@ class Scenario(Record):
       then;
     - snapshot labels are unique;
     - every ``k_override`` id is a node that is initial or joins later;
-    - every ``domain_k`` value is a non-negative number, and its key a
-      domain id that exists by the end;
-    - a ``flatbed_itinerary`` holds integers of at least 1, is not
+    - ``domain_k`` is a mapping; every value is a non-negative number,
+      and its key a domain id that exists by the end;
+    - a ``flatbed_itinerary`` is a sequence of integers of at least 1, is not
       empty, names known nodes once each, starts at ``central`` and
       visits every node that ever joins.
 
@@ -284,6 +292,9 @@ class Scenario(Record):
         itinerary = self.flatbed_itinerary
         if itinerary is None:
             return
+        if not isinstance(itinerary, Sequence):  # it is indexed below
+            message = f"expected an array, got {type(itinerary).__name__}"
+            raise ValidationError("flatbed_itinerary", message)
         _check_ints(itinerary, "flatbed_itinerary", 1)
         stops: set[NodeId] = set()
         for index, stop in enumerate(itinerary):
@@ -314,6 +325,9 @@ class Scenario(Record):
         if replayed < len(domains):
             path = f"events[{list(joins)[replayed]}].add_node.domain"
             raise ValidationError(path, f"no such domain: {domains[replayed]}")
+        if not isinstance(self.domain_k, Mapping):
+            message = f"expected an object, got {type(self.domain_k).__name__}"
+            raise ValidationError("domain_k", message)
         for key, value in self.domain_k.items():
             path = f"domain_k.{key}"
             try:
@@ -352,7 +366,7 @@ class SnapshotRecord(Record):
 
     @property
     def managers(self) -> tuple[str, ...]:
-        return tuple(state.id for state in self.domains)
+        return tuple([state.id for state in self.domains])
 
 
 class SimulationState(Record):
@@ -630,24 +644,23 @@ def _parse_domain_id(text: str, memo: dict[str, DomainId]) -> DomainId:
     """``text`` as a ``DomainId``, one per distinct text.
 
     ``memo`` maps each text parsed so far to its id. A text whose parent
-    text, all before its last dot, is in ``memo`` is built from the
-    parent's id, so a join domain named after its parent costs one part
-    to parse, not one per level. ``DomainId.parse`` checks that part.
-    Any other text, or one whose last part fails, goes to the full
-    ``DomainId.parse``, which raises ValueError for every malformed id,
-    so an id fails the same way on either path.
+    text, all before its last dot, is in ``memo`` and whose last part is
+    canonical ASCII digits is the parent's path plus that part, so a join
+    domain named after its parent costs one part to parse, not one per
+    level. Any other text goes to the full ``DomainId.parse``, which
+    raises ValueError for every malformed id. The one step's ``int``
+    fails only past the int digit limit, as ``parse``'s own does, so an
+    id fails the same way on either path.
     """
     domain = memo.get(text)
     if domain is not None:
         return domain
     head, _, last = text.rpartition(".")
     parent = memo.get(head)
-    if parent is not None:
-        try:
-            domain = parent.child(DomainId.parse(last).path[0])
-        except ValueError:
-            pass  # the full parse below raises the error
-    if domain is None:
+    # isdigit() alone also takes non-ASCII digits such as "٢" and "²".
+    if parent is not None and last.isascii() and last.isdigit() and last[0] != "0":
+        domain = DomainId._unchecked(parent.path + (int(last),))
+    else:
         domain = DomainId.parse(text)
     memo[text] = domain
     return domain

@@ -275,13 +275,23 @@ class TestGrowth:
         with pytest.raises(ValueError, match="^m_max must be an int, got '3'$"):
             ManagerTree("3")
 
+    def test_a_domain_that_is_not_a_domain_id_is_unknown(self):
+        # The tree keys its records by DomainId.path; other keys find none.
+        tree = ManagerTree.initial_partition(range(1, 9), 3, 1)
+        with pytest.raises(UnknownDomain, match="^no such domain: 1$"):
+            tree.add_node_to_domain(9, "1")
+        with pytest.raises(UnknownDomain, match="^no such domain: 1.1$"):
+            tree.parent_of("1.1")
+        with pytest.raises(UnknownDomain, match="^no such domain: None$"):
+            tree.children_of(None)
+
     def test_domain_ids_are_in_numeric_depth_first_order(self):
         # One central node plus ten one-node chunks make 1.1 to 1.10;
         # node 12 joining 1.1 splits it into 1.1.1.
         tree = ManagerTree.initial_partition(range(1, 12), 1, 11)
         tree.add_node_to_domain(12, did("1.1"))
         ids = tree.domain_ids()
-        assert ids == sorted(tree._managers)
+        assert [d.path for d in ids] == sorted(tree._managers)
         rendered = [str(d) for d in ids]
         assert rendered[:4] == ["1", "1.1", "1.1.1", "1.2"]
         assert rendered[-2:] == ["1.9", "1.10"]
@@ -361,6 +371,25 @@ def test_views_read_between_joins_stay_current(case):
         targets = tree.domain_ids()
         tree.add_node_to_domain(node, targets[choice % len(targets)])
     check_tree_invariants(tree, set(range(1, initial + 1 + len(choices))))
+
+
+@given(growth_runs())
+def test_a_join_rebuilds_only_the_states_it_changes(case):
+    # An append changes its domain's state; a split, its domain's and the
+    # new child's. Every other domain keeps its state object.
+    m_max, initial, central, choices = case
+    tree = ManagerTree.initial_partition(range(1, initial + 1), m_max, central)
+    for node, choice in enumerate(choices, start=initial + 1):
+        before = {state.id: state for state in tree.states()}
+        targets = tree.domain_ids()
+        target = targets[choice % len(targets)]
+        tree.add_node_to_domain(node, target)
+        changed = {str(target), str(tree.domain_of(node))}
+        for state in tree.states():
+            if state.id in changed:
+                assert before.get(state.id) is not state
+            else:
+                assert before[state.id] is state
 
 
 @given(growth_runs())

@@ -781,6 +781,10 @@ CODE_ERRORS = [
     (dict(polling_counts=None), "polling_counts", "expected an array, got NoneType"),
     (dict(models=None), "models", "expected an array, got NoneType"),
     (dict(flatbed_itinerary=5), "flatbed_itinerary", "expected an array, got int"),
+    (dict(flatbed_itinerary={1, 2, 3, 4, 5}), "flatbed_itinerary",
+     "expected an array, got set"),
+    (dict(domain_k=None), "domain_k", "expected an object, got NoneType"),
+    (dict(domain_k=[("1", 1)]), "domain_k", "expected an object, got list"),
     # Two faults: a file reports the join first (see TWO_FAULT_ERRORS).
     (dict(events=(AddNode(0, DomainId.parse("1")),), polling_counts=(-1,)),
      "polling_counts[0]", "must be at least 0, got -1"),
@@ -949,6 +953,7 @@ BAD_CHILD_DOMAINS = [
     "1. 2",
     "1.2_0",
     "1.٢",
+    "1.²",  # isdigit() is true, but int() fails
     "1.x",
     "1." + "1" * 5000,  # past the int digit limit
 ]
