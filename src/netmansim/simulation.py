@@ -97,8 +97,12 @@ class Scenario(Record):
     ``nodes``, ``links`` and ``k_override``, and raises what the
     ``Network`` constructor raises: a ``TopologyError`` for a fault of
     meaning, and a ``TypeError`` or ``ValueError`` for an entry of the
-    wrong type or form, such as a node ``"5"`` (``node id must be an
-    int, got '5'``) or a node 0 (``node id must be positive, got 0``).
+    wrong type, such as a node ``"5"`` (``node id must be an int, got
+    '5'``) or a node 0 (``node id must be positive, got 0``). A
+    ``nodes`` that cannot be iterated, or a link or pin that is not a
+    triple (pins in a mapping aside), raises the loader's
+    ``ValidationError`` instead (``nodes: expected an array, got
+    NoneType``, ``links[0]: expected [a, b, coeff], got 2 items``).
     Then ``ValidationError``, with the JSON path of the fault, is raised
     unless:
 
@@ -134,9 +138,11 @@ class Scenario(Record):
     ``network`` is left out of equality and ``repr``. A scenario has no
     hash: its ``domain_k`` is a dict.
 
-    The loader builds the network itself, as it reads each link and pin
-    (see ``load_scenario``), and hands it to ``_loaded``, which checks
-    every other rule. A file with a fault in its nodes, links or pins is
+    The loader builds the network itself, as it reads each link and pin,
+    and tests each join and snapshot as it reads the event (see
+    ``load_scenario``). It hands the network, the nodes known by the
+    end and the join domains to ``_loaded``, which checks every other
+    rule. A file with a fault in its nodes, links, pins or events is
     made through this constructor, so the fault reads as it does here.
     """
 
@@ -162,29 +168,50 @@ class Scenario(Record):
         ))
 
     @classmethod
-    def _loaded(cls, network: Network, *fields: object) -> "Scenario":
+    def _loaded(
+        cls, network: Network, *fields: object,
+        known: dict[NodeId, object] | None = None,
+        joins: dict[int, DomainId] | None = None,
+    ) -> "Scenario":
         """The scenario of ``fields``, in ``_fields`` order, over ``network``.
 
         The loader has built ``network`` from the ``links`` and
         ``k_override`` among the fields, and found every link and pin
         sound and every pinned id initial or joining. So neither the
-        network nor the pins are checked again; every other rule is, in
-        the order ``__init__`` checks it.
+        network nor the pins are checked again. Given ``known``, the
+        initial nodes and then each join's node, and ``joins``, each
+        join's domain by event index, the loader has also found every
+        join and snapshot sound, so the events are not walked again
+        either. Every other rule is checked, in the order ``__init__``
+        checks it.
         """
         scenario = cls.__new__(cls)
-        scenario._fill(fields, network)
+        scenario._fill(fields, network, known, joins)
         return scenario
 
-    def _fill(self, fields: tuple, network: Network | None = None) -> None:
+    def _fill(
+        self, fields: tuple, network: Network | None = None,
+        known: dict[NodeId, object] | None = None,
+        joins: dict[int, DomainId] | None = None,
+    ) -> None:
         """Set the fields and ``network``; check every other rule.
 
-        Without a ``network``, build it from the fields and check the pins.
+        Without a ``network``, build it from the fields and check the
+        pins. Without ``known`` and ``joins``, check the events, which
+        give them; with them, the events are taken as sound.
         """
         for field, value in zip(self._fields, fields):
             object.__setattr__(self, field, value)
         built = network is None
         if built:
-            network = Network(self.nodes, self.links, self.k_override)
+            try:
+                network = Network(self.nodes, self.links, self.k_override)
+            except TopologyError:
+                raise
+            except (TypeError, ValueError):
+                # An entry of the wrong form is named as the loader names it.
+                _check_network_form(self.nodes, self.links, self.k_override)
+                raise
         object.__setattr__(self, "network", network)
         _check_name(self.name)
         _expect_int(self.central, "central", minimum=1)
@@ -198,11 +225,12 @@ class Scenario(Record):
             _expect_str(self.notes, "notes")
         if not self.nodes:
             raise ValidationError("nodes", "must not be empty")
-        known = dict.fromkeys(self.nodes)
-        if self.central not in known:
+        if self.central not in network._order:
             message = f"central node {self.central} is not in nodes"
             raise ValidationError("central", message)
-        joins = self._check_events(known)
+        if known is None or joins is None:
+            known = dict.fromkeys(self.nodes)
+            joins = self._check_events(known)
         if built:
             self._check_pins(known)
         self._check_itinerary(known)
@@ -287,7 +315,7 @@ class Scenario(Record):
                 entry = f"[{(a, b)}]" if keyed else f"[{index}][{end}]"
                 raise ValidationError(f"k_override{entry}", f"unknown node {node}")
 
-    def _check_itinerary(self, known: dict[NodeId, None]) -> None:
+    def _check_itinerary(self, known: Mapping[NodeId, object]) -> None:
         """A given itinerary visits each ``known`` node once, from ``central``."""
         itinerary = self.flatbed_itinerary
         if itinerary is None:
@@ -528,6 +556,32 @@ def _check_ints(values: object, where: str, minimum: int) -> None:
             _expect_int(value, f"{where}[{index}]", minimum=minimum)
 
 
+# The form of a link and of a pin, as a file writes them.
+_ENTRY_SHAPES = {"links": "[a, b, coeff]", "k_override": "[i, j, cost]"}
+
+
+def _check_network_form(nodes: object, links: object, pins: object) -> None:
+    """``nodes`` and each entry of ``links`` and ``pins`` have the loader's form.
+
+    A node list is iterable and each link or pin a triple, as in a file;
+    a mapping of pins is keyed by pair and left to ``Network``. It walks
+    the entries again, so it runs only once ``Network`` has failed: a
+    one-shot iterable is read by the build alone.
+    """
+    _iterate(nodes, "nodes")
+    pins = () if pins is None or isinstance(pins, Mapping) else pins
+    for where, entries in (("links", links), ("k_override", pins)):
+        for index, entry in enumerate(_iterate(entries, where)):
+            try:
+                size = len(entry)
+            except TypeError:
+                message = f"expected an array, got {type(entry).__name__}"
+                raise ValidationError(f"{where}[{index}]", message) from None
+            if size != 3:
+                message = f"expected {_ENTRY_SHAPES[where]}, got {size} items"
+                raise ValidationError(f"{where}[{index}]", message)
+
+
 def _check_models(models: object) -> None:
     """Each model is a string, one of ``MODEL_NAMES``, named once."""
     seen: set[str] = set()
@@ -601,9 +655,9 @@ def _entries(
     for index, entry in enumerate(array):
         if type(entry) is not list or len(entry) != 3:
             path = f"{where}[{index}]"
-            shape = "[i, j, cost]" if pins else "[a, b, coeff]"
             got = len(_expect_array(entry, path))
-            raise ValidationError(path, f"expected {shape}, got {got} items")
+            message = f"expected {_ENTRY_SHAPES[where]}, got {got} items"
+            raise ValidationError(path, message)
         a, b, value = entry
         if type(a) is not int or a < 1:
             _expect_int(a, f"{where}[{index}][0]", minimum=1)
@@ -666,55 +720,84 @@ def _parse_domain_id(text: str, memo: dict[str, DomainId]) -> DomainId:
     return domain
 
 
-def _event(entry: object, index: int, memo: dict, domain_memo: dict) -> Event:
-    """``events[index]``, a join or a snapshot, its items tested in order.
+def _events(
+    array: list, memo: dict, domain_memo: dict, known: dict[NodeId, object]
+) -> tuple[tuple[Event, ...], dict[int, DomainId], bool]:
+    """The events, each join's domain by event index, and whether all are sound.
 
-    A JSON path is formatted only for the error raised, or for a number
-    not yet in ``memo``.
+    One pass checks each event's shape and tests its meaning. Shape: a
+    join or a snapshot, its items tested in order; a JSON path is
+    formatted only for the error raised, or for a number not yet in
+    ``memo``. Meaning: a join is sound when its node is not in
+    ``known``, and each peer is in ``known`` and named once in the join;
+    a snapshot is sound when its label is new. Each join's node is added
+    to ``known`` after its peers are tested, so a peer that is the node
+    itself fails the test. An unsound event only makes the result False:
+    ``Scenario`` reports it, after every fault of shape in the file (see
+    ``_entries``).
     """
-    if type(entry) is not dict or len(entry) != 1:
-        _expect_object(entry, f"events[{index}]")
-        raise ValidationError(f"events[{index}]", "event must have exactly one key")
-    body = entry.get("add_node")
-    if type(body) is not dict:  # a snapshot, or a fault
-        ((kind, value),) = entry.items()
-        if kind == "snapshot":
-            if type(value) is not str:
-                _expect_str(value, f"events[{index}].snapshot")
-            return Snapshot(value)
-        if kind != "add_node":
-            raise ValidationError(f"events[{index}].{kind}", "unknown event kind")
-        _expect_object(body, f"events[{index}].add_node")
-    node, text, pairs = body.get("node"), body.get("domain"), body.get("links", [])
-    # A key held at null passes here and fails its own test below.
-    if len(body) != 2 + ("links" in body) or node is None or text is None:
-        _expect_keys(body, f"events[{index}].add_node", AddNode._fields, ("links",))
-    if type(node) is not int or node < 1:
-        _expect_int(node, f"events[{index}].add_node.node", minimum=1)
-    if type(text) is not str:
-        _expect_str(text, f"events[{index}].add_node.domain")
-    try:
-        domain = _parse_domain_id(text, domain_memo)
-    except ValueError as exc:
-        raise ValidationError(f"events[{index}].add_node.domain", str(exc)) from None
-    if type(pairs) is not list:
-        _expect_array(pairs, f"events[{index}].add_node.links")
-    links = []
-    for pair in pairs:  # the pair's index is len(links)
-        if type(pair) is not list or len(pair) != 2:
-            path = f"events[{index}].add_node.links[{len(links)}]"
-            got = len(_expect_array(pair, path))
-            raise ValidationError(path, f"expected [peer, coeff], got {got} items")
-        peer, value = pair
-        if type(peer) is not int or peer < 1:
-            path = f"events[{index}].add_node.links[{len(links)}][0]"
-            _expect_int(peer, path, minimum=1)
-        coeff = memo.get(value) if type(value) in _NUMBER_TYPES else None
-        if coeff is None:
-            path = f"events[{index}].add_node.links[{len(links)}][1]"
-            coeff = _expect_number(value, path, memo)
-        links.append((peer, coeff))
-    return AddNode(node, domain, tuple(links))
+    events: list[Event] = []
+    joins: dict[int, DomainId] = {}
+    labels: set[str] = set()
+    sound = True
+    for index, entry in enumerate(array):
+        if type(entry) is not dict or len(entry) != 1:
+            _expect_object(entry, f"events[{index}]")
+            raise ValidationError(f"events[{index}]", "event must have exactly one key")
+        body = entry.get("add_node")
+        if type(body) is not dict:  # a snapshot, or a fault
+            ((kind, value),) = entry.items()
+            if kind == "snapshot":
+                if type(value) is not str:
+                    _expect_str(value, f"events[{index}].snapshot")
+                if value in labels:
+                    sound = False
+                labels.add(value)
+                events.append(Snapshot(value))
+                continue
+            if kind != "add_node":
+                raise ValidationError(f"events[{index}].{kind}", "unknown event kind")
+            _expect_object(body, f"events[{index}].add_node")
+        node, text, pairs = body.get("node"), body.get("domain"), body.get("links", [])
+        # A key held at null passes here and fails its own test below.
+        if len(body) != 2 + ("links" in body) or node is None or text is None:
+            _expect_keys(body, f"events[{index}].add_node", AddNode._fields, ("links",))
+        if type(node) is not int or node < 1:
+            _expect_int(node, f"events[{index}].add_node.node", minimum=1)
+        if type(text) is not str:
+            _expect_str(text, f"events[{index}].add_node.domain")
+        try:
+            domain = _parse_domain_id(text, domain_memo)
+        except ValueError as exc:
+            path = f"events[{index}].add_node.domain"
+            raise ValidationError(path, str(exc)) from None
+        if type(pairs) is not list:
+            _expect_array(pairs, f"events[{index}].add_node.links")
+        if node in known:
+            sound = False
+        links = []
+        for pair in pairs:  # the pair's index is len(links)
+            if type(pair) is not list or len(pair) != 2:
+                path = f"events[{index}].add_node.links[{len(links)}]"
+                got = len(_expect_array(pair, path))
+                raise ValidationError(path, f"expected [peer, coeff], got {got} items")
+            peer, value = pair
+            if type(peer) is not int or peer < 1:
+                path = f"events[{index}].add_node.links[{len(links)}][0]"
+                _expect_int(peer, path, minimum=1)
+            coeff = memo.get(value) if type(value) in _NUMBER_TYPES else None
+            if coeff is None:
+                path = f"events[{index}].add_node.links[{len(links)}][1]"
+                coeff = _expect_number(value, path, memo)
+            links.append((peer, coeff))
+            if peer not in known:
+                sound = False
+        if len(links) > 1 and len({peer for peer, _ in links}) < len(links):
+            sound = False
+        known[node] = None
+        joins[index] = domain
+        events.append(AddNode(node, domain, tuple(links)))
+    return tuple(events), joins, sound
 
 
 @_collector_paused()
@@ -731,11 +814,15 @@ def load_scenario(source: Union[BinaryIO, TextIO, bytes, str]) -> Scenario:
     and a ``TopologyError`` from its ``Network`` becomes a ValidationError
     at the path of the rejected entry.
 
-    Each link and pin is read once, by one pass that checks its shape,
-    tests its meaning and fills the network's tables. If a node repeats
-    or a link or pin fails that test, the loader checks the rest of the
-    file's shape and then makes the ``Scenario`` through its
-    constructor, which reports the fault as it does for one made in code.
+    Each link, pin and event is read once, by one pass that checks its
+    shape and tests its meaning. The links and pins fill the network's
+    tables; each join's node joins the known nodes, which the pins and
+    the itinerary are checked against, and its domain the list that
+    ``ManagerTree._replay_shape`` replays once. If a node repeats, or a
+    link, pin, join or snapshot label fails that test, the loader checks
+    the rest of the file's shape and then makes the ``Scenario`` through
+    its constructor, which reports the fault as it does for one made in
+    code.
 
     The load runs with the cyclic collector paused (see
     ``_collector_paused``), which it turns back on, if it was on, before
@@ -836,18 +923,12 @@ def _scenario_from_raw(raw: object) -> Scenario:
     }
     params = CostParams(num_vars=num_vars, **sizes)
 
-    events = [
-        _event(entry, index, memo, domain_memo)
-        for index, entry in enumerate(_expect_array(top["events"], "events"))
-    ]
-
-    # A pin may name a node that joins later.
-    ends = order.copy()
-    for event in events:
-        if type(event) is AddNode:
-            ends[event.node] = None
-    k_override, pin_table, pins_sound = _entries(top, "k_override", memo, ends)
-    del ends
+    # The initial nodes, then each join's node: a pin may name one.
+    known: dict[NodeId, object] = order.copy()
+    events, joins, events_sound = _events(
+        _expect_array(top["events"], "events"), memo, domain_memo, known
+    )
+    k_override, pin_table, pins_sound = _entries(top, "k_override", memo, known)
 
     domain_k: dict[str, Fraction] = {}
     if "domain_k" in top:
@@ -881,10 +962,11 @@ def _scenario_from_raw(raw: object) -> Scenario:
 
     fields = (
         name, nodes, links, k_override, central, m_max, params, domain_k,
-        tuple(events), tuple(polling_counts), tuple(models), flatbed_itinerary, notes,
+        events, tuple(polling_counts), tuple(models), flatbed_itinerary, notes,
     )
-    if sound and links_sound and pins_sound:
-        return Scenario._loaded(Network._of(order, link_table, pin_table), *fields)
+    if sound and links_sound and events_sound and pins_sound:
+        network = Network._of(order, link_table, pin_table)
+        return Scenario._loaded(network, *fields, known=known, joins=joins)
     # Scenario builds the network again and reports the first fault.
     try:
         return Scenario(*fields)

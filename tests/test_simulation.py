@@ -10,6 +10,7 @@ import re
 import time
 from decimal import Decimal
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, strategies as st
@@ -622,6 +623,12 @@ TWO_FAULT_ERRORS = [
      "central node 9 is not in nodes"),
     (dict(PAIR, k_override=[[1, 9, 1], [3, 3, 1]], events=[JOIN_3]),
      "k_override[1]", "a node's cost to itself must be 0"),
+    # A join's fault of meaning comes after every fault of shape.
+    (dict(PAIR, events=[JOIN_2, *({"snapshot": f"s{i}"} for i in range(4)),
+                        {"add_node": {"node": "x", "domain": "1"}}]),
+     "events[5].add_node.node", "expected an integer, got 'x'"),
+    (dict(PAIR, events=[JOIN_2], models=["snmp"]), "models[0]",
+     "unknown model 'snmp' (choose from ('cs', 'flatbed', 'imasnm'))"),
 ]
 
 
@@ -705,15 +712,69 @@ PARITY = [
 ]
 
 
+def bundled_doc(name: str) -> dict:
+    scenarios = resources.files("netmansim").joinpath("scenarios")
+    return json.loads(scenarios.joinpath(f"{name}.scenario.json").read_text())
+
+
+def code_event(event: dict) -> AddNode | Snapshot:
+    """A file's event as the ``AddNode`` or ``Snapshot`` code would make."""
+    if "snapshot" in event:
+        return Snapshot(event["snapshot"])
+    body = event["add_node"]
+    links = tuple((peer, Fraction(coeff)) for peer, coeff in body.get("links", []))
+    return AddNode(body["node"], DomainId.parse(body["domain"]), links)
+
+
+# reference18's 16 events; events[1] joins node 5 into domain 1.1.
+REFERENCE18_EVENTS = bundled_doc("reference18")["events"]
+
+
+def reference18_join_5(domain: str, links: list) -> dict:
+    """reference18's events with events[1] joining node 5 as given."""
+    return dict(events=[REFERENCE18_EVENTS[0], join(5, domain, links),
+                        *REFERENCE18_EVENTS[2:]])
+
+
+# One fault each of a join or a label, as a JSON edit of reference18's
+# events; made in code, the same events as AddNode and Snapshot records.
+REFERENCE18_PARITY = [
+    (reference18_join_5("1.1", [[99, 1]]),
+     "events[1].add_node.links[0][0]", "unknown node 99"),
+    (reference18_join_5("1.1", [[1, 1], [1, 2]]),
+     "events[1].add_node.links[1][0]", "duplicate link 1-5"),
+    (reference18_join_5("1.1", [[1, 1], [4, 1], [1, 2]]),
+     "events[1].add_node.links[2][0]", "duplicate link 1-5"),
+    (reference18_join_5("1.1", [[5, 1]]),
+     "events[1].add_node.links[0][0]", "link joins node 5 to itself"),
+    (dict(events=[*REFERENCE18_EVENTS, {"snapshot": "a"}, {"snapshot": "a"}]),
+     "events[17].snapshot", "duplicate label 'a'"),
+    (reference18_join_5("1.7", []), "events[1].add_node.domain", "no such domain: 1.7"),
+]
+
+FAULT_CASES = [("chain", *row) for row in PARITY] + [
+    ("reference18", in_json, dict(events=tuple(map(code_event, in_json["events"]))),
+     path, message)
+    for in_json, path, message in REFERENCE18_PARITY
+]
+
+
 @pytest.mark.parametrize(
-    "in_json, in_code, path, message", PARITY, ids=[row[2] for row in PARITY]
+    "base, in_json, in_code, path, message", FAULT_CASES,
+    ids=[row[3] if row[0] == "chain" else f"{row[0]}-{row[3]}" for row in FAULT_CASES],
 )
-def test_a_fault_reads_the_same_loaded_or_made_in_code(in_json, in_code, path, message):
-    assert chain_in_code() == load_scenario(scenario_text(**CHAIN))
+def test_a_fault_reads_the_same_loaded_or_made_in_code(
+    base, in_json, in_code, path, message
+):
+    if base == "chain":
+        doc, scenario = {**MINIMAL, **CHAIN}, chain_in_code()
+    else:
+        doc, scenario = bundled_doc(base), load_bundled_scenario(base)
+    assert scenario == load_scenario(json.dumps(doc))
     with pytest.raises(ValidationError) as loaded:
-        load_scenario(scenario_text(**{**CHAIN, **in_json}))
+        load_scenario(json.dumps({**doc, **in_json}))
     with pytest.raises(ValidationError) as made:
-        replace(chain_in_code(), **in_code)
+        replace(scenario, **in_code)
     assert (loaded.value.path, loaded.value.message) == (path, message)
     assert (made.value.path, made.value.message) == (path, message)
 
@@ -785,6 +846,15 @@ CODE_ERRORS = [
      "expected an array, got set"),
     (dict(domain_k=None), "domain_k", "expected an object, got NoneType"),
     (dict(domain_k=[("1", 1)]), "domain_k", "expected an object, got list"),
+    (dict(nodes=None), "nodes", "expected an array, got NoneType"),
+    (dict(links=None), "links", "expected an array, got NoneType"),
+    (dict(links=((1, 2),)), "links[0]", "expected [a, b, coeff], got 2 items"),
+    (dict(links=((1, 2, 1), (2, 3, 1, 0))), "links[1]",
+     "expected [a, b, coeff], got 4 items"),
+    (dict(links=(5,)), "links[0]", "expected an array, got int"),
+    (dict(k_override=((1, 2),)), "k_override[0]", "expected [i, j, cost], got 2 items"),
+    (dict(k_override=((1, 2, 1), None)), "k_override[1]",
+     "expected an array, got NoneType"),
     # Two faults: a file reports the join first (see TWO_FAULT_ERRORS).
     (dict(events=(AddNode(0, DomainId.parse("1")),), polling_counts=(-1,)),
      "polling_counts[0]", "must be at least 0, got -1"),
@@ -1302,10 +1372,19 @@ def test_a_run_prices_as_a_stepwise_replay(scenario):
 
 def test_a_sound_file_is_loaded_without_walking_its_entries_again(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the loader walked the links or pins again")
+        raise AssertionError("the loader walked the links, pins or events again")
+
+    replays = []
+    replay_shape = ManagerTree._replay_shape
+
+    def count_replays(*args):
+        replays.append(args)
+        return replay_shape(*args)
 
     monkeypatch.setattr(Network, "__init__", refuse)
     monkeypatch.setattr(Scenario, "_check_pins", refuse)
+    monkeypatch.setattr(Scenario, "_check_events", refuse)
+    monkeypatch.setattr(ManagerTree, "_replay_shape", staticmethod(count_replays))
     text = scenario_text(
         nodes=[3, 1, 2],
         links=[[2, 1, 1], [2, 3, 2.5]],
@@ -1316,6 +1395,7 @@ def test_a_sound_file_is_loaded_without_walking_its_entries_again(monkeypatch):
     scenarios = [load_scenario(text)]
     scenarios += [load_bundled_scenario(name) for name in bundled_scenario_names()]
     monkeypatch.undo()
+    assert len(replays) == len(scenarios)  # the split rule is replayed once a load
     assert len(scenarios[0].links) == 2 and len(scenarios[0].k_override) == 3
     for scenario in scenarios:
         built = Network(scenario.nodes, scenario.links, scenario.k_override)
@@ -1392,6 +1472,40 @@ def test_a_loaded_network_is_the_one_its_fields_build(doc):
         assert run(scenario, costs_at_snapshots=at_snapshots) == run(
             made, costs_at_snapshots=at_snapshots
         )
+
+
+@given(sound_scenario_docs(), st.data())
+def test_a_join_fault_reads_the_same_loaded_or_made_in_code(doc, data):
+    # A sound join appended, so that every file has one to break.
+    events = [*doc["events"], join(60, "1", [[doc["central"], 1]])]
+    joins = [index for index, event in enumerate(events) if "add_node" in event]
+    at = data.draw(st.sampled_from(joins))
+    body = events[at]["add_node"]
+    node, links = body["node"], list(body["links"])
+    faults = ["node", "peer", "self", "repeat", "domain", "label"]
+    fault = data.draw(st.sampled_from(faults))
+    slot = data.draw(st.integers(0, len(links)))
+    if fault == "node":
+        node = doc["nodes"][0]
+    elif fault == "peer":
+        links.insert(slot, [99, 1])
+    elif fault == "self":
+        links.insert(slot, [node, 1])
+    elif fault == "repeat":
+        links.insert(slot, [data.draw(st.sampled_from(links))[0], 1])
+    events[at] = join(node, "1.99" if fault == "domain" else body["domain"], links)
+    if fault == "label":
+        events.insert(at, {"snapshot": "again"})
+        events.insert(data.draw(st.integers(0, at)), {"snapshot": "again"})
+    with pytest.raises(ValidationError) as loaded:
+        load_scenario(json.dumps({**doc, "events": events}))
+    with pytest.raises(ValidationError) as made:
+        replace(load_scenario(json.dumps(doc)), events=tuple(map(code_event, events)))
+    assert (loaded.value.path, loaded.value.message) == (
+        made.value.path, made.value.message
+    )
+    where = f"events[{at + 1}].snapshot" if fault == "label" else f"events[{at}]."
+    assert loaded.value.path.startswith(where)
 
 
 class TestCoefficientObjects:
