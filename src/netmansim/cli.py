@@ -8,16 +8,9 @@ no-op. So the run, the argument checks, the report and its CSV also
 run without collections, which would walk live data and free next to
 nothing: on a 10^4-node scenario such collections took about a sixth
 of the call. What the command drops, the manager tree included, is
-freed by reference counting.
-
-The argument parser is built once per process and kept (see
-``_build_parser``). That helps only repeated ``main`` calls in one
-process, such as tests, scripted sweeps and benchmark loops: building
-one costs about 0.4 ms, mostly argparse's message lookups, about 5% of
-a call on a 10^3-join growth scenario. The kept parser holds about
-0.1 MB. Each command's handler is bound when the parser is built, so
-patching a ``_cmd_*`` function afterwards has no effect on ``main``;
-patch what the handlers call, such as ``run``, instead.
+freed by reference counting. Only the argument parser's cycles, about
+140 objects whatever the scenario, wait for the collector's first pass
+after the command.
 """
 
 from __future__ import annotations
@@ -25,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import NetmanError, ParseError, ValidationError
@@ -148,7 +140,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netmansim",

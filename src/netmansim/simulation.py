@@ -88,6 +88,10 @@ class Snapshot(Record):
 
 Event = Union[AddNode, Snapshot]
 
+# The nodes known once every join is in, initial ones first, and each
+# join's domain by event index: what sound events give.
+_CheckedEvents = tuple[dict[NodeId, object], dict[int, DomainId]]
+
 
 class Scenario(Record):
     """A fully validated scenario, ready to run.
@@ -100,9 +104,10 @@ class Scenario(Record):
     wrong type, such as a node ``"5"`` (``node id must be an int, got
     '5'``) or a node 0 (``node id must be positive, got 0``). A
     ``nodes`` that cannot be iterated, or a link or pin that is not a
-    triple (pins in a mapping aside), raises the loader's
+    triple (pins in a mapping or an iterator aside), raises the loader's
     ``ValidationError`` instead (``nodes: expected an array, got
     NoneType``, ``links[0]: expected [a, b, coeff], got 2 items``).
+    Either way the first entry at fault is named.
     Then ``ValidationError``, with the JSON path of the fault, is raised
     unless:
 
@@ -169,36 +174,31 @@ class Scenario(Record):
 
     @classmethod
     def _loaded(
-        cls, network: Network, *fields: object,
-        known: dict[NodeId, object] | None = None,
-        joins: dict[int, DomainId] | None = None,
+        cls, network: Network, *fields: object, checked: _CheckedEvents | None = None
     ) -> "Scenario":
         """The scenario of ``fields``, in ``_fields`` order, over ``network``.
 
         The loader has built ``network`` from the ``links`` and
         ``k_override`` among the fields, and found every link and pin
         sound and every pinned id initial or joining. So neither the
-        network nor the pins are checked again. Given ``known``, the
-        initial nodes and then each join's node, and ``joins``, each
-        join's domain by event index, the loader has also found every
-        join and snapshot sound, so the events are not walked again
-        either. Every other rule is checked, in the order ``__init__``
-        checks it.
+        network nor the pins are checked again. Given ``checked``, what
+        the loader's pass over sound events found (see ``_events``), the
+        events are not walked again either. Every other rule is checked,
+        in the order ``__init__`` checks it.
         """
         scenario = cls.__new__(cls)
-        scenario._fill(fields, network, known, joins)
+        scenario._fill(fields, network, checked)
         return scenario
 
     def _fill(
         self, fields: tuple, network: Network | None = None,
-        known: dict[NodeId, object] | None = None,
-        joins: dict[int, DomainId] | None = None,
+        checked: _CheckedEvents | None = None,
     ) -> None:
         """Set the fields and ``network``; check every other rule.
 
         Without a ``network``, build it from the fields and check the
-        pins. Without ``known`` and ``joins``, check the events, which
-        give them; with them, the events are taken as sound.
+        pins. Without ``checked``, check the events, which give the known
+        nodes and the join domains; with it, the events are sound.
         """
         for field, value in zip(self._fields, fields):
             object.__setattr__(self, field, value)
@@ -228,9 +228,11 @@ class Scenario(Record):
         if self.central not in network._order:
             message = f"central node {self.central} is not in nodes"
             raise ValidationError("central", message)
-        if known is None or joins is None:
+        if checked is None:
             known = dict.fromkeys(self.nodes)
             joins = self._check_events(known)
+        else:
+            known, joins = checked
         if built:
             self._check_pins(known)
         self._check_itinerary(known)
@@ -561,25 +563,47 @@ _ENTRY_SHAPES = {"links": "[a, b, coeff]", "k_override": "[i, j, cost]"}
 
 
 def _check_network_form(nodes: object, links: object, pins: object) -> None:
-    """``nodes`` and each entry of ``links`` and ``pins`` have the loader's form.
+    """Raise the loader's error if ``Network`` failed on an entry's form.
 
-    A node list is iterable and each link or pin a triple, as in a file;
-    a mapping of pins is keyed by pair and left to ``Network``. It walks
-    the entries again, so it runs only once ``Network`` has failed: a
-    one-shot iterable is read by the build alone.
+    ``Network`` reads the nodes, then each link, then each pin, and
+    unpacks a link or pin before it checks its ids and number. It has
+    raised a ``TypeError`` or ``ValueError``, so every entry before the
+    one it failed on is sound. The walk stops at the first entry whose
+    form, ids or number is at fault, and raises only for a fault of
+    form: a node list that cannot be iterated, or a link or pin that is
+    not an array of three. A bad id or number is left to ``Network``'s
+    own error, and so are a mapping of pins, keyed by pair, and an
+    iterator, which the build has read already.
     """
-    _iterate(nodes, "nodes")
+    iterator = _iterate(nodes, "nodes")
+    if iterator is nodes:
+        return
+    for node in iterator:
+        try:
+            _check_node_id(node)
+        except (TypeError, ValueError):
+            return
     pins = () if pins is None or isinstance(pins, Mapping) else pins
     for where, entries in (("links", links), ("k_override", pins)):
-        for index, entry in enumerate(_iterate(entries, where)):
+        iterator = _iterate(entries, where)
+        if iterator is entries:
+            return
+        for index, entry in enumerate(iterator):
             try:
                 size = len(entry)
             except TypeError:
-                message = f"expected an array, got {type(entry).__name__}"
-                raise ValidationError(f"{where}[{index}]", message) from None
+                _iterate(entry, f"{where}[{index}]")
+                return  # an iterable with no length, read as Network reads it
             if size != 3:
                 message = f"expected {_ENTRY_SHAPES[where]}, got {size} items"
                 raise ValidationError(f"{where}[{index}]", message)
+            a, b, value = entry
+            try:
+                _check_node_id(a)
+                _check_node_id(b)
+                _coeff(value, where, a, b)
+            except (TypeError, ValueError):
+                return
 
 
 def _check_models(models: object) -> None:
@@ -722,8 +746,8 @@ def _parse_domain_id(text: str, memo: dict[str, DomainId]) -> DomainId:
 
 def _events(
     array: list, memo: dict, domain_memo: dict, known: dict[NodeId, object]
-) -> tuple[tuple[Event, ...], dict[int, DomainId], bool]:
-    """The events, each join's domain by event index, and whether all are sound.
+) -> tuple[tuple[Event, ...], dict[int, DomainId] | None]:
+    """The events, and each join's domain by event index if all are sound.
 
     One pass checks each event's shape and tests its meaning. Shape: a
     join or a snapshot, its items tested in order; a JSON path is
@@ -732,9 +756,13 @@ def _events(
     ``known``, and each peer is in ``known`` and named once in the join;
     a snapshot is sound when its label is new. Each join's node is added
     to ``known`` after its peers are tested, so a peer that is the node
-    itself fails the test. An unsound event only makes the result False:
+    itself fails the test. An unsound event only makes the domains None:
     ``Scenario`` reports it, after every fault of shape in the file (see
     ``_entries``).
+
+    These tests restate, for checked ids and numbers, the rules
+    ``Scenario._check_events`` enforces through ``_link_key``; a change
+    to either must be made to both.
     """
     events: list[Event] = []
     joins: dict[int, DomainId] = {}
@@ -797,7 +825,7 @@ def _events(
         known[node] = None
         joins[index] = domain
         events.append(AddNode(node, domain, tuple(links)))
-    return tuple(events), joins, sound
+    return tuple(events), joins if sound else None
 
 
 @_collector_paused()
@@ -925,7 +953,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
 
     # The initial nodes, then each join's node: a pin may name one.
     known: dict[NodeId, object] = order.copy()
-    events, joins, events_sound = _events(
+    events, joins = _events(
         _expect_array(top["events"], "events"), memo, domain_memo, known
     )
     k_override, pin_table, pins_sound = _entries(top, "k_override", memo, known)
@@ -964,9 +992,9 @@ def _scenario_from_raw(raw: object) -> Scenario:
         name, nodes, links, k_override, central, m_max, params, domain_k,
         events, tuple(polling_counts), tuple(models), flatbed_itinerary, notes,
     )
-    if sound and links_sound and events_sound and pins_sound:
+    if sound and links_sound and pins_sound and joins is not None:
         network = Network._of(order, link_table, pin_table)
-        return Scenario._loaded(network, *fields, known=known, joins=joins)
+        return Scenario._loaded(network, *fields, checked=(known, joins))
     # Scenario builds the network again and reports the first fault.
     try:
         return Scenario(*fields)

@@ -101,14 +101,6 @@ class TestSimulate:
         assert "snapshot" in out
         assert "after-first-split" in out
 
-    def test_one_parser_serves_every_call_and_keeps_no_options(self, capsys):
-        assert cli._build_parser() is cli._build_parser()
-        argv = ["simulate", "--scenario", "growth19"]
-        assert main([*argv, "--snapshots"]) == 0
-        assert "snapshot after-first-split" in capsys.readouterr().out
-        assert main(argv) == 0
-        assert "snapshot" not in capsys.readouterr().out
-
     def test_scenario_without_models_prints_tree(self, capsys):
         assert main(["simulate", "--scenario", "growth19"]) == 0
         out = capsys.readouterr().out

@@ -852,6 +852,10 @@ CODE_ERRORS = [
     (dict(links=((1, 2, 1), (2, 3, 1, 0))), "links[1]",
      "expected [a, b, coeff], got 4 items"),
     (dict(links=(5,)), "links[0]", "expected an array, got int"),
+    (dict(links=((1, 2), (2, 3, "x"))), "links[0]",
+     "expected [a, b, coeff], got 2 items"),
+    (dict(links=((1, 2, 1), (2, 3, 1)), k_override=((1, 2), (0, 2, 1))),
+     "k_override[0]", "expected [i, j, cost], got 2 items"),
     (dict(k_override=((1, 2),)), "k_override[0]", "expected [i, j, cost], got 2 items"),
     (dict(k_override=((1, 2, 1), None)), "k_override[1]",
      "expected an array, got NoneType"),
@@ -880,6 +884,29 @@ def test_a_node_of_the_wrong_type_made_in_code_raises_the_network_error(
 ):
     with pytest.raises(error) as info:
         replace(chain_in_code(), nodes=nodes)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    (dict(nodes=(1, "2"), links=((1, 2),)), TypeError,
+     "node id must be an int, got '2'"),
+    (dict(links=((1, 2, "x"), (2, 3))), TypeError, "link 1-2: not a number: 'x'"),
+    (dict(links=((1, "x", 1), (2, 3))), TypeError, "node id must be an int, got 'x'"),
+    (dict(k_override=((1, 2, "x"), (1, 2))), TypeError,
+     "k_override 1-2: not a number: 'x'"),
+    (dict(links=((1, 2, 1), (2, 3, 1)), k_override=((0, 2, 1), (1, 2))), ValueError,
+     "node id must be positive, got 0"),
+    # A link iterator is read by the build alone, so its fault is not named.
+    (dict(links=iter(((1, "x", 1),)), k_override=((1, 2),)), TypeError,
+     "node id must be an int, got 'x'"),
+    (dict(links=iter(((1, 2),))), ValueError,
+     "not enough values to unpack (expected 3, got 2)"),
+])
+def test_an_entry_of_the_wrong_form_made_in_code_does_not_hide_an_earlier_fault(
+    fields, error, message
+):
+    with pytest.raises(error) as info:
+        replace(chain_in_code(), **fields)
     assert (type(info.value), str(info.value)) == (error, message)
 
 
