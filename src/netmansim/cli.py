@@ -64,7 +64,11 @@ def _parse_pollings(text: str) -> tuple[int, ...]:
         raise ValidationError("--pollings", "expected a comma-separated count list")
     counts = []
     for part in parts:
+        # int() alone also takes "1_0", "+5" and non-ASCII digits such as "١٢".
+        digits = part.removeprefix("-")
         try:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(part)
             count = int(part, 10)
         except ValueError:
             raise ValidationError("--pollings", f"not an integer: {part!r}") from None

@@ -32,7 +32,9 @@ from .errors import (
     ValidationError,
 )
 from .hierarchy import DomainId, DomainState, ManagerTree
-from .topology import Network, NodeId, _check_node_id, _coeff, _link_key
+from .topology import (
+    _ENTRY_SHAPES, Network, NodeId, _check_node_id, _coeff, _link_key,
+)
 
 __all__ = [
     "MODEL_NAMES",
@@ -88,26 +90,26 @@ class Snapshot(Record):
 
 Event = Union[AddNode, Snapshot]
 
-# The nodes known once every join is in, initial ones first, and each
-# join's domain by event index: what sound events give.
-_CheckedEvents = tuple[dict[NodeId, object], dict[int, DomainId]]
+# What the loader's pass over a sound file gives: the network over its
+# tables, the nodes known once every join is in (initial ones first), and
+# each join's domain by event index.
+_Loaded = tuple[Network, dict[NodeId, object], dict[int, DomainId]]
 
 
 class Scenario(Record):
     """A fully validated scenario, ready to run.
 
     Making one checks every rule of its meaning, whether the loader or
-    other code makes it. Made in code, its ``network`` is built from
-    ``nodes``, ``links`` and ``k_override``, and raises what the
-    ``Network`` constructor raises: a ``TopologyError`` for a fault of
-    meaning, and a ``TypeError`` or ``ValueError`` for an entry of the
-    wrong type, such as a node ``"5"`` (``node id must be an int, got
-    '5'``) or a node 0 (``node id must be positive, got 0``). A
-    ``nodes`` that cannot be iterated, or a link or pin that is not a
-    triple (pins in a mapping or an iterator aside), raises the loader's
-    ``ValidationError`` instead (``nodes: expected an array, got
-    NoneType``, ``links[0]: expected [a, b, coeff], got 2 items``).
-    Either way the first entry at fault is named.
+    other code makes it. Made in code, ``nodes`` and ``links`` must be
+    sequences, and ``k_override`` a sequence, a mapping or ``None``;
+    another kind raises ``ValidationError`` at the field (``nodes:
+    expected an array, got NoneType``). Its ``network`` is then built
+    from them, and raises what the ``Network`` constructor raises for
+    the first entry at fault: a ``TopologyError`` for an entry of the
+    wrong form (``links[0]: expected [a, b, coeff], got 2 items``) or
+    meaning, and a ``TypeError`` or ``ValueError`` for an id or number
+    of the wrong type, such as a node ``"5"`` (``node id must be an
+    int, got '5'``) or a node 0 (``node id must be positive, got 0``).
     Then ``ValidationError``, with the JSON path of the fault, is raised
     unless:
 
@@ -148,7 +150,8 @@ class Scenario(Record):
     ``load_scenario``). It hands the network, the nodes known by the
     end and the join domains to ``_loaded``, which checks every other
     rule. A file with a fault in its nodes, links, pins or events is
-    made through this constructor, so the fault reads as it does here.
+    made through this constructor, so the fault reads as it does here,
+    and a ``TopologyError`` becomes a ``ValidationError`` at its entry.
     """
 
     __slots__ = (
@@ -173,45 +176,36 @@ class Scenario(Record):
         ))
 
     @classmethod
-    def _loaded(
-        cls, network: Network, *fields: object, checked: _CheckedEvents | None = None
-    ) -> "Scenario":
-        """The scenario of ``fields``, in ``_fields`` order, over ``network``.
+    def _loaded(cls, loaded: _Loaded, *fields: object) -> "Scenario":
+        """The scenario of ``fields``, in ``_fields`` order, over ``loaded``.
 
-        The loader has built ``network`` from the ``links`` and
-        ``k_override`` among the fields, and found every link and pin
-        sound and every pinned id initial or joining. So neither the
-        network nor the pins are checked again. Given ``checked``, what
-        the loader's pass over sound events found (see ``_events``), the
-        events are not walked again either. Every other rule is checked,
-        in the order ``__init__`` checks it.
+        The loader has built the network of ``loaded`` from the ``links``
+        and ``k_override`` among the fields, found every link and pin
+        sound and every pinned id initial or joining, and tested every
+        event (see ``_events``). So none of these is checked again. Every
+        other rule is checked, in the order ``__init__`` checks it.
         """
         scenario = cls.__new__(cls)
-        scenario._fill(fields, network, checked)
+        scenario._fill(fields, loaded)
         return scenario
 
-    def _fill(
-        self, fields: tuple, network: Network | None = None,
-        checked: _CheckedEvents | None = None,
-    ) -> None:
+    def _fill(self, fields: tuple, loaded: _Loaded | None = None) -> None:
         """Set the fields and ``network``; check every other rule.
 
-        Without a ``network``, build it from the fields and check the
-        pins. Without ``checked``, check the events, which give the known
-        nodes and the join domains; with it, the events are sound.
+        Without ``loaded``, check the kinds of ``nodes``, ``links`` and
+        ``k_override``, build the network from them, and check the events
+        and pins.
         """
         for field, value in zip(self._fields, fields):
             object.__setattr__(self, field, value)
-        built = network is None
-        if built:
-            try:
-                network = Network(self.nodes, self.links, self.k_override)
-            except TopologyError:
-                raise
-            except (TypeError, ValueError):
-                # An entry of the wrong form is named as the loader names it.
-                _check_network_form(self.nodes, self.links, self.k_override)
-                raise
+        if loaded is None:
+            _expect_array(self.nodes, "nodes", Sequence)
+            _expect_array(self.links, "links", Sequence)
+            pin_kinds = (Sequence, Mapping, type(None))
+            _expect_array(self.k_override, "k_override", pin_kinds)
+            network = Network(self.nodes, self.links, self.k_override)
+        else:
+            network, known, joins = loaded
         object.__setattr__(self, "network", network)
         _check_name(self.name)
         _expect_int(self.central, "central", minimum=1)
@@ -228,12 +222,9 @@ class Scenario(Record):
         if self.central not in network._order:
             message = f"central node {self.central} is not in nodes"
             raise ValidationError("central", message)
-        if checked is None:
+        if loaded is None:
             known = dict.fromkeys(self.nodes)
             joins = self._check_events(known)
-        else:
-            known, joins = checked
-        if built:
             self._check_pins(known)
         self._check_itinerary(known)
         self._check_domains(joins)
@@ -306,8 +297,10 @@ class Scenario(Record):
         return joins
 
     def _check_pins(self, known: dict[NodeId, None]) -> None:
-        """Every pinned id is ``known``, in triples or a mapping by pair."""
+        """Every pinned id is ``known``, in triples, a mapping by pair or None."""
         pins = self.k_override
+        if pins is None:
+            return
         keyed = isinstance(pins, Mapping)
         if keyed:
             pins = [(a, b, cost) for (a, b), cost in pins.items()]
@@ -322,9 +315,7 @@ class Scenario(Record):
         itinerary = self.flatbed_itinerary
         if itinerary is None:
             return
-        if not isinstance(itinerary, Sequence):  # it is indexed below
-            message = f"expected an array, got {type(itinerary).__name__}"
-            raise ValidationError("flatbed_itinerary", message)
+        _expect_array(itinerary, "flatbed_itinerary", Sequence)  # indexed below
         _check_ints(itinerary, "flatbed_itinerary", 1)
         stops: set[NodeId] = set()
         for index, stop in enumerate(itinerary):
@@ -515,8 +506,8 @@ def _expect_object(value: object, path: str) -> dict:
     return value
 
 
-def _expect_array(value: object, path: str) -> list:
-    if not isinstance(value, list):
+def _expect_array(value: object, path: str, kinds: type | tuple = list) -> list:
+    if not isinstance(value, kinds):
         raise ValidationError(path, f"expected an array, got {type(value).__name__}")
     return value
 
@@ -556,54 +547,6 @@ def _check_ints(values: object, where: str, minimum: int) -> None:
     for index, value in enumerate(_iterate(values, where)):
         if not (type(value) is int and value >= minimum):
             _expect_int(value, f"{where}[{index}]", minimum=minimum)
-
-
-# The form of a link and of a pin, as a file writes them.
-_ENTRY_SHAPES = {"links": "[a, b, coeff]", "k_override": "[i, j, cost]"}
-
-
-def _check_network_form(nodes: object, links: object, pins: object) -> None:
-    """Raise the loader's error if ``Network`` failed on an entry's form.
-
-    ``Network`` reads the nodes, then each link, then each pin, and
-    unpacks a link or pin before it checks its ids and number. It has
-    raised a ``TypeError`` or ``ValueError``, so every entry before the
-    one it failed on is sound. The walk stops at the first entry whose
-    form, ids or number is at fault, and raises only for a fault of
-    form: a node list that cannot be iterated, or a link or pin that is
-    not an array of three. A bad id or number is left to ``Network``'s
-    own error, and so are a mapping of pins, keyed by pair, and an
-    iterator, which the build has read already.
-    """
-    iterator = _iterate(nodes, "nodes")
-    if iterator is nodes:
-        return
-    for node in iterator:
-        try:
-            _check_node_id(node)
-        except (TypeError, ValueError):
-            return
-    pins = () if pins is None or isinstance(pins, Mapping) else pins
-    for where, entries in (("links", links), ("k_override", pins)):
-        iterator = _iterate(entries, where)
-        if iterator is entries:
-            return
-        for index, entry in enumerate(iterator):
-            try:
-                size = len(entry)
-            except TypeError:
-                _iterate(entry, f"{where}[{index}]")
-                return  # an iterable with no length, read as Network reads it
-            if size != 3:
-                message = f"expected {_ENTRY_SHAPES[where]}, got {size} items"
-                raise ValidationError(f"{where}[{index}]", message)
-            a, b, value = entry
-            try:
-                _check_node_id(a)
-                _check_node_id(b)
-                _coeff(value, where, a, b)
-            except (TypeError, ValueError):
-                return
 
 
 def _check_models(models: object) -> None:
@@ -994,7 +937,7 @@ def _scenario_from_raw(raw: object) -> Scenario:
     )
     if sound and links_sound and pins_sound and joins is not None:
         network = Network._of(order, link_table, pin_table)
-        return Scenario._loaded(network, *fields, checked=(known, joins))
+        return Scenario._loaded((network, known, joins), *fields)
     # Scenario builds the network again and reports the first fault.
     try:
         return Scenario(*fields)

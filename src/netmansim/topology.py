@@ -43,7 +43,11 @@ made. ``add_node``, ``add_link`` and ``Network._joined``, which adds a
 batch of checked joins in one version, copy the table they change and
 may share the other with the version they were made from.
 
-The constructor checks each link with ``_link_key`` and ``_coeff``, as
+The constructor unpacks each link and pin as it reads it, and each key
+of a pin mapping into a pair. An entry of the wrong form raises a
+``TopologyError`` whose ``entry`` names it, in a scenario file's
+wording (``_ENTRY_SHAPES``): ``links[0]: expected [a, b, coeff], got 2
+items``. It then checks each link with ``_link_key`` and ``_coeff``, as
 ``add_link`` does, and each pin with ``_check_node_id`` and ``_coeff``.
 A loaded scenario does not call it: the loader checks each link and pin
 of the file as it reads it, and hands the tables it filled to
@@ -63,6 +67,7 @@ from .errors import (
     DuplicateNode,
     NegativeCoeff,
     SelfLink,
+    TopologyError,
     Unreachable,
     UnknownNode,
 )
@@ -81,6 +86,19 @@ OverrideSpec = Union[
     Mapping[tuple[NodeId, NodeId], NumberLike],
     Iterable[tuple[NodeId, NodeId, NumberLike]],
 ]
+
+
+# The form of a link and of a pin, as a scenario file writes them.
+_ENTRY_SHAPES = {"links": "[a, b, coeff]", "k_override": "[i, j, cost]"}
+
+
+def _form_error(entry: object, shape: str, where: str) -> TopologyError:
+    """The error for ``entry``, named ``where``, that does not unpack as ``shape``."""
+    try:
+        message = f"expected {shape}, got {len(entry)} items"
+    except TypeError:
+        message = f"expected an array, got {type(entry).__name__}"
+    return TopologyError(message, where)
 
 
 def _coeff(value: NumberLike, kind: str, a: NodeId, b: NodeId) -> Fraction:
@@ -342,7 +360,9 @@ class Network:
     each node or link fault alike, as ``unknown node N`` for one. The
     constructor checks each link with the checks ``add_link`` uses (see
     the module docstring), so both raise the same error for the same
-    entry.
+    entry. A link or pin that is not a triple, or a key of a pin mapping
+    that is not a pair, raises a ``TopologyError`` whose ``entry`` names
+    it, such as ``"links[0]"`` or ``"k_override[(1,)]"``.
 
     Networks compare by nodes, links and pins, and have no hash. Each
     version also owns a path engine, built on its first path search and
@@ -360,31 +380,43 @@ class Network:
     ) -> None:
         order = _node_order(nodes)
         link_map: dict[Pair, Fraction] = {}
-        for index, (a, b, value) in enumerate(links):
+        for index, link in enumerate(links):
+            try:
+                a, b, value = link
+            except (TypeError, ValueError):
+                shape = _ENTRY_SHAPES["links"]
+                raise _form_error(link, shape, f"links[{index}]") from None
             key = _link_key(a, b, order, link_map, index)
             link_map[key] = _coeff(value, "link", a, b)
 
         override_map: dict[Pair, Fraction] = {}
-        if k_override is not None:
-            items: Iterable[tuple[NodeId, NodeId, NumberLike]]
-            keyed = isinstance(k_override, Mapping)
+        keyed = isinstance(k_override, Mapping)
+        pins = () if k_override is None else k_override.items() if keyed else k_override
+        for index, pin in enumerate(pins):
             if keyed:
-                items = ((a, b, v) for (a, b), v in k_override.items())
+                pair, value = pin
+                try:
+                    a, b = pair
+                except (TypeError, ValueError):
+                    raise _form_error(pair, "(i, j)", f"k_override[{pair!r}]") from None
             else:
-                items = k_override
-            for index, (a, b, value) in enumerate(items):
-                # Ids of nodes still to join pass here too.
-                _check_node_id(a)
-                _check_node_id(b)
-                key = (a, b) if a <= b else (b, a)
-                cost = _coeff(value, "k_override", a, b)
-                if a == b and cost != 0:
-                    entry = f"k_override[{(a, b) if keyed else index}]"
-                    raise SelfLink("a node's cost to itself must be 0", entry)
-                if key in override_map:
-                    entry = f"k_override[{(a, b) if keyed else index}]"
-                    raise DuplicateLink(f"duplicate pair {key[0]}-{key[1]}", entry)
-                override_map[key] = cost
+                try:
+                    a, b, value = pin
+                except (TypeError, ValueError):
+                    shape = _ENTRY_SHAPES["k_override"]
+                    raise _form_error(pin, shape, f"k_override[{index}]") from None
+            # Ids of nodes still to join pass here too.
+            _check_node_id(a)
+            _check_node_id(b)
+            key = (a, b) if a <= b else (b, a)
+            cost = _coeff(value, "k_override", a, b)
+            if a == b and cost != 0:
+                entry = f"k_override[{(a, b) if keyed else index}]"
+                raise SelfLink("a node's cost to itself must be 0", entry)
+            if key in override_map:
+                entry = f"k_override[{(a, b) if keyed else index}]"
+                raise DuplicateLink(f"duplicate pair {key[0]}-{key[1]}", entry)
+            override_map[key] = cost
 
         self._order = order
         self._links = link_map

@@ -154,12 +154,20 @@ class TestSimulate:
             assert message in capsys.readouterr().err
 
     def test_bad_pollings_argument(self, capsys):
-        for value in ("-1", "x", ""):
+        for value in ("-1", "x", "", "1_0", "+5", "١٢"):
             code = main(
                 ["simulate", "--scenario", "reference18", "--pollings", value]
             )
             assert code == 1
             assert "--pollings" in capsys.readouterr().err
+        for value, message in (
+            ("-1", "--pollings: must be non-negative: -1"),
+            ("1_0", "--pollings: not an integer: '1_0'"),
+            ("+5", "--pollings: not an integer: '+5'"),
+            ("١٢", "--pollings: not an integer: '١٢'"),
+        ):
+            main(["simulate", "--scenario", "reference18", "--pollings", value])
+            assert message in capsys.readouterr().err
 
     def test_malformed_file_is_validation_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.scenario.json"

@@ -30,6 +30,7 @@ from netmansim import (
     SimulationState,
     Snapshot,
     SnapshotRecord,
+    TopologyError,
     UnknownDomain,
     UnknownNode,
     ValidationError,
@@ -848,17 +849,14 @@ CODE_ERRORS = [
     (dict(domain_k=[("1", 1)]), "domain_k", "expected an object, got list"),
     (dict(nodes=None), "nodes", "expected an array, got NoneType"),
     (dict(links=None), "links", "expected an array, got NoneType"),
-    (dict(links=((1, 2),)), "links[0]", "expected [a, b, coeff], got 2 items"),
-    (dict(links=((1, 2, 1), (2, 3, 1, 0))), "links[1]",
-     "expected [a, b, coeff], got 4 items"),
-    (dict(links=(5,)), "links[0]", "expected an array, got int"),
-    (dict(links=((1, 2), (2, 3, "x"))), "links[0]",
-     "expected [a, b, coeff], got 2 items"),
-    (dict(links=((1, 2, 1), (2, 3, 1)), k_override=((1, 2), (0, 2, 1))),
-     "k_override[0]", "expected [i, j, cost], got 2 items"),
-    (dict(k_override=((1, 2),)), "k_override[0]", "expected [i, j, cost], got 2 items"),
-    (dict(k_override=((1, 2, 1), None)), "k_override[1]",
-     "expected an array, got NoneType"),
+    (dict(nodes={1, 2, 3, 4, 5}), "nodes", "expected an array, got set"),
+    (dict(nodes=iter((1, 2, 3, 4, 5))), "nodes",
+     "expected an array, got tuple_iterator"),
+    (dict(k_override=5), "k_override", "expected an array, got int"),
+    # A field of the wrong kind comes before a fault in another's entries.
+    (dict(nodes=(1, "2"), links=None), "links", "expected an array, got NoneType"),
+    (dict(links=((1, 2),), k_override=iter(())), "k_override",
+     "expected an array, got tuple_iterator"),
     # Two faults: a file reports the join first (see TWO_FAULT_ERRORS).
     (dict(events=(AddNode(0, DomainId.parse("1")),), polling_counts=(-1,)),
      "polling_counts[0]", "must be at least 0, got -1"),
@@ -872,6 +870,45 @@ def test_a_field_of_the_wrong_type_made_in_code_is_named_by_its_path(
     with pytest.raises(ValidationError) as info:
         replace(chain_in_code(), **fields)
     assert (info.value.path, info.value.message) == (path, message)
+
+
+# Network entries of the wrong form, made in code, with the exact
+# (entry, message) of the TopologyError the Network constructor raises;
+# the loader raises a ValidationError at the same path for a file's.
+CODE_FORM_ERRORS = [
+    (dict(links=((1, 2),)), "links[0]", "expected [a, b, coeff], got 2 items"),
+    (dict(links=((1, 2, 1), (2, 3, 1, 0))), "links[1]",
+     "expected [a, b, coeff], got 4 items"),
+    (dict(links=(5,)), "links[0]", "expected an array, got int"),
+    (dict(links=((1, 2), (2, 3, "x"))), "links[0]",
+     "expected [a, b, coeff], got 2 items"),
+    (dict(links=((1, 2, 1), (2, 3, 1)), k_override=((1, 2), (0, 2, 1))),
+     "k_override[0]", "expected [i, j, cost], got 2 items"),
+    (dict(k_override=((1, 2),)), "k_override[0]", "expected [i, j, cost], got 2 items"),
+    (dict(k_override=((1, 2, 1), None)), "k_override[1]",
+     "expected an array, got NoneType"),
+    (dict(k_override={(1,): 1}), "k_override[(1,)]", "expected (i, j), got 1 items"),
+    (dict(k_override={(1, 2): 1, 5: 1}), "k_override[5]",
+     "expected an array, got int"),
+]
+
+
+@pytest.mark.parametrize("fields, entry, message", CODE_FORM_ERRORS)
+def test_an_entry_of_the_wrong_form_made_in_code_raises_the_network_error(
+    fields, entry, message
+):
+    with pytest.raises(TopologyError) as info:
+        replace(chain_in_code(), **fields)
+    assert (type(info.value), info.value.entry, str(info.value)) == (
+        TopologyError, entry, message
+    )
+
+
+def test_a_scenario_made_in_code_reads_no_pins_as_none():
+    scenario = replace(chain_in_code(), k_override=None)
+    assert scenario.k_override is None
+    assert scenario.network.k_override == {}
+    assert run(scenario).per_poll == run(chain_in_code()).per_poll
 
 
 # The Network constructor's own errors, which Scenario lets through.
@@ -896,11 +933,11 @@ def test_a_node_of_the_wrong_type_made_in_code_raises_the_network_error(
      "k_override 1-2: not a number: 'x'"),
     (dict(links=((1, 2, 1), (2, 3, 1)), k_override=((0, 2, 1), (1, 2))), ValueError,
      "node id must be positive, got 0"),
-    # A link iterator is read by the build alone, so its fault is not named.
-    (dict(links=iter(((1, "x", 1),)), k_override=((1, 2),)), TypeError,
-     "node id must be an int, got 'x'"),
-    (dict(links=iter(((1, 2),))), ValueError,
-     "not enough values to unpack (expected 3, got 2)"),
+    # A link iterator would be used up by the build, so it is refused first.
+    (dict(links=iter(((1, "x", 1),)), k_override=((1, 2),)), ValidationError,
+     "links: expected an array, got tuple_iterator"),
+    (dict(links=iter(((1, 2),))), ValidationError,
+     "links: expected an array, got tuple_iterator"),
 ])
 def test_an_entry_of_the_wrong_form_made_in_code_does_not_hide_an_earlier_fault(
     fields, error, message
@@ -994,7 +1031,7 @@ def test_scenarios_over_networks_built_in_another_order_are_equal():
     scenario = chain_in_code()
     fields = [getattr(scenario, name) for name in Scenario._fields]
     network = Network(scenario.nodes[::-1], scenario.links[::-1])
-    other = Scenario._loaded(network, *fields)
+    other = Scenario._loaded((network, dict.fromkeys(scenario.nodes), {}), *fields)
     assert list(other.network.links) == list(scenario.network.links)
     assert list(other.network._order) != list(scenario.network._order)
     assert other == scenario
