@@ -64,10 +64,12 @@ def _parse_pollings(text: str) -> tuple[int, ...]:
         raise ValidationError("--pollings", "expected a comma-separated count list")
     counts = []
     for part in parts:
-        # int() alone also takes "1_0", "+5" and non-ASCII digits such as "١٢".
+        # int() alone also takes "1_0", "+5", "05" and non-ASCII digits
+        # such as "١٢", none of which a scenario file can write.
         digits = part.removeprefix("-")
         try:
-            if not (digits.isascii() and digits.isdigit()):
+            leading_zero = len(digits) > 1 and digits[0] == "0"
+            if leading_zero or not (digits.isascii() and digits.isdigit()):
                 raise ValueError(part)
             count = int(part, 10)
         except ValueError:

@@ -31,7 +31,8 @@ class TopologyError(NetmanError):
     """Problem with the managed network graph.
 
     ``entry`` names the rejected entry of ``Network``'s arguments as an
-    expression on them, ``"links[3][1]"`` or ``"k_override[(1, 2)]"``, or is None.
+    expression on them, ``"links[3][1]"`` or ``"k_override[(1, 2)]"``, or
+    of a join's node and links (``"node"``, ``"links[0][1]"``), or is None.
     """
 
     def __init__(self, message: str, entry: str | None = None) -> None:

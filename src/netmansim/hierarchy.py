@@ -93,17 +93,6 @@ class DomainId(Record):
     def __str__(self) -> str:
         return ".".join(map(str, self.path))
 
-    @property
-    def parent(self) -> "DomainId | None":
-        if len(self.path) == 1:
-            return None
-        return DomainId._unchecked(self.path[:-1])
-
-    def child(self, index: int) -> "DomainId":
-        if isinstance(index, bool) or not isinstance(index, int) or index < 1:
-            return DomainId(self.path + (index,))  # raises the usual error
-        return DomainId._unchecked(self.path + (index,))
-
 
 # A record made on every join or snapshot sets its fields through its
 # slot descriptors, past Record.__setattr__, at about half the cost of

@@ -33,7 +33,8 @@ from .errors import (
 )
 from .hierarchy import DomainId, DomainState, ManagerTree
 from .topology import (
-    _ENTRY_SHAPES, Network, NodeId, _check_node_id, _coeff, _link_key,
+    _ENTRY_SHAPES, Network, NodeId, _check_node_id, _coeff, _form_error,
+    _iter_array, _link_key,
 )
 
 __all__ = [
@@ -110,6 +111,8 @@ class Scenario(Record):
     meaning, and a ``TypeError`` or ``ValueError`` for an id or number
     of the wrong type, such as a node ``"5"`` (``node id must be an
     int, got '5'``) or a node 0 (``node id must be positive, got 0``).
+    A join's node, peer or coefficient of the wrong type raises the same
+    way (see ``_join_links``).
     Then ``ValidationError``, with the JSON path of the fault, is raised
     unless:
 
@@ -232,57 +235,23 @@ class Scenario(Record):
     def _check_events(self, known: dict[NodeId, None]) -> dict[int, DomainId]:
         """Check each event's type, join and label; add joins to ``known``.
 
-        Returns the domain of each join, keyed by its event index.
+        A join's ``TopologyError`` from ``_join_links`` becomes a
+        ``ValidationError`` at its entry. Returns the domain of each join,
+        keyed by its event index.
         """
         joins: dict[int, DomainId] = {}
         labels: set[str] = set()
         for index, event in enumerate(_iterate(self.events, "events")):
             if isinstance(event, AddNode):
-                node = event.node
-                if not (type(node) is int and node > 0):
-                    _expect_int(node, f"events[{index}].add_node.node", minimum=1)
-                if node in known:
-                    path = f"events[{index}].add_node.node"
-                    raise ValidationError(path, f"duplicate node {node}")
-                known[node] = None
+                path = f"events[{index}].add_node"
                 if not isinstance(event.domain, DomainId):
-                    path = f"events[{index}].add_node.domain"
                     message = f"expected a DomainId, got {event.domain!r}"
-                    raise ValidationError(path, message)
+                    raise ValidationError(f"{path}.domain", message)
                 try:
-                    links = iter(event.links)
-                except TypeError:
-                    path = f"events[{index}].add_node.links"
-                    message = f"expected an array, got {type(event.links).__name__}"
-                    raise ValidationError(path, message) from None
-                taken: set[tuple[NodeId, NodeId]] = set()  # this join's links
-                for peer_index, link in enumerate(links):
-                    try:
-                        peer, coeff = link
-                    except (TypeError, ValueError):
-                        path = f"events[{index}].add_node.links[{peer_index}]"
-                        message = f"expected a (peer, coeff) pair, got {link!r}"
-                        raise ValidationError(path, message) from None
-                    if not (type(peer) is int and peer > 0):
-                        path = f"events[{index}].add_node.links[{peer_index}][0]"
-                        _expect_int(peer, path, minimum=1)
-                    try:
-                        taken.add(_link_key(node, peer, known, taken))
-                    except TopologyError as exc:
-                        path = f"events[{index}].add_node.links[{peer_index}][0]"
-                        raise ValidationError(path, str(exc)) from None
-                    # add_link's own check; a loaded join passes inline.
-                    if not (type(coeff) is Fraction and coeff.numerator >= 0):
-                        try:
-                            _coeff(coeff, "link", node, peer)
-                        except NegativeCoeff:
-                            path = f"events[{index}].add_node.links[{peer_index}][1]"
-                            message = f"must be non-negative, got {coeff}"
-                            raise ValidationError(path, message) from None
-                        except TypeError:
-                            path = f"events[{index}].add_node.links[{peer_index}][1]"
-                            message = f"expected a number, got {coeff!r}"
-                            raise ValidationError(path, message) from None
+                    _join_links(event.node, event.links, known)
+                except TopologyError as exc:
+                    raise ValidationError(f"{path}.{exc.entry}", str(exc)) from None
+                known[event.node] = None
                 joins[index] = event.domain
             elif isinstance(event, Snapshot):
                 if type(event.label) is not str:
@@ -703,9 +672,9 @@ def _events(
     ``Scenario`` reports it, after every fault of shape in the file (see
     ``_entries``).
 
-    These tests restate, for checked ids and numbers, the rules
-    ``Scenario._check_events`` enforces through ``_link_key``; a change
-    to either must be made to both.
+    These tests restate, for checked ids and numbers, the join rule of
+    ``_join_links`` and the label rule of ``Scenario._check_events``; a
+    change to either must be made to both.
     """
     events: list[Event] = []
     joins: dict[int, DomainId] = {}
@@ -948,31 +917,56 @@ def _scenario_from_raw(raw: object) -> Scenario:
 # -- engine -----------------------------------------------------------------
 
 
+def _join_links(
+    node: NodeId, links: Iterable, known: Container
+) -> tuple[tuple[NodeId, Fraction], ...]:
+    """``node``'s ``(peer, Fraction)`` links, checked by the join rule.
+
+    The rule: ``node`` is a valid id not in ``known``, and each link a
+    ``(peer, coeff)`` pair to a ``known`` peer, named once and never
+    ``node``, at a non-negative coefficient. A fault raises a
+    ``TopologyError`` whose ``entry`` names it within the join, such as
+    ``"node"`` or ``"links[0][1]"``; an id or number of the wrong type,
+    ``_check_node_id``'s or ``_coeff``'s ``TypeError`` or ``ValueError``.
+    """
+    _check_node_id(node)
+    if node in known:
+        raise DuplicateNode(f"duplicate node {node}", "node")
+    known = ChainMap({node: None}, known)  # so a link to node is a self-link
+    taken: set[tuple[NodeId, NodeId]] = set()
+    checked = []
+    for index, link in enumerate(_iter_array(links, "links")):
+        try:
+            peer, coeff = link
+        except (TypeError, ValueError):
+            raise _form_error(link, "[peer, coeff]", f"links[{index}]") from None
+        try:
+            taken.add(_link_key(node, peer, known, taken))
+            checked.append((peer, _coeff(coeff, "link", node, peer)))
+        except TopologyError as exc:  # a negative coeff, else the peer's fault
+            exc.entry = f"links[{index}][{1 if isinstance(exc, NegativeCoeff) else 0}]"
+            raise
+    return tuple(checked)
+
+
 def apply_event(state: SimulationState, event: Event) -> SimulationState:
     """Apply one event to the state, in place, and return the state.
 
-    AddNode checks the node and then each of its links as
-    ``Network.add_node`` and ``add_link`` would, raising their errors,
-    then hands the node to the hierarchy, which may clone a child
-    domain. Only once both steps have succeeded does the join wait for
-    the network (see ``SimulationState``), so a failed join leaves the
-    state as it was.
+    AddNode checks the join with ``_join_links``, the rule a ``Scenario``
+    checks its joins by, and raises its errors, whose ``entry`` names the
+    join's entry at fault (``"links[0][0]"``). It then hands the node to
+    the hierarchy, which may clone a child domain. Only once both steps
+    have succeeded does the join wait for the network (see
+    ``SimulationState``), so a failed join leaves the state as it was.
     Snapshot appends a record of the current hierarchy and changes
     nothing else.
     """
     if isinstance(event, AddNode):
-        node, waiting, order = event.node, state._waiting, state._network._order
-        _check_node_id(node)
-        if node in order or node in waiting:
-            raise DuplicateNode(f"duplicate node {node}")
-        known = ChainMap({node: None}, waiting, order)
-        taken: set[tuple[NodeId, NodeId]] = set()  # this join's links
-        links = []
-        for peer, coeff in event.links:
-            taken.add(_link_key(node, peer, known, taken))
-            links.append((peer, _coeff(coeff, "link", node, peer)))
-        state.tree.add_node_to_domain(node, event.domain)
-        waiting[node] = tuple(links)
+        waiting = state._waiting
+        known = ChainMap(waiting, state._network._order)
+        links = _join_links(event.node, event.links, known)
+        state.tree.add_node_to_domain(event.node, event.domain)
+        waiting[event.node] = links
     elif isinstance(event, Snapshot):
         state.snapshots.append(SnapshotRecord(event.label, state.tree.states()))
     else:

@@ -44,11 +44,13 @@ batch of checked joins in one version, copy the table they change and
 may share the other with the version they were made from.
 
 The constructor unpacks each link and pin as it reads it, and each key
-of a pin mapping into a pair. An entry of the wrong form raises a
-``TopologyError`` whose ``entry`` names it, in a scenario file's
-wording (``_ENTRY_SHAPES``): ``links[0]: expected [a, b, coeff], got 2
-items``. It then checks each link with ``_link_key`` and ``_coeff``, as
-``add_link`` does, and each pin with ``_check_node_id`` and ``_coeff``.
+of a pin mapping into a pair. An argument that cannot be iterated, or an
+entry of the wrong form, raises a ``TopologyError`` whose ``entry``
+names it, in a scenario file's wording (``_ENTRY_SHAPES``): ``links:
+expected an array, got NoneType``, ``links[0]: expected [a, b, coeff],
+got 2 items``. It then checks each link with ``_link_key`` and
+``_coeff``, as ``add_link`` does, and each pin with ``_check_node_id``
+and ``_coeff``.
 A loaded scenario does not call it: the loader checks each link and pin
 of the file as it reads it, and hands the tables it filled to
 ``Network._of``.
@@ -60,7 +62,7 @@ import heapq
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Container, Iterable, Mapping, Union
+from typing import Container, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     DuplicateLink,
@@ -99,6 +101,15 @@ def _form_error(entry: object, shape: str, where: str) -> TopologyError:
     except TypeError:
         message = f"expected an array, got {type(entry).__name__}"
     return TopologyError(message, where)
+
+
+def _iter_array(value: object, where: str) -> Iterator:
+    """``iter(value)``; a value that cannot be iterated raises at ``where``."""
+    try:
+        return iter(value)
+    except TypeError:
+        message = f"expected an array, got {type(value).__name__}"
+        raise TopologyError(message, where) from None
 
 
 def _coeff(value: NumberLike, kind: str, a: NodeId, b: NodeId) -> Fraction:
@@ -360,9 +371,10 @@ class Network:
     each node or link fault alike, as ``unknown node N`` for one. The
     constructor checks each link with the checks ``add_link`` uses (see
     the module docstring), so both raise the same error for the same
-    entry. A link or pin that is not a triple, or a key of a pin mapping
-    that is not a pair, raises a ``TopologyError`` whose ``entry`` names
-    it, such as ``"links[0]"`` or ``"k_override[(1,)]"``.
+    entry. An argument that cannot be iterated, a link or pin that is not
+    a triple, or a key of a pin mapping that is not a pair, raises a
+    ``TopologyError`` whose ``entry`` names it, such as ``"links"``,
+    ``"links[0]"`` or ``"k_override[(1,)]"``.
 
     Networks compare by nodes, links and pins, and have no hash. Each
     version also owns a path engine, built on its first path search and
@@ -378,9 +390,9 @@ class Network:
         links: Iterable[LinkSpec] = (),
         k_override: OverrideSpec | None = None,
     ) -> None:
-        order = _node_order(nodes)
+        order = _node_order(_iter_array(nodes, "nodes"))
         link_map: dict[Pair, Fraction] = {}
-        for index, link in enumerate(links):
+        for index, link in enumerate(_iter_array(links, "links")):
             try:
                 a, b, value = link
             except (TypeError, ValueError):
@@ -392,7 +404,7 @@ class Network:
         override_map: dict[Pair, Fraction] = {}
         keyed = isinstance(k_override, Mapping)
         pins = () if k_override is None else k_override.items() if keyed else k_override
-        for index, pin in enumerate(pins):
+        for index, pin in enumerate(_iter_array(pins, "k_override")):
             if keyed:
                 pair, value = pin
                 try:
@@ -473,10 +485,9 @@ class Network:
     ) -> "Network":
         """One new version with each ``(node, links)`` join added, in order.
 
-        The joins must be checked already, as ``Scenario`` and
-        ``apply_event`` check them: each node new, each ``(peer, coeff)``
-        link to a node known by then, each peer once and never the node
-        itself, at a non-negative coefficient. Only a coefficient that is
+        The joins must be checked already by the join rule of
+        ``simulation._join_links``, through which ``Scenario`` and
+        ``apply_event`` both pass each join. Only a coefficient that is
         not already a non-negative ``Fraction`` goes through ``_coeff``, so
         it is stored exactly as ``add_link`` stores it.
         """

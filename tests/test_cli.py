@@ -154,7 +154,7 @@ class TestSimulate:
             assert message in capsys.readouterr().err
 
     def test_bad_pollings_argument(self, capsys):
-        for value in ("-1", "x", "", "1_0", "+5", "١٢"):
+        for value in ("-1", "x", "", "1_0", "+5", "١٢", "05", "-05"):
             code = main(
                 ["simulate", "--scenario", "reference18", "--pollings", value]
             )
@@ -165,9 +165,15 @@ class TestSimulate:
             ("1_0", "--pollings: not an integer: '1_0'"),
             ("+5", "--pollings: not an integer: '+5'"),
             ("١٢", "--pollings: not an integer: '١٢'"),
+            ("05", "--pollings: not an integer: '05'"),
+            ("-05", "--pollings: not an integer: '-05'"),
         ):
             main(["simulate", "--scenario", "reference18", "--pollings", value])
             assert message in capsys.readouterr().err
+        # a lone zero is a count a scenario file can write
+        code = main(["simulate", "--scenario", "reference18", "--pollings", "0,10"])
+        assert code == 0
+        assert "\n      0 " in capsys.readouterr().out
 
     def test_malformed_file_is_validation_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.scenario.json"

@@ -158,7 +158,7 @@ def small_hierarchy() -> tuple[Network, ManagerTree]:
     net = Network(nodes=[1, 2, 3, 4], links=[(1, 2, 1), (1, 3, 5), (3, 4, 1)])
     tree = ManagerTree.initial_partition([1, 2], 2, 1)
     tree.add_node_to_domain(3, ROOT_DOMAIN)
-    tree.add_node_to_domain(4, ROOT_DOMAIN.child(1))
+    tree.add_node_to_domain(4, DomainId(ROOT_DOMAIN.path + (1,)))
     assert [d.members for d in tree.domains()] == [(1, 2), (3, 4)]
     return net, tree
 

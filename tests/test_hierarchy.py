@@ -69,21 +69,7 @@ class TestDomainId:
         with pytest.raises(ValueError):
             DomainId((1, "2"))
 
-    def test_child_checks_its_index(self):
-        with pytest.raises(ValueError, match=r"must be positive: \(1, 2, 0\)"):
-            did("1.2").child(0)
-        with pytest.raises(ValueError, match=r"must be ints: \(1, True\)"):
-            did("1").child(True)
-        with pytest.raises(ValueError, match="must be ints"):
-            did("1").child("3")
-        assert did("1.2").child(3).path == (1, 2, 3)
-        assert did("1.2.3").parent.path == (1, 2)
-
-    def test_parent_and_child(self):
-        node = did("1.3.1")
-        assert node.parent == did("1.3")
-        assert did("1").parent is None
-        assert did("1.3").child(2) == did("1.3.2")
+    def test_root_domain(self):
         assert ROOT_DOMAIN == did("1")
 
     def test_ordering_is_depth_first(self):
@@ -307,7 +293,7 @@ def check_tree_invariants(tree: ManagerTree, expected_nodes: set[int]) -> None:
     assert [d.id for d in tree.domains()] == ids
     assert [
         (mother.id, child.id) for mother, child in parent_links(tree)
-    ] == [(d.parent, d) for d in ids if d.parent is not None]
+    ] == [(DomainId(d.path[:-1]), d) for d in ids if len(d.path) > 1]
     members_seen: list[int] = []
     for domain in tree.domains():
         members_seen.extend(domain.members)
@@ -318,7 +304,7 @@ def check_tree_invariants(tree: ManagerTree, expected_nodes: set[int]) -> None:
         if parent is None:
             assert domain.id == ROOT_DOMAIN
         else:
-            assert domain.id.parent == parent
+            assert domain.id.path[:-1] == parent.path
         children = tree.children_of(domain.id)
         assert [c.path[-1] for c in children] == list(range(1, len(children) + 1))
     assert len(members_seen) == len(set(members_seen))
@@ -434,7 +420,7 @@ def test_the_count_only_replay_matches_the_tree(case, stray):
         targets = tree.domain_ids()
         target = targets[choice % len(targets)]
         if len(joins) == stray:
-            target = target.child(len(tree.children_of(target)) + 1)
+            target = DomainId(target.path + (len(tree.children_of(target)) + 1,))
         joins.append(target)
         try:
             tree.add_node_to_domain(node, target)
@@ -476,7 +462,7 @@ def test_chain_deeper_than_the_recursion_limit():
     for node in range(3, 2003):
         tree.add_node_to_domain(node, deepest)
         events.append(AddNode(node, deepest))
-        deepest = deepest.child(1)
+        deepest = DomainId(deepest.path + (1,))
         names.append(names[-1] + ".1")
     assert len(tree.domains()) == 2002
     check_tree_invariants(tree, set(range(1, 2003)))

@@ -20,7 +20,10 @@ from netmansim import (
     CostParams,
     DomainId,
     DomainState,
+    DuplicateLink,
+    DuplicateNode,
     ManagerTree,
+    NegativeCoeff,
     Network,
     ParseError,
     ROOT_DOMAIN,
@@ -704,9 +707,6 @@ PARITY = [
     (dict(events=[join(6, "1", [[6, 1]])]),
      dict(events=(AddNode(6, DomainId.parse("1"), ((6, Fraction(1)),)),)),
      "events[0].add_node.links[0][0]", "link joins node 6 to itself"),
-    (dict(events=[join(6, "1", [[1, -1]])]),
-     dict(events=(AddNode(6, DomainId.parse("1"), ((1, Fraction(-1)),)),)),
-     "events[0].add_node.links[0][1]", "must be non-negative, got -1"),
     (dict(k_override=[[1, 9, 1]]), dict(k_override=((1, 9, Fraction(1)),)),
      "k_override[0][1]", "unknown node 9"),
     (dict(nodes=[], links=[]), dict(nodes=(), links=()), "nodes", "must not be empty"),
@@ -804,19 +804,12 @@ CODE_ERRORS = [
     (dict(events=(AddNode(6, "1"),)), "events[0].add_node.domain",
      "expected a DomainId, got '1'"),
     (dict(events=(AddNode(6, DomainId.parse("1"), ((1, 1), (2,))),)),
-     "events[0].add_node.links[1]", "expected a (peer, coeff) pair, got (2,)"),
+     "events[0].add_node.links[1]", "expected [peer, coeff], got 1 items"),
     (dict(events=(AddNode(6, DomainId.parse("1"), (5,)),)),
-     "events[0].add_node.links[0]", "expected a (peer, coeff) pair, got 5"),
-    (dict(events=(AddNode("6", DomainId.parse("1")),)),
-     "events[0].add_node.node", "expected an integer, got '6'"),
-    (dict(events=(AddNode(0, DomainId.parse("1")),)),
-     "events[0].add_node.node", "must be at least 1, got 0"),
-    (dict(events=(AddNode(6, DomainId.parse("1"), ((5, 1), (1, "x"))),)),
-     "events[0].add_node.links[1][1]", "expected a number, got 'x'"),
-    (dict(events=(AddNode(6, DomainId.parse("1"), ((1, None),)),)),
-     "events[0].add_node.links[0][1]", "expected a number, got None"),
-    (dict(events=(AddNode(6, DomainId.parse("1"), (("5", 1),)),)),
-     "events[0].add_node.links[0][0]", "expected an integer, got '5'"),
+     "events[0].add_node.links[0]", "expected an array, got int"),
+    # A file cannot hold a negative Fraction: its loader words -1 itself.
+    (dict(events=(AddNode(6, DomainId.parse("1"), ((1, Fraction(-1)),)),)),
+     "events[0].add_node.links[0][1]", "link 6-1: Fraction(-1, 1) is negative"),
     (dict(events=(AddNode(6, DomainId.parse("1"), None),)),
      "events[0].add_node.links", "expected an array, got NoneType"),
     (dict(central=True), "central", "expected an integer, got True"),
@@ -870,6 +863,70 @@ def test_a_field_of_the_wrong_type_made_in_code_is_named_by_its_path(
     with pytest.raises(ValidationError) as info:
         replace(chain_in_code(), **fields)
     assert (info.value.path, info.value.message) == (path, message)
+
+
+# One join fault each, after the joins before it, on the chain's nodes 1
+# to 5, with the class, entry and message of the join step's error. A
+# value of the wrong type raises a TypeError or ValueError, with no entry.
+STEP_FAULTS = {
+    "repeated node": ((), AddNode(3, ROOT_DOMAIN), DuplicateNode, "node",
+                      "duplicate node 3"),
+    "node of an earlier join": ((AddNode(6, ROOT_DOMAIN),), AddNode(6, ROOT_DOMAIN),
+                                DuplicateNode, "node", "duplicate node 6"),
+    "unknown peer": ((), AddNode(6, ROOT_DOMAIN, ((1, 1), (9, 1))), UnknownNode,
+                     "links[1][0]", "unknown node 9"),
+    "self-link": ((), AddNode(6, ROOT_DOMAIN, ((1, 1), (6, 1))), SelfLink,
+                  "links[1][0]", "link joins node 6 to itself"),
+    "repeated peer": ((), AddNode(6, ROOT_DOMAIN, ((1, 1), (1, 2))), DuplicateLink,
+                      "links[1][0]", "duplicate link 1-6"),
+    "peer of an earlier join, twice": (
+        (AddNode(6, ROOT_DOMAIN),), AddNode(7, ROOT_DOMAIN, ((6, 1), (6, 1))),
+        DuplicateLink, "links[1][0]", "duplicate link 6-7",
+    ),
+    "not a pair": ((), AddNode(6, ROOT_DOMAIN, ((1, 1), (2,))), TopologyError,
+                   "links[1]", "expected [peer, coeff], got 1 items"),
+    "not an array": ((), AddNode(6, ROOT_DOMAIN, (5,)), TopologyError, "links[0]",
+                     "expected an array, got int"),
+    "links not an array": ((), AddNode(6, ROOT_DOMAIN, None), TopologyError,
+                           "links", "expected an array, got NoneType"),
+    "negative coefficient": ((), AddNode(6, ROOT_DOMAIN, ((1, 1), (2, "-1/2"))),
+                             NegativeCoeff, "links[1][1]",
+                             "link 6-2: '-1/2' is negative"),
+    "node of the wrong type": ((), AddNode("6", ROOT_DOMAIN), TypeError, None,
+                               "node id must be an int, got '6'"),
+    "node 0": ((), AddNode(0, ROOT_DOMAIN), ValueError, None,
+               "node id must be positive, got 0"),
+    "peer of the wrong type": ((), AddNode(6, ROOT_DOMAIN, (("5", 1),)), TypeError,
+                               None, "node id must be an int, got '5'"),
+    "coefficient of the wrong type": (
+        (), AddNode(6, ROOT_DOMAIN, ((5, 1), (1, "x"))), TypeError, None,
+        "link 6-1: not a number: 'x'",
+    ),
+    "no coefficient": ((), AddNode(6, ROOT_DOMAIN, ((1, None),)), TypeError, None,
+                       "link 6-1: not a number: None"),
+}
+
+
+@pytest.mark.parametrize(
+    "before, event, error, entry, message", STEP_FAULTS.values(), ids=list(STEP_FAULTS)
+)
+def test_apply_event_and_a_scenario_made_in_code_check_a_join_alike(
+    before, event, error, entry, message
+):
+    scenario = chain_in_code()
+    state = build_state(replace(scenario, events=before))
+    with pytest.raises(error) as stepped:
+        apply_event(state, event)
+    assert (type(stepped.value), str(stepped.value)) == (error, message)
+    assert getattr(stepped.value, "entry", None) == entry
+    with pytest.raises(Exception) as made:
+        replace(scenario, events=(*before, event))
+    if entry is None:
+        assert (type(made.value), str(made.value)) == (error, message)
+    else:
+        assert (type(made.value), made.value.path, made.value.message) == (
+            ValidationError, f"events[{len(before)}].add_node.{entry}", message
+        )
 
 
 # Network entries of the wrong form, made in code, with the exact

@@ -214,23 +214,31 @@ def test_construction_errors_are_exact(make, error, message):
 
 
 @pytest.mark.parametrize(
-    "links, k_override, entry, message",
+    "args, entry, message",
     [
-        ([(1, 2)], None, "links[0]", "expected [a, b, coeff], got 2 items"),
-        ([(1, 2, 1), 5], None, "links[1]", "expected an array, got int"),
-        ([], [(1, 2, 1, 0)], "k_override[0]", "expected [i, j, cost], got 4 items"),
-        ([], [(1, 2, 1), None], "k_override[1]", "expected an array, got NoneType"),
-        ([], {(1, 2): 1, (1,): 1}, "k_override[(1,)]", "expected (i, j), got 1 items"),
-        ([], {5: 1}, "k_override[5]", "expected an array, got int"),
-        (iter([(1, 2, 1), (1, 2)]), None, "links[1]",
+        (([1, 2], [(1, 2)]), "links[0]", "expected [a, b, coeff], got 2 items"),
+        (([1, 2], [(1, 2, 1), 5]), "links[1]", "expected an array, got int"),
+        (([1, 2], [], [(1, 2, 1, 0)]), "k_override[0]",
+         "expected [i, j, cost], got 4 items"),
+        (([1, 2], [], [(1, 2, 1), None]), "k_override[1]",
+         "expected an array, got NoneType"),
+        (([1, 2], [], {(1, 2): 1, (1,): 1}), "k_override[(1,)]",
+         "expected (i, j), got 1 items"),
+        (([1, 2], [], {5: 1}), "k_override[5]", "expected an array, got int"),
+        (([1, 2], iter([(1, 2, 1), (1, 2)])), "links[1]",
          "expected [a, b, coeff], got 2 items"),
         # The first entry at fault is named, whatever is wrong with a later one.
-        ([(1, 2), (1, "x", 1)], None, "links[0]", "expected [a, b, coeff], got 2 items"),
+        (([1, 2], [(1, 2), (1, "x", 1)]), "links[0]",
+         "expected [a, b, coeff], got 2 items"),
+        # An argument that cannot be iterated is named as a whole.
+        ((None,), "nodes", "expected an array, got NoneType"),
+        (((1, 2), None), "links", "expected an array, got NoneType"),
+        (((1, 2), (), 5), "k_override", "expected an array, got int"),
     ],
 )
-def test_an_entry_of_the_wrong_form_is_named(links, k_override, entry, message):
+def test_an_entry_of_the_wrong_form_is_named(args, entry, message):
     with pytest.raises(TopologyError) as info:
-        Network([1, 2], links, k_override)
+        Network(*args)
     assert (type(info.value), info.value.entry, str(info.value)) == (
         TopologyError, entry, message
     )
