@@ -7,8 +7,10 @@ full one clones a child manager hosted on the node, so the tree deepens
 as the network grows. Only the tree changes membership; it keeps one
 frozen ``DomainState`` per domain and builds each ``Domain`` from it.
 
-The tree keys its records by ``DomainId.path``, a tuple hashed in C,
-so a join does O(1) Python work and one O(depth) hash in C.
+The tree keys its records by dotted name. Each ``DomainId`` carries
+its name from where it was made, and a ``str`` keeps its hash, so a
+join is one dict lookup, not a hash of its whole path. Making a child
+still builds its name and path in O(depth).
 """
 
 from __future__ import annotations
@@ -43,13 +45,17 @@ _CANONICAL_ID = re.compile(r"[1-9][0-9]*(?:\.[1-9][0-9]*)*")
 class DomainId(Record):
     """Hierarchical domain name, rendered dotted ("1.3.1").
 
-    An id equals and orders only ids of its own class, by ``path``, so
-    sorting is depth-first. ``__eq__`` and ``__hash__`` read ``path``
-    directly, not ``Record``'s field tuple, because the tree looks up a
-    record by id on every join.
+    An id equals, orders, hashes, prints and pickles by ``path`` alone,
+    and only against ids of its own class, so sorting is depth-first.
+    Its dotted name is rendered once, when it is made: ``parse`` and the
+    loader keep the text they read, and the tree the name it builds.
+    ``str`` returns that name, which keys the tree's records. So a part
+    too long for ``str(int)`` (past ``sys.get_int_max_str_digits()``)
+    raises ``ValueError`` when the id is made, as ``parse`` does.
     """
 
-    __slots__ = ("path",)
+    __slots__ = ("path", "_name")
+    _fields = ("path",)
 
     def __init__(self, path: tuple[int, ...]) -> None:
         if not path:
@@ -60,6 +66,7 @@ class DomainId(Record):
             if part < 1:
                 raise ValueError(f"domain id parts must be positive: {path!r}")
         _set_path(self, path)
+        _set_name(self, ".".join(map(str, path)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -74,11 +81,15 @@ class DomainId(Record):
             return self.path < other.path
         return NotImplemented
 
+    def __reduce__(self) -> tuple:
+        return self.__class__, (self.path,)
+
     @classmethod
-    def _unchecked(cls, path: tuple[int, ...]) -> "DomainId":
-        """An id made without checks: ``path`` must already be valid."""
+    def _unchecked(cls, path: tuple[int, ...], name: str) -> "DomainId":
+        """An id made without checks: ``path`` must be valid, ``name`` its text."""
         domain = object.__new__(cls)
         _set_path(domain, path)
+        _set_name(domain, name)
         return domain
 
     @classmethod
@@ -88,16 +99,17 @@ class DomainId(Record):
             raise ValueError(f"domain id must be a string, got {text!r}")
         if _CANONICAL_ID.fullmatch(text) is None:
             raise ValueError(f"malformed domain id {text!r}")
-        return cls._unchecked(tuple(map(int, text.split("."))))
+        return cls._unchecked(tuple(map(int, text.split("."))), text)
 
     def __str__(self) -> str:
-        return ".".join(map(str, self.path))
+        return self._name
 
 
 # A record made on every join or snapshot sets its fields through its
 # slot descriptors, past Record.__setattr__, at about half the cost of
 # object.__setattr__.
 _set_path = DomainId.path.__set__
+_set_name = DomainId._name.__set__
 
 ROOT_DOMAIN = DomainId((1,))
 
@@ -172,10 +184,10 @@ class _ManagerRecord:
 
     def snapshot(self) -> DomainState:
         if self.state is None:
-            children = tuple([child.name for child in self.children])
-            members = tuple(self.members)
+            children = self.children
             self.state = DomainState(
-                self.name, self.host, members, self.parent_name, children
+                self.name, self.host, tuple(self.members), self.parent_name,
+                tuple([child.name for child in children]) if children else (),
             )
         return self.state
 
@@ -188,15 +200,16 @@ class ManagerTree:
     can be chained. The tree is single-writer: share it between
     threads only once quiescent.
 
-    A join costs one lookup by ``DomainId.path`` and, into a full
-    domain, one new child record. A ``states()`` call costs one walk of
-    the tree plus a new state for each domain changed since the last.
+    A join costs one lookup by the id's dotted name and, into a full
+    domain, one new child record, whose name and path take O(depth). A
+    ``states()`` call costs one walk of the tree plus a new state for
+    each domain changed since the last.
     """
 
     def __init__(self, m_max: int) -> None:
         self._m_max = _count(m_max, "m_max", 1)
         # Only public lookups go through _managers; records link directly.
-        self._managers: dict[tuple[int, ...], _ManagerRecord] = {}
+        self._managers: dict[str, _ManagerRecord] = {}
         self._root: _ManagerRecord | None = None
         self._node_domain: dict[NodeId, _ManagerRecord] = {}
 
@@ -229,19 +242,19 @@ class ManagerTree:
         root = _ManagerRecord(ROOT_DOMAIN, "1", central, root_members, None, None)
         tree._root = root
         managers = tree._managers
-        managers[ROOT_DOMAIN.path] = root
+        managers["1"] = root
         node_domain = tree._node_domain
         node_domain.update(dict.fromkeys(root_members, root))
         children = root.children
         for index in range(1, full_chunks + 1):
             chunk = others[(index - 1) * m_max : index * m_max]
-            path = (1, index)
+            name = f"1.{index}"
             record = _ManagerRecord(
-                DomainId._unchecked(path), f"1.{index}", chunk[0], chunk,
+                DomainId._unchecked((1, index), name), name, chunk[0], chunk,
                 ROOT_DOMAIN, "1",
             )
             children.append(record)
-            managers[path] = record
+            managers[name] = record
             for node in chunk:
                 node_domain[node] = record
         return tree
@@ -249,7 +262,7 @@ class ManagerTree:
     def _record(self, domain: DomainId) -> _ManagerRecord:
         record = None
         if domain.__class__ is DomainId:
-            record = self._managers.get(domain.path)
+            record = self._managers.get(domain._name)
         if record is None:
             raise UnknownDomain(f"no such domain: {domain}")
         return record
@@ -271,43 +284,43 @@ class ManagerTree:
             record.members.append(node)
         else:
             parent, index = record, len(record.children) + 1
-            path = parent.id.path + (index,)
+            name = f"{parent.name}.{index}"
             record = _ManagerRecord(
-                DomainId._unchecked(path), f"{parent.name}.{index}", node, [node],
-                parent.id, parent.name,
+                DomainId._unchecked(parent.id.path + (index,), name), name, node,
+                [node], parent.id, parent.name,
             )
             parent.children.append(record)
-            self._managers[path] = record
+            self._managers[name] = record
         self._node_domain[node] = record
         return self
 
     @staticmethod
     def _replay_shape(
         node_count: int, m_max: int, domains: Sequence[DomainId]
-    ) -> tuple[dict[tuple[int, ...], list[int]], int]:
+    ) -> tuple[dict[str, list[int]], int]:
         """The tree's shape after joins into ``domains``, counted, not built.
 
         The count-only twin of ``initial_partition`` on ``node_count``
         nodes followed by ``add_node_to_domain`` into each of ``domains``
-        in turn: each domain's ``DomainId.path`` maps to its ``[members,
-        children]`` counts, and a full domain starts child n+1. A join
-        into a domain that does not exist yet stops the replay. Returns
-        the counts and the number of joins replayed.
+        in turn: each domain's dotted name, as the tree keys it, maps to
+        its ``[members, children]`` counts, and a full domain starts child
+        n+1. A join into a domain that does not exist yet stops the
+        replay. Returns the counts and the number of joins replayed.
         """
         _count(m_max, "m_max", 1)
         chunks, rest = divmod(node_count - 1, m_max)
-        shape = {ROOT_DOMAIN.path: [1 + rest, chunks]}
+        shape = {"1": [1 + rest, chunks]}
         for index in range(1, chunks + 1):
-            shape[(1, index)] = [m_max, 0]
+            shape[f"1.{index}"] = [m_max, 0]
         for done, domain in enumerate(domains):
-            counts = shape.get(domain.path)
+            counts = shape.get(domain._name)
             if counts is None:
                 return shape, done
             if counts[0] < m_max:
                 counts[0] += 1
             else:
                 counts[1] += 1
-                shape[domain.path + (counts[1],)] = [1, 0]
+                shape[f"{domain._name}.{counts[1]}"] = [1, 0]
         return shape, len(domains)
 
     def domain_of(self, node: NodeId) -> DomainId:

@@ -236,8 +236,10 @@ class Scenario(Record):
         """Check each event's type, join and label; add joins to ``known``.
 
         A join's ``TopologyError`` from ``_join_links`` becomes a
-        ``ValidationError`` at its entry. Returns the domain of each join,
-        keyed by its event index.
+        ``ValidationError`` at its entry. The scenario keeps the links it
+        checks, so links that are not a sequence, such as an iterator the
+        check would use up, are refused once the node is checked. Returns
+        the domain of each join, keyed by its event index.
         """
         joins: dict[int, DomainId] = {}
         labels: set[str] = set()
@@ -247,10 +249,13 @@ class Scenario(Record):
                 if not isinstance(event.domain, DomainId):
                     message = f"expected a DomainId, got {event.domain!r}"
                     raise ValidationError(f"{path}.domain", message)
+                links = event.links
+                sequence = isinstance(links, Sequence)
                 try:
-                    _join_links(event.node, event.links, known)
+                    _join_links(event.node, links if sequence else (), known)
                 except TopologyError as exc:
                     raise ValidationError(f"{path}.{exc.entry}", str(exc)) from None
+                _expect_array(links, f"{path}.links", Sequence)
                 known[event.node] = None
                 joins[index] = event.domain
             elif isinstance(event, Snapshot):
@@ -328,10 +333,10 @@ class Scenario(Record):
             if number < 0:
                 raise ValidationError(path, f"must be non-negative, got {value}")
             try:
-                domain = DomainId.parse(key)
+                DomainId.parse(key)  # so key is the id's dotted name
             except ValueError as exc:
                 raise ValidationError(path, str(exc)) from None
-            if domain.path not in shape:
+            if key not in shape:
                 raise ValidationError(path, f"no such domain: {key}")
 
 
@@ -640,7 +645,8 @@ def _parse_domain_id(text: str, memo: dict[str, DomainId]) -> DomainId:
     level. Any other text goes to the full ``DomainId.parse``, which
     raises ValueError for every malformed id. The one step's ``int``
     fails only past the int digit limit, as ``parse``'s own does, so an
-    id fails the same way on either path.
+    id fails the same way on either path. Either way the id keeps
+    ``text`` as its name.
     """
     domain = memo.get(text)
     if domain is not None:
@@ -649,7 +655,7 @@ def _parse_domain_id(text: str, memo: dict[str, DomainId]) -> DomainId:
     parent = memo.get(head)
     # isdigit() alone also takes non-ASCII digits such as "٢" and "²".
     if parent is not None and last.isascii() and last.isdigit() and last[0] != "0":
-        domain = DomainId._unchecked(parent.path + (int(last),))
+        domain = DomainId._unchecked(parent.path + (int(last),), text)
     else:
         domain = DomainId.parse(text)
     memo[text] = domain

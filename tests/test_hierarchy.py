@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 import time
 from fractions import Fraction
@@ -25,8 +27,10 @@ from netmansim import (
     UnassignedNode,
     UnknownDomain,
     UnknownNode,
+    load_bundled_scenario,
     run,
 )
+from netmansim.simulation import _parse_domain_id
 from conftest import assert_frozen_record, parent_links
 
 
@@ -68,6 +72,21 @@ class TestDomainId:
             DomainId((1, 0))
         with pytest.raises(ValueError):
             DomainId((1, "2"))
+
+    def test_a_part_too_long_to_render_is_refused_when_the_id_is_made(self):
+        # An id renders its name when made, so a part past the int digit
+        # limit fails there, as parse fails on its text. A Python with no
+        # limit renders the part in full.
+        part = 10**5000
+        try:
+            text = str(part)
+        except ValueError:
+            with pytest.raises(ValueError, match="integer string conversion"):
+                DomainId((part,))
+            with pytest.raises(ValueError, match="integer string conversion"):
+                DomainId.parse("1" + "0" * 5000)
+        else:
+            assert str(DomainId((part,))) == text
 
     def test_root_domain(self):
         assert ROOT_DOMAIN == did("1")
@@ -262,7 +281,7 @@ class TestGrowth:
             ManagerTree("3")
 
     def test_a_domain_that_is_not_a_domain_id_is_unknown(self):
-        # The tree keys its records by DomainId.path; other keys find none.
+        # The tree keys its records by a DomainId's name; a str finds none.
         tree = ManagerTree.initial_partition(range(1, 9), 3, 1)
         with pytest.raises(UnknownDomain, match="^no such domain: 1$"):
             tree.add_node_to_domain(9, "1")
@@ -277,7 +296,9 @@ class TestGrowth:
         tree = ManagerTree.initial_partition(range(1, 12), 1, 11)
         tree.add_node_to_domain(12, did("1.1"))
         ids = tree.domain_ids()
-        assert [d.path for d in ids] == sorted(tree._managers)
+        # The tree's keys are the names of its ids, in numeric order.
+        keys = sorted(DomainId.parse(name).path for name in tree._managers)
+        assert [d.path for d in ids] == keys
         rendered = [str(d) for d in ids]
         assert rendered[:4] == ["1", "1.1", "1.1.1", "1.2"]
         assert rendered[-2:] == ["1.9", "1.10"]
@@ -345,6 +366,60 @@ def test_random_growth_preserves_invariants(case):
     tree = replay(m_max, initial, central, choices)
     expected = set(range(1, initial + 1 + len(choices)))
     check_tree_invariants(tree, expected)
+
+
+def check_made_id(domain: DomainId, path: tuple[int, ...]) -> None:
+    """``domain``, however it was made, is the id of ``path`` in every way."""
+    text = ".".join(map(str, path))
+    made = DomainId(path)
+    assert domain.path == path
+    assert str(domain) == text == str(made)
+    assert domain == made and not (domain < made or made < domain)
+    assert hash(domain) == hash(made) == hash((path,))
+    assert repr(domain) == f"DomainId(path={path!r})"
+    assert DomainId.__match_args__ == DomainId._fields == ("path",)
+    assert domain.__reduce__() == (DomainId, (path,))  # pickled by path alone
+    for twin in (
+        copy.copy(domain), copy.deepcopy(domain), pickle.loads(pickle.dumps(domain))
+    ):
+        assert (twin.__class__, twin, str(twin)) == (DomainId, domain, text)
+    with pytest.raises(AttributeError):
+        domain._name = "1"
+
+
+@given(st.lists(st.integers(min_value=1, max_value=10**12), min_size=1, max_size=6))
+def test_an_id_parsed_or_made_from_its_path_renders_its_path(parts):
+    path = tuple(parts)
+    text = ".".join(map(str, parts))
+    # The loader's memo: a child of a text it has read takes one step.
+    memo: dict[str, DomainId] = {}
+    if len(path) > 1:
+        _parse_domain_id(text.rpartition(".")[0], memo)
+    for domain in (
+        DomainId(path), DomainId.parse(text), _parse_domain_id(text, {}),
+        _parse_domain_id(text, memo),
+    ):
+        check_made_id(domain, path)
+
+
+@given(growth_runs())
+def test_an_id_the_tree_makes_renders_its_path(case):
+    tree = replay(*case)
+    ids = tree.domain_ids()
+    for domain in ids:
+        check_made_id(domain, domain.path)
+    # A state's names are its records' names, which its ids render.
+    assert [state.id for state in tree.states()] == list(map(str, ids))
+
+
+def test_an_id_a_file_names_renders_its_path():
+    domains = [
+        event.domain for event in load_bundled_scenario("growth19").events
+        if isinstance(event, AddNode)
+    ]
+    assert domains
+    for domain in domains:
+        check_made_id(domain, domain.path)
 
 
 @given(growth_runs())
@@ -430,8 +505,7 @@ def test_the_count_only_replay_matches_the_tree(case, stray):
     shape, replayed = ManagerTree._replay_shape(initial, m_max, joins)
     assert replayed == (len(joins) if rejected is None else rejected)
     assert shape == {
-        did(state.id).path: [len(state.members), len(state.children)]
-        for state in tree.states()
+        state.id: [len(state.members), len(state.children)] for state in tree.states()
     }
 
 

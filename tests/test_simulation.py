@@ -812,6 +812,14 @@ CODE_ERRORS = [
      "events[0].add_node.links[0][1]", "link 6-1: Fraction(-1, 1) is negative"),
     (dict(events=(AddNode(6, DomainId.parse("1"), None),)),
      "events[0].add_node.links", "expected an array, got NoneType"),
+    # The scenario keeps a join's links: ones the check would use up are
+    # refused, after the node's own faults.
+    (dict(events=(AddNode(6, DomainId.parse("1"), iter([(1, 1)])),)),
+     "events[0].add_node.links", "expected an array, got list_iterator"),
+    (dict(events=(AddNode(6, DomainId.parse("1"), {(1, 1)}),)),
+     "events[0].add_node.links", "expected an array, got set"),
+    (dict(events=(AddNode(3, DomainId.parse("1"), iter([(1, 1)])),)),
+     "events[0].add_node.node", "duplicate node 3"),
     (dict(central=True), "central", "expected an integer, got True"),
     (dict(central=10.0), "central", "expected an integer, got 10.0"),
     (dict(m_max=0), "m_max", "must be at least 1, got 0"),
@@ -927,6 +935,20 @@ def test_apply_event_and_a_scenario_made_in_code_check_a_join_alike(
         assert (type(made.value), made.value.path, made.value.message) == (
             ValidationError, f"events[{len(before)}].add_node.{entry}", message
         )
+
+
+def test_join_links_a_scenario_would_use_up_are_refused_unread():
+    links = iter([(1, 1)])
+    with pytest.raises(ValidationError):
+        replace(chain_in_code(), events=(AddNode(6, ROOT_DOMAIN, links),))
+    assert list(links) == [(1, 1)]
+    with pytest.raises(TypeError, match="^node id must be an int, got '6'$"):
+        replace(chain_in_code(), events=(AddNode("6", ROOT_DOMAIN, iter(())),))
+    # apply_event keeps the links it checks, so it takes them as they come.
+    state = apply_event(
+        build_state(chain_in_code()), AddNode(6, ROOT_DOMAIN, iter([(1, 1)]))
+    )
+    assert state.network.path_cost(5, 6) == 5
 
 
 # Network entries of the wrong form, made in code, with the exact
